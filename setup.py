@@ -1,8 +1,10 @@
 """Build script: compiles the optional bitmask kernel extension.
 
+The extension is built from the committed C file `_masks_c.c`, which Cython
+generated from `_masks_c.pyx`; building needs a C compiler but not Cython.
 The package is fully functional without the extension (a pure-Python kernel
-is selected at import when the compiled one is absent), so both a missing
-Cython and a failing C toolchain only cost speed, never the build.
+is selected at import when the compiled one is absent), so a failing C
+toolchain only costs speed, never the build.
 """
 
 import warnings
@@ -25,21 +27,13 @@ class OptionalBuildExt(build_ext):
             warnings.warn(f"skipping {ext.name} ({exc}); using the pure-Python fallback")
 
 
-def extensions():
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        return []
-    return cythonize(
-        [
-            Extension(
-                "powmon._kernels._masks_c",
-                ["src/powmon/_kernels/_masks_c.pyx"],
-                extra_compile_args=["-O2"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-
-
-setup(ext_modules=extensions(), cmdclass={"build_ext": OptionalBuildExt})
+setup(
+    ext_modules=[
+        Extension(
+            "powmon._kernels._masks_c",
+            ["src/powmon/_kernels/_masks_c.c"],
+            extra_compile_args=["-O2"],
+        )
+    ],
+    cmdclass={"build_ext": OptionalBuildExt},
+)

@@ -30,7 +30,6 @@ from .puiseux import (
     verify_atoms_by_valuation,
 )
 from .rational import (
-    Rational,
     checked_sub,
     format_rational,
     is_prime,
@@ -68,7 +67,6 @@ __all__ = [
     "NumericalMonoid",
     "PowerMonoidView",
     "PuiseuxMonoid",
-    "Rational",
     "UndefinedValuationError",
     "UnsupportedAmbientError",
     "WouldGoNegativeError",

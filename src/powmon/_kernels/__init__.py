@@ -1,14 +1,12 @@
 """Kernel selection: compiled extension when present, pure Python otherwise.
 
-The compiled kernel (`_masks_c`, Cython) handles universes of at most 64
-bits with C integers; the pure module handles any size.  Set
-POWMON_FORCE_PURE=1 to ignore the extension (used by the benchmark and the
-agreement tests).
+The compiled kernel (`_masks_c`) is built by `setup.py` from the committed C
+file that Cython generated from `_masks_c.pyx`; it handles universes of at
+most 64 bits with C integers.  The pure module handles any size.
+`kernel_for` is the only place that chooses between them.
 """
 
 from __future__ import annotations
-
-import os
 
 from . import masks_py
 
@@ -20,17 +18,9 @@ except ImportError:
 _C_BITS = 64
 
 
-def compiled_available() -> bool:
-    return _masks_c is not None
-
-
-def _force_pure() -> bool:
-    return os.environ.get("POWMON_FORCE_PURE", "") not in ("", "0")
-
-
 def kernel_for(universe_bits: int):
     """The kernel module to use for a universe of the given bit width."""
-    if _masks_c is not None and universe_bits <= _C_BITS and not _force_pure():
+    if _masks_c is not None and universe_bits <= _C_BITS:
         return _masks_c
     return masks_py
 

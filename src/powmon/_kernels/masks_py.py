@@ -1,31 +1,12 @@
-"""Pure-Python bitmask kernels for sumset decomposition.
+"""Pure-Python bitmask kernel for sumset decomposition.
 
-Finite sets of scaled integers are bitmasks (bit i = value i).  These three
-routines are the hot inner loops of the decomposition machinery; the
+Finite sets of scaled integers are bitmasks (bit i = value i).  The pair
+search below is the hot inner loop of the decomposition machinery; the
 compiled twin in `_masks_c` implements the same contract for universes of
 up to 64 bits, while this module works at any size.
 """
 
 from __future__ import annotations
-
-
-def bit_positions(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def sumset(a: int, b: int) -> int:
-    """Minkowski sum of two bitmask sets: OR of a shifted by every bit of b."""
-    out = 0
-    while b:
-        low = b & -b
-        out |= a << (low.bit_length() - 1)
-        b ^= low
-    return out
 
 
 def pair_search(
@@ -36,7 +17,7 @@ def pair_search(
     skip_c_unit: bool = False,
     first_only: bool = False,
 ) -> list[tuple[int, int]]:
-    """All ordered pairs (A, C) with bit0 in both, sumset(A, C) == B,
+    """All ordered pairs (A, C) with bit0 in both, A + C == B (Minkowski sum),
     elements of A allowed by cand_a and of C by cand_c.
 
     skip_*_unit drops pairs whose corresponding side is {0} (mask 1); this

@@ -29,10 +29,6 @@ class Factorization:
         object.__setattr__(self, "counts", tuple(sorted(merged.items())))
 
     @classmethod
-    def of(cls, *atoms) -> "Factorization":
-        return cls((a, 1) for a in atoms)
-
-    @classmethod
     def from_parts(cls, parts: Iterable) -> "Factorization":
         return cls((a, 1) for a in parts)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .decompose import PowerMonoidView, engine_for, set_factorizations
+from .decompose import PowerMonoidView, set_factorizations
 from .errors import InvalidInputError
 from .factorization import Enumeration
 from .powerset import FinSet

@@ -138,9 +138,6 @@ class FinSet:
         return [format_rational(e) for e in self.elems]
 
 
-IDENTITY = FinSet([0])
-
-
 def minkowski_sum(s: FinSet, t: FinSet) -> FinSet:
     return s + t
 

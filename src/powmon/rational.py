@@ -1,10 +1,10 @@
 """Exact arithmetic on nonnegative rationals.
 
 Values are `fractions.Fraction` instances (arbitrary-precision, always in
-lowest terms), re-exported here as `Rational`.  This module adds the pieces
-the monoid machinery needs on top of the stdlib type: validated reduction,
-p-adic valuations, deterministic primality, prime search, partial
-subtraction on Q>=0, and the "a/b" text format.
+lowest terms).  This module adds the pieces the monoid machinery needs on
+top of the stdlib type: validated reduction, p-adic valuations,
+deterministic primality, prime search, partial subtraction on Q>=0, and the
+"a/b" text format.
 
 No floating point is used anywhere in the package.
 """
@@ -15,11 +15,6 @@ import math
 from fractions import Fraction
 
 from .errors import InvalidInputError, UndefinedValuationError
-
-Rational = Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def reduce(num: int, den: int) -> Fraction:
@@ -100,9 +95,9 @@ def is_prime(n: int) -> bool:
             return False
     if n < _MR_LIMIT:
         return _miller_rabin(n, _MR_WITNESSES)
-    i = 49
+    i = 53
     while i * i <= n:
-        # wheel over residues coprime to 2 and 3
+        # wheel over residues coprime to 2 and 3: i = 5 and i + 2 = 1 (mod 6)
         if n % i == 0 or n % (i + 2) == 0:
             return False
         i += 6

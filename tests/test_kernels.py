@@ -1,41 +1,36 @@
 """Backend agreement: the compiled kernel must be indistinguishable from the
-pure-Python one wherever both apply."""
+pure-Python one wherever both apply.  The compiled module comes from the
+`compiled_kernel` fixture, which builds the committed C source."""
 
+import hashlib
 import random
+import types
+from pathlib import Path
 
-import pytest
+from powmon import _kernels
+from powmon._kernels import backend_name, kernel_for, masks_py
+from oracles import oracle_sumset
 
-from powmon._kernels import compiled_available, kernel_for, masks_py
-from oracles import mask_to_set, oracle_sumset
+KERNELS = Path(_kernels.__file__).resolve().parent
 
-if compiled_available():
-    from powmon._kernels import _masks_c
-else:  # pragma: no cover
-    _masks_c = None
+# sha256 of the `_masks_c.pyx` that the committed `_masks_c.c` was generated from
+PYX_SHA256 = "b3a6a13098b899c0c915580d8f6962775e2a273a8291779f73ef71d1d3357018"
 
-needs_c = pytest.mark.skipif(not compiled_available(), reason="compiled kernel not built")
+
+def test_pyx_matches_generated_c():
+    digest = hashlib.sha256((KERNELS / "_masks_c.pyx").read_bytes()).hexdigest()
+    assert digest == PYX_SHA256, (
+        "_masks_c.pyx changed: regenerate _masks_c.c with Cython 3, then update the hash"
+    )
 
 
 def test_selector_prefers_compiled_only_in_range(monkeypatch):
-    monkeypatch.delenv("POWMON_FORCE_PURE", raising=False)
-    if compiled_available():
-        assert kernel_for(64) is _masks_c
-    assert kernel_for(65) is masks_py
-    monkeypatch.setenv("POWMON_FORCE_PURE", "1")
-    assert kernel_for(16) is masks_py
-
-
-def test_pure_sumset_matches_set_arithmetic():
-    rng = random.Random(1)
-    for _ in range(500):
-        a = rng.getrandbits(16) | 1
-        b = rng.getrandbits(16) | 1
-        got = masks_py.sumset(a, b)
-        expected = 0
-        for x in mask_to_set(a):
-            for y in mask_to_set(b):
-                expected |= 1 << (x + y)
-        assert got == expected
+    compiled = types.ModuleType("_masks_c")
+    monkeypatch.setattr(_kernels, "_masks_c", compiled)
+    assert kernel_for(64) is compiled and backend_name(64) == "c"
+    assert kernel_for(65) is masks_py and backend_name(65) == "python"
+    monkeypatch.setattr(_kernels, "_masks_c", None)
+    assert kernel_for(16) is masks_py and backend_name(16) == "python"
 
 
 def test_pair_search_pure_soundness():
@@ -49,8 +44,7 @@ def test_pair_search_pure_soundness():
             assert a & ~(B & cand) == 0 and c & ~(B & cand) == 0
 
 
-@needs_c
-def test_backends_agree_random():
+def test_backends_agree_random(compiled_kernel):
     rng = random.Random(42)
     for _ in range(2000):
         bits = rng.randint(1, 22)
@@ -59,33 +53,28 @@ def test_backends_agree_random():
         cc = rng.getrandbits(bits) | 1
         sa, sc = rng.random() < 0.4, rng.random() < 0.4
         assert sorted(masks_py.pair_search(B, ca, cc, sa, sc)) == sorted(
-            _masks_c.pair_search(B, ca, cc, sa, sc)
+            compiled_kernel.pair_search(B, ca, cc, sa, sc)
         )
-        x, y = rng.getrandbits(bits) | 1, rng.getrandbits(bits) | 1
-        assert masks_py.sumset(x, y) == _masks_c.sumset(x, y)
 
 
-@needs_c
-def test_backends_agree_near_word_boundary():
+def test_backends_agree_near_word_boundary(compiled_kernel):
     full = (1 << 64) - 1
     for B in [(1 << 63) | 1, (1 << 63) | (1 << 62) | 1, (1 << 60) | (1 << 30) | 1]:
         assert sorted(masks_py.pair_search(B, full, full)) == sorted(
-            _masks_c.pair_search(B, full, full)
+            compiled_kernel.pair_search(B, full, full)
         )
 
 
-@needs_c
-def test_engines_agree_end_to_end():
+def test_engines_agree_end_to_end(compiled_kernel):
     """The full factorization engine produces identical sets on both
     backends, over a rational ambient for good measure."""
     from fractions import Fraction as F
 
     from powmon import PuiseuxMonoid
-    from powmon._kernels import _masks_c as ckern
     from powmon.decompose import _Engine
 
     monoid = PuiseuxMonoid([F(1, 2), F(1, 3)])
-    eng_c = _Engine(monoid, kernel=ckern)
+    eng_c = _Engine(monoid, kernel=compiled_kernel)
     eng_py = _Engine(monoid, kernel=masks_py)
     eng_c.ensure(16)
     eng_py.ensure(16)
@@ -99,10 +88,9 @@ def test_engines_agree_end_to_end():
             assert (zc, okc) == (zp, okp), (bin(bmask), restricted)
 
 
-@needs_c
-def test_first_only_yields_single_nontrivial_witness():
+def test_first_only_yields_single_nontrivial_witness(compiled_kernel):
     B = 0b1111
-    got_c = _masks_c.pair_search(B, B, B, True, True, True)
+    got_c = compiled_kernel.pair_search(B, B, B, True, True, True)
     got_py = masks_py.pair_search(B, B, B, True, True, True)
     assert len(got_c) == 1 and len(got_py) == 1
     for a, c in got_c + got_py:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from powmon import (
     is_prime,
     next_prime_above,
     parse_rational,
+    rational,
     reduce,
     valuation,
 )
@@ -89,6 +91,19 @@ def test_is_prime_matches_trial_division():
     for _ in range(300):
         n = rng.randrange(2, 10**7)
         assert is_prime(n) == trial_is_prime(n), n
+
+
+def test_trial_division_fallback_matches_sieve(monkeypatch):
+    """Above the Miller-Rabin range `is_prime` trial-divides; with the range
+    emptied, that fallback alone must agree with a sieve."""
+    monkeypatch.setattr(rational, "_MR_LIMIT", 0)
+    limit = 20_000
+    sieve = [False, False] + [True] * (limit - 1)
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = [False] * len(sieve[p * p :: p])
+    wrong = [n for n in range(limit + 1) if is_prime(n) != sieve[n]]
+    assert wrong == []
 
 
 def test_next_prime_above():
