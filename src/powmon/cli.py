@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from . import laboratory
 from .decompose import (
@@ -78,11 +79,13 @@ def _ambient(args, required: bool = True) -> PuiseuxMonoid | None:
     return None
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _emit(args, payload: dict, text_lines: Callable[[], list[str]]) -> None:
+    """Print the payload as JSON under --json, else the text lines; the
+    lines are a callable so that --json never renders them."""
     if getattr(args, "json", False):
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -110,7 +113,7 @@ def _cmd_atoms(args) -> None:
         args,
         {"command": "atoms", "monoid": monoid.to_json(),
          "atoms": [format_rational(a) for a in atoms]},
-        [_rat_list(atoms)],
+        lambda: [_rat_list(atoms)],
     )
 
 
@@ -122,7 +125,7 @@ def _cmd_member(args) -> None:
         args,
         {"command": "member", "monoid": monoid.to_json(),
          "element": format_rational(q), "member": inside},
-        ["true" if inside else "false"],
+        lambda: ["true" if inside else "false"],
     )
 
 
@@ -134,7 +137,7 @@ def _cmd_divisors(args) -> None:
         args,
         {"command": "divisors", "monoid": monoid.to_json(),
          "element": format_rational(q), "divisors": [format_rational(d) for d in divs]},
-        [_rat_list(divs)],
+        lambda: [_rat_list(divs)],
     )
 
 
@@ -148,7 +151,7 @@ def _cmd_factorize(args) -> None:
          "element": format_rational(q),
          "factorizations": _factorization_json(enum, set_level=False),
          "lengths": sorted(enum.lengths()), "partial": not enum.exhaustive},
-        [z.render(format_rational) for z in enum.items]
+        lambda: [z.render(format_rational) for z in enum.items]
         + (["(partial: length cap hit)"] if not enum.exhaustive else []),
     )
 
@@ -162,7 +165,7 @@ def _cmd_lengths(args) -> None:
         {"command": "lengths", "monoid": monoid.to_json(),
          "element": format_rational(q), "lengths": sorted(enum.lengths()),
          "partial": not enum.exhaustive},
-        ["{" + ", ".join(str(n) for n in sorted(enum.lengths())) + "}"],
+        lambda: ["{" + ", ".join(str(n) for n in sorted(enum.lengths())) + "}"],
     )
 
 
@@ -175,7 +178,7 @@ def _cmd_mcd(args) -> None:
         {"command": "mcd", "monoid": monoid.to_json(),
          "elements": [format_rational(e) for e in elems],
          "mcds": [format_rational(d) for d in mcds]},
-        [_rat_list(mcds)],
+        lambda: [_rat_list(mcds)],
     )
 
 
@@ -194,7 +197,7 @@ def _cmd_minkowski(args) -> None:
     if monoid is not None:
         payload["monoid"] = monoid.to_json()
         payload["sum_within_monoid"] = total.is_within(monoid)
-    _emit(args, payload, [str(total)])
+    _emit(args, payload, lambda: [str(total)])
 
 
 def _cmd_decompose(args) -> None:
@@ -205,7 +208,7 @@ def _cmd_decompose(args) -> None:
         args,
         {"command": "decompose", "monoid": monoid.to_json(), "set": b.to_json(),
          "decompositions": [d.to_json() for d in decos]},
-        [f"{d}{'   (trivial)' if d.trivial else ''}" for d in decos],
+        lambda: [f"{d}{'   (trivial)' if d.trivial else ''}" for d in decos],
     )
 
 
@@ -213,14 +216,12 @@ def _cmd_is_atom(args) -> None:
     monoid = _ambient(args)
     b = FinSet.parse(args.set)
     check = is_atom(b, monoid, restricted=args.restricted)
-    lines = ["true" if check.is_atom else "false"]
-    if check.witness is not None:
-        lines.append(f"witness: {check.witness}")
     _emit(
         args,
         {"command": "is-atom", "monoid": monoid.to_json(), "set": b.to_json(),
          "restricted": args.restricted, **check.to_json()},
-        lines,
+        lambda: ["true" if check.is_atom else "false"]
+        + ([f"witness: {check.witness}"] if check.witness is not None else []),
     )
 
 
@@ -235,7 +236,7 @@ def _cmd_factorize_set(args) -> None:
          "restricted": args.restricted,
          "factorizations": _factorization_json(enum, set_level=True),
          "lengths": sorted(enum.lengths()), "partial": not enum.exhaustive},
-        [z.render() for z in enum.items]
+        lambda: [z.render() for z in enum.items]
         + (["(partial: length cap hit)"] if not enum.exhaustive else []),
     )
 
@@ -250,7 +251,7 @@ def _cmd_lengths_set(args) -> None:
         {"command": "lengths-set", "monoid": monoid.to_json(), "set": b.to_json(),
          "restricted": args.restricted, "lengths": sorted(enum.lengths()),
          "partial": not enum.exhaustive},
-        ["{" + ", ".join(str(n) for n in sorted(enum.lengths())) + "}"],
+        lambda: ["{" + ", ".join(str(n) for n in sorted(enum.lengths())) + "}"],
     )
 
 
@@ -262,7 +263,7 @@ def _cmd_divisor_closure(args) -> None:
         args,
         {"command": "divisor-closure", "monoid": monoid.to_json(), "set": b.to_json(),
          "closure": [format_rational(c) for c in closure]},
-        ["{" + _rat_list(closure) + "}"],
+        lambda: ["{" + _rat_list(closure) + "}"],
     )
 
 
@@ -279,10 +280,12 @@ def _cmd_family(args) -> None:
         {"command": "family", "monoid": monoid.to_json(),
          "atoms": [format_rational(a) for a in atoms],
          "truncation": label},
-        [f"{label}  (at truncation level {monoid.family.level}; results are exact for the truncation)",
-         f"monoid: {monoid}",
-         f"scale: {format_rational(monoid.scale)}",
-         f"atoms: {_rat_list(atoms)}"],
+        lambda: [
+            f"{label}  (at truncation level {monoid.family.level}; results are exact for the truncation)",
+            f"monoid: {monoid}",
+            f"scale: {format_rational(monoid.scale)}",
+            f"atoms: {_rat_list(atoms)}",
+        ],
     )
 
 
@@ -326,7 +329,7 @@ def _cmd_verify(args) -> None:
         report = laboratory.example33_suite(level)
     else:  # pragma: no cover - argparse restricts choices
         raise InvalidInputError(f"unknown verify suite {suite!r}")
-    _emit(args, report.to_json(), report.summary())
+    _emit(args, report.to_json(), report.summary)
     if not report.passed:
         raise MonoidError(f"verification suite {suite!r} failed")
 

@@ -11,6 +11,26 @@ normalized cofactors constantly).
 Restricted mode works inside the restricted power monoid (every element
 contains 0); unrestricted mode allows singleton factors {a} and handles
 min(B) > 0 via divisor splits of min(B) in M.
+
+Results leave the engine as masks and become objects only at the API
+boundary, where all ordering and counting stays on integers:
+
+* each engine keeps one value table, `_values[i] = i / scale`, filled by
+  `ensure()` under the growth lock before `built` is raised, so every
+  index below `built` has its Fraction and equal elements are the same
+  object;
+* each distinct atom mask of a call becomes one FinSet, built from the
+  table through the trusted `FinSet._sorted`: bit positions ascend and the
+  table is strictly increasing, so the elements are already sorted,
+  distinct and nonnegative;
+* factorizations are sorted by an integer key, (length, sorted (atom
+  rank, count) pairs), where the distinct atoms of the call are ranked by
+  their bit positions.  Within one engine FinSet order is the
+  lexicographic order of bit positions (not of the mask's int value:
+  {0,1,3} sorts before {0,2}), so the key orders exactly as
+  `Factorization.__lt__`, and each Factorization is built from counts
+  already in canonical order through the trusted `Factorization._canonical`;
+* length sets are read off the raw tuples and build no objects.
 """
 
 from __future__ import annotations
@@ -28,6 +48,15 @@ from .puiseux import PuiseuxMonoid
 # Hard bound on the scaled universe (bits); beyond this the ambient's
 # denominators are too large for set-level work at desk scale.
 UNIVERSE_LIMIT = 4096
+
+
+def _bit_positions(mask: int) -> tuple[int, ...]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -93,10 +122,12 @@ class _Engine:
         self.numerical = monoid.numerical
         self.member_mask = 0
         self.built = 0
+        self._values: list[Fraction] = []  # _values[i] == i / scale for i < built
         self.atom_ints = set(self.numerical.atoms)
         self._kernel_override = kernel  # tests and benchmarks pin a backend
         # memo writes are idempotent (pure results), so only the universe
-        # extension needs a lock: it read-modify-writes member_mask
+        # extension needs a lock: it read-modify-writes member_mask and
+        # appends to _values, which must stay aligned with the bit index
         self._grow_lock = threading.Lock()
         self._factor_memo: dict = {}
         self._atom_memo: dict = {}
@@ -109,9 +140,14 @@ class _Engine:
         if bits <= self.built:
             return
         with self._grow_lock:
+            # another thread may have grown the universe past bits meanwhile;
+            # lowering built would make a later call append indices twice
+            if bits <= self.built:
+                return
             for i in range(self.built, bits):
                 if self.numerical.contains(i):
                     self.member_mask |= 1 << i
+                self._values.append(self.monoid.from_scaled(i))
             self.built = bits
 
     # -- FinSet <-> mask ------------------------------------------------------
@@ -127,13 +163,8 @@ class _Engine:
         return mask
 
     def to_finset(self, mask: int) -> FinSet:
-        scale = self.monoid.scale
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(Fraction(low.bit_length() - 1) / scale)
-            mask ^= low
-        return FinSet(out)
+        values = self._values
+        return FinSet._sorted(tuple(values[i] for i in _bit_positions(mask)))
 
     # -- pair decompositions ---------------------------------------------------
 
@@ -272,14 +303,31 @@ def set_factorizations(
     """All factorizations of B into atoms of the (restricted) power monoid."""
     eng, bmask = _prepared(b, monoid, restricted)
     raw, exhaustive = eng.factorizations(bmask, restricted, max_length)
+    # rank the distinct atoms in FinSet order, sort on the integer key (see
+    # the module docstring), then build each atom once and each
+    # Factorization from counts that are already canonical
+    order = sorted({mask for z in raw for mask in z}, key=_bit_positions)
+    rank = {mask: r for r, mask in enumerate(order)}
+    keyed = []
+    for z in raw:
+        counts: dict[int, int] = {}
+        for mask in z:
+            counts[mask] = counts.get(mask, 0) + 1
+        keyed.append((len(z), tuple(sorted([(rank[m], n) for m, n in counts.items()]))))
+    keyed.sort()
+    atoms = [eng.to_finset(m) for m in order]
     items = tuple(
-        sorted(Factorization.from_parts(eng.to_finset(m) for m in z) for z in raw)
+        Factorization._canonical(tuple((atoms[r], n) for r, n in counts))
+        for _, counts in keyed
     )
     return Enumeration(items, exhaustive=exhaustive)
 
 
 def set_length_set(b: FinSet, monoid: PuiseuxMonoid, restricted: bool = False) -> frozenset[int]:
-    return set_factorizations(b, monoid, restricted).lengths()
+    """The length set of B, read off the engine's atom-mask tuples."""
+    eng, bmask = _prepared(b, monoid, restricted)
+    raw, _ = eng.factorizations(bmask, restricted, None)
+    return frozenset(len(z) for z in raw)
 
 
 def divisor_closure(b: FinSet, monoid: PuiseuxMonoid) -> tuple[Fraction, ...]:

@@ -29,6 +29,14 @@ class Factorization:
         object.__setattr__(self, "counts", tuple(sorted(merged.items())))
 
     @classmethod
+    def _canonical(cls, counts: tuple) -> "Factorization":
+        """Trusted constructor: counts must already be canonical (sorted by
+        atom, atoms distinct, multiplicities positive)."""
+        z = object.__new__(cls)
+        object.__setattr__(z, "counts", counts)
+        return z
+
+    @classmethod
     def from_parts(cls, parts: Iterable) -> "Factorization":
         return cls((a, 1) for a in parts)
 

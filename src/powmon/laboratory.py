@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .decompose import PowerMonoidView, set_factorizations
+from .decompose import PowerMonoidView, set_factorizations, set_length_set
 from .errors import InvalidInputError
 from .factorization import Enumeration
 from .powerset import FinSet
@@ -736,8 +736,7 @@ def atomicity_sweep(monoid: PuiseuxMonoid, max_card: int, element_bound) -> Swee
             b = FinSet(combo)
             checked += 1
             by_card[card] += 1
-            enum = set_factorizations(b, monoid, restricted=False)
-            if not enum.items:
+            if not set_length_set(b, monoid, restricted=False):
                 failures.append(str(b))
     return SweepReport(
         subject=str(monoid),

@@ -30,6 +30,15 @@ class FinSet:
         object.__setattr__(self, "elems", tuple(elems))
 
     @classmethod
+    def _sorted(cls, elems: tuple) -> "FinSet":
+        """Trusted constructor: elems must already be a nonempty, strictly
+        ascending tuple of nonnegative Fractions.  Skips the validation,
+        deduplication and sort of __init__."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "elems", elems)
+        return s
+
+    @classmethod
     def parse(cls, text: str) -> "FinSet":
         """Parse the brace format "{0, 1/2, 3/4}"."""
         s = text.strip()

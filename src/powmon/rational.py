@@ -144,7 +144,8 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(q: Fraction | int) -> str:
     """Render in lowest terms: "a/b", or "a" when the denominator is 1."""
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

@@ -1,9 +1,12 @@
 """CLI behavior: golden outputs, stable JSON, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from powmon.cli import main
 
@@ -173,6 +176,35 @@ def test_json_frozen_golden_bytes(capsys):
         '  "witness": null\n'
         '}\n'
     )
+
+
+SET_LEVEL_GOLDENS = [
+    # (argv, stdout length in bytes, sha256 of stdout): recorded from the
+    # object-building implementation that sorted Factorization objects, so
+    # any change of order or rendering in the mask-to-object path shows here
+    (("factorize-set", "--monoid", "1/2,1/3", "--json", "{0,1/2,1,3/2}"),
+     598, "8d362456b546261596ea0e67c333b04488f34d5bb30b0e71dd466fcbac527b77"),
+    (("lengths-set", "--monoid", "1/2,1/3", "--json", "{0,1/2,1,3/2}"),
+     328, "f843ca8cf90e3bd6f5b8c04fe88c5d75c1793c9e489783e389135d47c7a0ba7a"),
+    (("factorize-set", "--monoid", "1", "--restricted", "--json", "{0,1,2,3,4,5,6,7,8}"),
+     15582, "8fc865829271bb7ffcc1a78bf9e6416fbbaafe4af5a81562af03ea18721013e5"),
+    (("lengths-set", "--monoid", "1", "--restricted", "--json", "{0,1,2,3,4,5,6,7,8}"),
+     378, "b3dedbf4e3b3aa2fc1373b21f42c1f9b2849e264d6c9bc5dc587963609a33e8a"),
+    (("factorize-set", "--monoid", "1", "--restricted", "{0,1,2,3,4,5,6,7,8}"),
+     2913, "e6e6bce95820e5b04b49e798912d6f4de359004f795fd6d606f3b909c6def982"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,size,sha256", SET_LEVEL_GOLDENS,
+    ids=["factorize-rational-json", "lengths-rational-json", "factorize-interval-json",
+         "lengths-interval-json", "factorize-interval-text"],
+)
+def test_set_level_golden_bytes(capsys, argv, size, sha256):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    data = out.encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, sha256)
 
 
 def test_json_byte_identical_across_invocations(capsys):

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +15,7 @@ from powmon import (
     set_factorizations,
     set_length_set,
 )
+from powmon import decompose
 from powmon.factorization import Factorization
 from oracles import (
     ambient_pairs,
@@ -240,21 +242,152 @@ def test_max_length_cap_marks_partial():
     assert uncapped.exhaustive
 
 
-def test_parallel_queries_are_order_independent():
+def test_parallel_queries_are_order_independent(monkeypatch):
     """Monoids are immutable and memo tables behave as caches: a threaded
-    sweep must produce exactly the sequential results."""
+    sweep must produce exactly the sequential results.  The threads start
+    from an empty engine registry, so they race to grow one universe."""
     from concurrent.futures import ThreadPoolExecutor
 
     corpus = [FinSet(mask_to_set((rest << 1) | 1)) for rest in range(1 << 8)]
     sequential = [set_factorizations(b, N0, restricted=True).items for b in corpus]
+    monkeypatch.setattr(decompose, "_ENGINES", {})
     fresh = PuiseuxMonoid([1])
 
     def job(b):
         return set_factorizations(b, fresh, restricted=True).items
 
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        threaded = list(pool.map(job, corpus))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so races show
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            threaded = list(pool.map(job, corpus, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
     assert threaded == sequential
+    eng = decompose.engine_for(fresh)
+    assert eng.built == 9
+    assert len(eng._values) >= eng.built
+    assert all(v == F(i) / fresh.scale for i, v in enumerate(eng._values))
+
+
+def test_universe_growth_is_never_undone():
+    """A thread that passed ensure()'s unlocked size check and then waited
+    for the lock must not lower `built` below what another thread grew it
+    to meanwhile: the next growth would append the same indices again and
+    misalign the value table."""
+    import threading
+
+    class GatedLock:
+        """A lock that holds the side thread at the door until released."""
+
+        def __init__(self):
+            self.lock = threading.Lock()
+            self.waiting = threading.Event()
+            self.gate = threading.Event()
+
+        def __enter__(self):
+            if threading.current_thread() is not threading.main_thread():
+                self.waiting.set()
+                self.gate.wait(10)
+            self.lock.acquire()
+
+        def __exit__(self, *exc):
+            self.lock.release()
+
+    eng = decompose._Engine(PuiseuxMonoid([2, 3]))
+    eng._grow_lock = GatedLock()
+    side = threading.Thread(target=eng.ensure, args=(4,))
+    side.start()
+    assert eng._grow_lock.waiting.wait(10)
+    eng.ensure(9)
+    eng._grow_lock.gate.set()
+    side.join(10)
+    assert not side.is_alive()
+    assert eng.built == 9
+    eng.ensure(12)
+    assert eng._values == [F(i) for i in range(12)]
+
+
+# -- mask-to-object boundary: integer sort key and trusted constructors ------
+
+HALF_THIRD = PuiseuxMonoid([F(1, 2), F(1, 3)])
+
+
+def _interval_corpus():
+    """Every subset of [0, 9] containing 0, over <1>, restricted."""
+    return [(FinSet(mask_to_set((rest << 1) | 1)), N0, True) for rest in range(1 << 9)]
+
+
+def _rational_corpus():
+    """Unrestricted sets over <1/2, 1/3>: every set of at most three members
+    up to 2, and a few larger ones."""
+    from itertools import combinations
+
+    members = HALF_THIRD.members_upto(2)
+    sets = [FinSet(c) for card in (1, 2, 3) for c in combinations(members, card)]
+    sets += [fs(0, F(1, 2), 1, F(3, 2)), fs(F(1, 3), F(5, 6), F(4, 3), F(11, 6)),
+             fs(0, F(1, 3), F(2, 3), 1, F(4, 3))]
+    return [(b, HALF_THIRD, False) for b in sets]
+
+
+def _public_finset(mask, monoid):
+    return FinSet(F(i) / monoid.scale for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _expected_items(b, monoid, restricted, max_length=None):
+    """The engine's raw atom masks turned into objects by the public
+    constructors only, then sorted by Factorization.__lt__."""
+    eng = decompose.engine_for(monoid)
+    raw, exhaustive = eng.factorizations(eng.to_mask(b), restricted, max_length)
+    items = sorted(Factorization.from_parts(_public_finset(m, monoid) for m in z) for z in raw)
+    return tuple(items), exhaustive
+
+
+def test_factorization_order_matches_object_sort():
+    for b, monoid, restricted in _interval_corpus() + _rational_corpus():
+        enum = set_factorizations(b, monoid, restricted)
+        assert (enum.items, enum.exhaustive) == _expected_items(b, monoid, restricted), b
+
+
+def test_corpus_separates_int_order_from_set_order():
+    """{0,2} is mask 5 and {0,1,3} is mask 11, yet {0,1,3} sorts first.  A
+    key on mask int values would order some factorizations of the corpus
+    differently, so the order test above can tell it from the right key."""
+    assert fs(0, 1, 3) < fs(0, 2)
+    z = set_factorizations(fs(0, 1, 2, 3, 5), N0, restricted=True).items[0]
+    assert z.support == (fs(0, 1, 3), fs(0, 2))
+
+    def by_int_masks(z):
+        return (z.length, tuple(sorted((sum(1 << int(e) for e in a), m) for a, m in z.counts)))
+
+    items = set_factorizations(fs(0, 1, 2, 3, 4, 5), N0, restricted=True).items
+    assert list(items) != sorted(items, key=by_int_masks)
+    assert list(items) == sorted(items)
+
+
+def test_partial_enumeration_order_matches_object_sort():
+    b = fs(*range(9))
+    enum = set_factorizations(b, N0, restricted=True, max_length=3)
+    assert not enum.exhaustive and enum.items
+    assert (enum.items, enum.exhaustive) == _expected_items(b, N0, True, max_length=3)
+    assert enum.lengths() == {2, 3}
+
+
+def test_length_set_matches_factorizations():
+    for b, monoid, restricted in _interval_corpus() + _rational_corpus():
+        assert set_length_set(b, monoid, restricted) == (
+            set_factorizations(b, monoid, restricted).lengths()
+        ), b
+
+
+def test_to_finset_equals_public_finset():
+    for monoid, mask in [(N0, 0b1011), (N0, 1), (HALF_THIRD, 0b1001101), (M23, 0b1101)]:
+        eng = decompose.engine_for(monoid)
+        eng.ensure(mask.bit_length())
+        trusted = eng.to_finset(mask)
+        public = _public_finset(mask, monoid)
+        assert trusted == public and hash(trusted) == hash(public)
+        assert trusted.elems == public.elems and type(trusted.elems) is tuple
 
 
 def test_huge_ambient_is_rejected():
