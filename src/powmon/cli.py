@@ -27,7 +27,6 @@ from .decompose import (
     set_factorizations,
 )
 from .errors import InvalidInputError, MonoidError
-from .factorization import Enumeration
 from .powerset import FinSet
 from .puiseux import (
     GeometricFamily,
@@ -36,7 +35,7 @@ from .puiseux import (
     geometric,
     parse_monoid,
 )
-from .rational import format_rational, parse_rational
+from .rational import format_rational, jsonable, parse_rational
 
 
 def _parse_family(spec: str, level_flag: int | None) -> PuiseuxMonoid:
@@ -79,23 +78,17 @@ def _ambient(args, required: bool = True) -> PuiseuxMonoid | None:
     return None
 
 
-def _emit(args, payload: dict, text_lines: Callable[[], list[str]]) -> None:
-    """Print the payload as JSON under --json, else the text lines; the
-    lines are a callable so that --json never renders them."""
+def _emit(args, payload, text_lines: Callable[[], list[str]]) -> None:
+    """Print the payload as JSON under --json, else the text lines.
+
+    The payload holds values (monoids, sets, Fractions, reports), encoded
+    by `jsonable` only under --json; the lines are a callable so that
+    --json never renders them."""
     if getattr(args, "json", False):
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(json.dumps(jsonable(payload), sort_keys=True, indent=2))
     else:
         for line in text_lines():
             print(line)
-
-
-def _factorization_json(enum: Enumeration, set_level: bool) -> list:
-    if set_level:
-        return [
-            [part.to_json() for part in z.expand()]
-            for z in enum.items
-        ]
-    return [z.as_json(format_rational) for z in enum.items]
 
 
 def _rat_list(values) -> str:
@@ -111,8 +104,7 @@ def _cmd_atoms(args) -> None:
     atoms = monoid.atoms()
     _emit(
         args,
-        {"command": "atoms", "monoid": monoid.to_json(),
-         "atoms": [format_rational(a) for a in atoms]},
+        {"command": "atoms", "monoid": monoid, "atoms": atoms},
         lambda: [_rat_list(atoms)],
     )
 
@@ -123,8 +115,7 @@ def _cmd_member(args) -> None:
     inside = monoid.contains(q)
     _emit(
         args,
-        {"command": "member", "monoid": monoid.to_json(),
-         "element": format_rational(q), "member": inside},
+        {"command": "member", "monoid": monoid, "element": q, "member": inside},
         lambda: ["true" if inside else "false"],
     )
 
@@ -135,8 +126,7 @@ def _cmd_divisors(args) -> None:
     divs = monoid.divisors(q)
     _emit(
         args,
-        {"command": "divisors", "monoid": monoid.to_json(),
-         "element": format_rational(q), "divisors": [format_rational(d) for d in divs]},
+        {"command": "divisors", "monoid": monoid, "element": q, "divisors": divs},
         lambda: [_rat_list(divs)],
     )
 
@@ -147,9 +137,8 @@ def _cmd_factorize(args) -> None:
     enum = monoid.factorizations(q, max_length=args.max_length)
     _emit(
         args,
-        {"command": "factorize", "monoid": monoid.to_json(),
-         "element": format_rational(q),
-         "factorizations": _factorization_json(enum, set_level=False),
+        {"command": "factorize", "monoid": monoid, "element": q,
+         "factorizations": [z.counts for z in enum.items],
          "lengths": sorted(enum.lengths()), "partial": not enum.exhaustive},
         lambda: [z.render(format_rational) for z in enum.items]
         + (["(partial: length cap hit)"] if not enum.exhaustive else []),
@@ -162,9 +151,8 @@ def _cmd_lengths(args) -> None:
     enum = monoid.factorizations(q, max_length=args.max_length)
     _emit(
         args,
-        {"command": "lengths", "monoid": monoid.to_json(),
-         "element": format_rational(q), "lengths": sorted(enum.lengths()),
-         "partial": not enum.exhaustive},
+        {"command": "lengths", "monoid": monoid, "element": q,
+         "lengths": sorted(enum.lengths()), "partial": not enum.exhaustive},
         lambda: ["{" + ", ".join(str(n) for n in sorted(enum.lengths())) + "}"],
     )
 
@@ -175,9 +163,7 @@ def _cmd_mcd(args) -> None:
     mcds = monoid.mcd(elems)
     _emit(
         args,
-        {"command": "mcd", "monoid": monoid.to_json(),
-         "elements": [format_rational(e) for e in elems],
-         "mcds": [format_rational(d) for d in mcds]},
+        {"command": "mcd", "monoid": monoid, "elements": elems, "mcds": mcds},
         lambda: [_rat_list(mcds)],
     )
 
@@ -191,11 +177,10 @@ def _cmd_minkowski(args) -> None:
     total = sets[0]
     for s in sets[1:]:
         total = total + s
-    payload = {"command": "minkowski", "operands": [s.to_json() for s in sets],
-               "sum": total.to_json()}
+    payload = {"command": "minkowski", "operands": sets, "sum": total}
     monoid = _ambient(args, required=False)
     if monoid is not None:
-        payload["monoid"] = monoid.to_json()
+        payload["monoid"] = monoid
         payload["sum_within_monoid"] = total.is_within(monoid)
     _emit(args, payload, lambda: [str(total)])
 
@@ -206,8 +191,7 @@ def _cmd_decompose(args) -> None:
     decos = decompositions(b, monoid)
     _emit(
         args,
-        {"command": "decompose", "monoid": monoid.to_json(), "set": b.to_json(),
-         "decompositions": [d.to_json() for d in decos]},
+        {"command": "decompose", "monoid": monoid, "set": b, "decompositions": decos},
         lambda: [f"{d}{'   (trivial)' if d.trivial else ''}" for d in decos],
     )
 
@@ -218,8 +202,8 @@ def _cmd_is_atom(args) -> None:
     check = is_atom(b, monoid, restricted=args.restricted)
     _emit(
         args,
-        {"command": "is-atom", "monoid": monoid.to_json(), "set": b.to_json(),
-         "restricted": args.restricted, **check.to_json()},
+        {"command": "is-atom", "monoid": monoid, "set": b, "restricted": args.restricted,
+         "is_atom": check.is_atom, "witness": check.witness},
         lambda: ["true" if check.is_atom else "false"]
         + ([f"witness: {check.witness}"] if check.witness is not None else []),
     )
@@ -232,9 +216,9 @@ def _cmd_factorize_set(args) -> None:
                               max_length=args.max_length)
     _emit(
         args,
-        {"command": "factorize-set", "monoid": monoid.to_json(), "set": b.to_json(),
+        {"command": "factorize-set", "monoid": monoid, "set": b,
          "restricted": args.restricted,
-         "factorizations": _factorization_json(enum, set_level=True),
+         "factorizations": [tuple(z.expand()) for z in enum.items],
          "lengths": sorted(enum.lengths()), "partial": not enum.exhaustive},
         lambda: [z.render() for z in enum.items]
         + (["(partial: length cap hit)"] if not enum.exhaustive else []),
@@ -248,7 +232,7 @@ def _cmd_lengths_set(args) -> None:
                               max_length=args.max_length)
     _emit(
         args,
-        {"command": "lengths-set", "monoid": monoid.to_json(), "set": b.to_json(),
+        {"command": "lengths-set", "monoid": monoid, "set": b,
          "restricted": args.restricted, "lengths": sorted(enum.lengths()),
          "partial": not enum.exhaustive},
         lambda: ["{" + ", ".join(str(n) for n in sorted(enum.lengths())) + "}"],
@@ -261,8 +245,7 @@ def _cmd_divisor_closure(args) -> None:
     closure = divisor_closure(b, monoid)
     _emit(
         args,
-        {"command": "divisor-closure", "monoid": monoid.to_json(), "set": b.to_json(),
-         "closure": [format_rational(c) for c in closure]},
+        {"command": "divisor-closure", "monoid": monoid, "set": b, "closure": closure},
         lambda: ["{" + _rat_list(closure) + "}"],
     )
 
@@ -277,9 +260,7 @@ def _cmd_family(args) -> None:
     label = monoid.family.label()
     _emit(
         args,
-        {"command": "family", "monoid": monoid.to_json(),
-         "atoms": [format_rational(a) for a in atoms],
-         "truncation": label},
+        {"command": "family", "monoid": monoid, "atoms": atoms, "truncation": label},
         lambda: [
             f"{label}  (at truncation level {monoid.family.level}; results are exact for the truncation)",
             f"monoid: {monoid}",
@@ -329,7 +310,7 @@ def _cmd_verify(args) -> None:
         report = laboratory.example33_suite(level)
     else:  # pragma: no cover - argparse restricts choices
         raise InvalidInputError(f"unknown verify suite {suite!r}")
-    _emit(args, report.to_json(), report.summary)
+    _emit(args, report, report.summary)
     if not report.passed:
         raise MonoidError(f"verification suite {suite!r} failed")
 
@@ -344,9 +325,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--family", help="named family, e.g. geometric:2/3:5 or example33:2")
     common.add_argument("--level", type=int, help="family truncation level (with --family/family)")
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--restricted", action="store_true",
-                        help="work in the restricted power monoid (sets containing 0)")
-    common.add_argument("--max-length", type=int, default=None,
+    # only the commands that read a flag accept it
+    restricted = argparse.ArgumentParser(add_help=False)
+    restricted.add_argument("--restricted", action="store_true",
+                            help="work in the restricted power monoid (sets containing 0)")
+    capped = argparse.ArgumentParser(add_help=False)
+    capped.add_argument("--max-length", type=int, default=None,
                         help="cap factorization lengths; results are then flagged partial")
 
     parser = argparse.ArgumentParser(
@@ -356,8 +340,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_, **positional):
-        p = sub.add_parser(name, parents=[common], help=help_)
+    def add(name, func, help_, *flags, **positional):
+        p = sub.add_parser(name, parents=[common, *flags], help=help_)
         for arg, kw in positional.items():
             p.add_argument(arg, **kw)
         p.set_defaults(func=func)
@@ -366,17 +350,18 @@ def _build_parser() -> argparse.ArgumentParser:
     add("atoms", _cmd_atoms, "atom set of the monoid")
     add("member", _cmd_member, "membership of a rational", element={})
     add("divisors", _cmd_divisors, "divisor set of a member", element={})
-    add("factorize", _cmd_factorize, "all factorizations of a member", element={})
-    add("lengths", _cmd_lengths, "length set of a member", element={})
+    add("factorize", _cmd_factorize, "all factorizations of a member", capped, element={})
+    add("lengths", _cmd_lengths, "length set of a member", capped, element={})
     add("mcd", _cmd_mcd, "all maximal common divisors of members",
         elements={"nargs": "+"})
 
     add("minkowski", _cmd_minkowski, "Minkowski sum of set literals",
         sets={"nargs": "+"})
     add("decompose", _cmd_decompose, "all two-summand decompositions of a set", set={})
-    add("is-atom", _cmd_is_atom, "atomhood of a set in the power monoid", set={})
-    add("factorize-set", _cmd_factorize_set, "all factorizations of a set", set={})
-    add("lengths-set", _cmd_lengths_set, "length set of a set", set={})
+    add("is-atom", _cmd_is_atom, "atomhood of a set in the power monoid", restricted, set={})
+    add("factorize-set", _cmd_factorize_set, "all factorizations of a set",
+        restricted, capped, set={})
+    add("lengths-set", _cmd_lengths_set, "length set of a set", restricted, capped, set={})
     add("divisor-closure", _cmd_divisor_closure,
         "elements dividing some member of the set", set={})
 
@@ -385,18 +370,19 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a verification suite")
     vsub = verify.add_subparsers(dest="suite", required=True)
 
-    def vadd(name, help_, **extra):
-        p = vsub.add_parser(name, parents=[common], help=help_)
+    def vadd(name, help_, *flags, **extra):
+        p = vsub.add_parser(name, parents=[common, *flags], help=help_)
         for arg, kw in extra.items():
             p.add_argument(arg, **kw)
         p.set_defaults(func=_cmd_verify)
         return p
 
-    vadd("accp", "descending divisibility chains / stabilization certificate",
+    vadd("accp", "descending divisibility chains / stabilization certificate", restricted,
          **{"--start": {"default": None}, "--depth": {"type": int, "default": 5}})
-    vadd("bfm", "bounded-factorization check over a corpus",
+    vadd("bfm", "bounded-factorization check over a corpus", restricted,
          corpus={"nargs": "+"}, **{"--cap": {"type": int, "default": 24}})
-    vadd("ffm", "finite-factorization counts over a corpus", corpus={"nargs": "+"})
+    vadd("ffm", "finite-factorization counts over a corpus", restricted,
+         corpus={"nargs": "+"})
     vadd("mcd", "maximal-common-divisor probe of a pair", a={}, b={})
     vadd("atomicity", "power-monoid atomicity sweep",
          **{"--max-card": {"type": int, "default": 3}, "--bound": {"default": "8"}})

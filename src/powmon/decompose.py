@@ -44,6 +44,7 @@ from .factorization import Enumeration, Factorization
 from .powerset import FinSet
 from ._kernels import kernel_for
 from .puiseux import PuiseuxMonoid
+from .rational import Record
 
 # Hard bound on the scaled universe (bits); beyond this the ambient's
 # denominators are too large for set-level work at desk scale.
@@ -60,7 +61,7 @@ def _bit_positions(mask: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """An unordered two-summand decomposition; left <= right canonically."""
 
     left: FinSet
@@ -79,23 +80,13 @@ class Decomposition:
         return f"{self.left} + {self.right}"
 
     def to_json(self) -> dict:
-        return {
-            "left": self.left.to_json(),
-            "right": self.right.to_json(),
-            "trivial": self.trivial,
-        }
+        return {**super().to_json(), "trivial": self.trivial}
 
 
 @dataclass(frozen=True)
-class AtomCheck:
+class AtomCheck(Record):
     is_atom: bool
     witness: Decomposition | None
-
-    def to_json(self) -> dict:
-        return {
-            "is_atom": self.is_atom,
-            "witness": None if self.witness is None else self.witness.to_json(),
-        }
 
 
 @dataclass(frozen=True)
@@ -165,6 +156,12 @@ class _Engine:
     def to_finset(self, mask: int) -> FinSet:
         values = self._values
         return FinSet._sorted(tuple(values[i] for i in _bit_positions(mask)))
+
+    def to_decomposition(self, a: int, c: int) -> Decomposition:
+        """The pair as a Decomposition, left <= right in FinSet order (not
+        in mask int order, in which {0, 2} comes before {0, 1, 3})."""
+        left, right = sorted((self.to_finset(a), self.to_finset(c)))
+        return Decomposition(left, right)
 
     # -- pair decompositions ---------------------------------------------------
 
@@ -276,8 +273,7 @@ def decompositions(b: FinSet, monoid: PuiseuxMonoid) -> tuple[Decomposition, ...
     trivial pairs included."""
     eng, bmask = _prepared(b, monoid, restricted=False)
     pairs = eng.pair_decompositions(bmask, restricted=False)
-    decos = [Decomposition(eng.to_finset(a), eng.to_finset(c)) for a, c in pairs]
-    return tuple(sorted(decos))
+    return tuple(sorted(eng.to_decomposition(a, c) for a, c in pairs))
 
 
 def is_atom(b: FinSet, monoid: PuiseuxMonoid, restricted: bool = False) -> AtomCheck:
@@ -289,9 +285,7 @@ def is_atom(b: FinSet, monoid: PuiseuxMonoid, restricted: bool = False) -> AtomC
     witness = eng.atom_witness(bmask, restricted)
     if witness is None:
         return AtomCheck(True, None)
-    a, c = witness
-    left, right = sorted((eng.to_finset(a), eng.to_finset(c)))
-    return AtomCheck(False, Decomposition(left, right))
+    return AtomCheck(False, eng.to_decomposition(*witness))
 
 
 def set_factorizations(

@@ -93,10 +93,6 @@ class Factorization:
             return joiner.join(fmt(a) for a in self.expand())
         return joiner.join(f"{m}*{fmt(a)}" for a, m in self.counts)
 
-    def as_json(self, fmt=str) -> list:
-        """JSON form: sorted [rendered_atom, multiplicity] pairs."""
-        return [[fmt(a), m] for a, m in self.counts]
-
 
 @dataclass(frozen=True)
 class Enumeration:

@@ -10,7 +10,7 @@ divisors), never the infinite conclusion itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .decompose import PowerMonoidView, set_factorizations, set_length_set
@@ -26,7 +26,7 @@ from .puiseux import (
     geometric_chain,
     verify_atoms_by_valuation,
 )
-from .rational import format_rational, is_prime
+from .rational import Record, format_rational, is_prime
 
 
 def _fmt(value) -> str:
@@ -38,7 +38,8 @@ def _fmt(value) -> str:
 
 
 @dataclass(frozen=True)
-class AccpReport:
+class AccpReport(Record):
+    suite = "accp"
     subject: str
     start: str
     requested_depth: int
@@ -48,20 +49,6 @@ class AccpReport:
     certificates: tuple[dict, ...]
     note: str
     passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "suite": "accp",
-            "subject": self.subject,
-            "start": self.start,
-            "requested_depth": self.requested_depth,
-            "stabilizes": self.stabilizes,
-            "chain": list(self.chain),
-            "chain_steps": self.chain_steps,
-            "certificates": list(self.certificates),
-            "note": self.note,
-            "passed": self.passed,
-        }
 
     def summary(self) -> list[str]:
         head = "stabilizes" if self.stabilizes else "no stabilization within truncation"
@@ -249,38 +236,21 @@ def _recombines(handle, element, z) -> bool:
 
 
 @dataclass(frozen=True)
-class BfmRow:
+class BfmRow(Record):
     element: str
     lengths: tuple[int, ...]
     max_length: int | None
     cap_hit: bool
 
-    def to_json(self) -> dict:
-        return {
-            "element": self.element,
-            "lengths": list(self.lengths),
-            "max_length": self.max_length,
-            "cap_hit": self.cap_hit,
-        }
-
 
 @dataclass(frozen=True)
-class BfmReport:
+class BfmReport(Record):
+    suite = "bfm"
     subject: str
     length_cap: int
-    rows: tuple[BfmRow, ...]
+    rows: tuple[BfmRow, ...] = field(metadata={"json": "certificates"})
     failure_candidates: tuple[str, ...]
     passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "suite": "bfm",
-            "subject": self.subject,
-            "length_cap": self.length_cap,
-            "certificates": [r.to_json() for r in self.rows],
-            "failure_candidates": list(self.failure_candidates),
-            "passed": self.passed,
-        }
 
     def summary(self) -> list[str]:
         out = [f"bfm: {self.subject}, cap {self.length_cap}: "
@@ -315,34 +285,19 @@ def bfm_check(handle, corpus, length_cap: int) -> BfmReport:
 
 
 @dataclass(frozen=True)
-class FfmRow:
+class FfmRow(Record):
     element: str
-    count: int
+    count: int = field(metadata={"json": "factorizations"})
     by_length: dict
     all_recombine: bool
 
-    def to_json(self) -> dict:
-        return {
-            "element": self.element,
-            "factorizations": self.count,
-            "by_length": {str(k): v for k, v in sorted(self.by_length.items())},
-            "all_recombine": self.all_recombine,
-        }
-
 
 @dataclass(frozen=True)
-class FfmReport:
+class FfmReport(Record):
+    suite = "ffm"
     subject: str
-    rows: tuple[FfmRow, ...]
+    rows: tuple[FfmRow, ...] = field(metadata={"json": "certificates"})
     passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "suite": "ffm",
-            "subject": self.subject,
-            "certificates": [r.to_json() for r in self.rows],
-            "passed": self.passed,
-        }
 
     def summary(self) -> list[str]:
         out = [f"ffm: {self.subject}: exact factorization counts "
@@ -380,25 +335,19 @@ def ffm_check(handle, corpus) -> FfmReport:
 
 
 @dataclass(frozen=True)
-class McdReport:
+class McdReport(Record):
+    suite = "mcd"
     subject: str
     elements: tuple[str, ...]
     mcds: tuple[str, ...]
     certificates: tuple[dict, ...]
-    witness: "Non2McdReport | None"
+    witness: "Non2McdReport | None" = field(metadata={"json": "non_2mcd_witness"})
     passed: bool
 
     def to_json(self) -> dict:
-        data = {
-            "suite": "mcd",
-            "subject": self.subject,
-            "elements": list(self.elements),
-            "mcds": list(self.mcds),
-            "certificates": list(self.certificates),
-            "passed": self.passed,
-        }
-        if self.witness is not None:
-            data["non_2mcd_witness"] = self.witness.to_json()
+        data = super().to_json()
+        if self.witness is None:
+            del data["non_2mcd_witness"]
         return data
 
     def summary(self) -> list[str]:
@@ -447,29 +396,25 @@ def mcd_probe(monoid: PuiseuxMonoid, pair) -> McdReport:
 
 
 @dataclass(frozen=True)
-class WitnessLink:
+class WitnessLink(Record):
     level: int
-    divisor: Fraction
-    residual_checks: dict
+    divisor: Fraction = field(metadata={"json": "common_divisor"})
+    residual_checks: dict = field(metadata={"json": None})
     is_mcd_at_level: bool
     extending_atoms: tuple[str, ...]
 
     def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "common_divisor": format_rational(self.divisor),
-            **self.residual_checks,
-            "is_mcd_at_level": self.is_mcd_at_level,
-            "extending_atoms": list(self.extending_atoms),
-        }
+        # the residual checks sit at the top level of the link
+        return {**super().to_json(), **self.residual_checks}
 
 
 @dataclass(frozen=True)
-class Non2McdReport:
+class Non2McdReport(Record):
+    suite = "non_2mcd_witness"
     levels: tuple[int, ...]
     targets: tuple[str, str]
     identity_checks: tuple[dict, ...]
-    links: tuple[WitnessLink, ...]
+    links: tuple[WitnessLink, ...] = field(metadata={"json": "certificates"})
     strictly_increasing: bool
     passed: bool
     note: str = (
@@ -478,18 +423,6 @@ class Non2McdReport:
         "level stops being maximal at the next, so no common divisor is "
         "maximal in the limit"
     )
-
-    def to_json(self) -> dict:
-        return {
-            "suite": "non_2mcd_witness",
-            "levels": list(self.levels),
-            "targets": list(self.targets),
-            "identity_checks": list(self.identity_checks),
-            "certificates": [link.to_json() for link in self.links],
-            "strictly_increasing": self.strictly_increasing,
-            "note": self.note,
-            "passed": self.passed,
-        }
 
     def summary(self) -> list[str]:
         chain = " < ".join(format_rational(link.divisor) for link in self.links)
@@ -583,27 +516,21 @@ def non_2mcd_witness(levels) -> Non2McdReport:
 
 
 @dataclass(frozen=True)
-class Example33Report:
+class Example33Report(Record):
+    suite = "example33"
     level: int
     primes: tuple[str, ...]
-    construction_checks: tuple[dict, ...]
+    construction_checks: tuple[dict, ...] = field(metadata={"json": None})
     partial_sum_below_2_15: bool
-    identity_checks: tuple[dict, ...]
+    identity_checks: tuple[dict, ...] = field(metadata={"json": None})
     members: dict
     atom_report: AtomValuationReport
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "suite": "example33",
-            "level": self.level,
-            "primes": list(self.primes),
-            "certificates": list(self.construction_checks) + list(self.identity_checks),
-            "partial_sum_below_2_15": self.partial_sum_below_2_15,
-            "members": self.members,
-            "atom_report": self.atom_report.to_json(),
-            "passed": self.passed,
-        }
+        # both check lists go into one certificates list
+        return {**super().to_json(),
+                "certificates": list(self.construction_checks + self.identity_checks)}
 
     def summary(self) -> list[str]:
         return [
@@ -689,26 +616,18 @@ def example33_suite(level: int) -> Example33Report:
 
 
 @dataclass(frozen=True)
-class SweepReport:
+class SweepReport(Record):
+    suite = "atomicity"
     subject: str
     max_card: int
     element_bound: str
     checked: int
     by_cardinality: dict
-    failures: tuple[str, ...]
+    failures: tuple[str, ...] = field(metadata={"json": None})
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "suite": "atomicity",
-            "subject": self.subject,
-            "max_card": self.max_card,
-            "element_bound": self.element_bound,
-            "checked": self.checked,
-            "by_cardinality": {str(k): v for k, v in sorted(self.by_cardinality.items())},
-            "certificates": [{"failures": list(self.failures)}],
-            "passed": self.passed,
-        }
+        return {**super().to_json(), "certificates": [{"failures": list(self.failures)}]}
 
     def summary(self) -> list[str]:
         return [

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -38,7 +38,14 @@ from .errors import (
 )
 from .factorization import Enumeration, Factorization
 from .numerical import NumericalMonoid
-from .rational import format_rational, int_valuation, is_prime, next_prime_above, parse_rational
+from .rational import (
+    Record,
+    format_rational,
+    int_valuation,
+    is_prime,
+    next_prime_above,
+    parse_rational,
+)
 
 # Largest multiplicity for which the Apery table is built eagerly; beyond
 # this the generator solver answers membership instead.
@@ -557,36 +564,20 @@ def geometric(ratio, level: int) -> PuiseuxMonoid:
 
 
 @dataclass(frozen=True)
-class GeometricChainEntry:
-    index: int
-    value: Fraction  # x_n = n(r)**n / d(r)**(n-1)
+class GeometricChainEntry(Record):
+    index: int = field(metadata={"json": "n"})
+    value: Fraction = field(metadata={"json": "x"})  # x_n = n(r)**n / d(r)**(n-1)
     step: Fraction  # x_n - x_{n+1} = (d(r) - n(r)) * r**n
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.index,
-            "x": format_rational(self.value),
-            "step": format_rational(self.step),
-        }
 
 
 @dataclass(frozen=True)
-class GeometricChainReport:
+class GeometricChainReport(Record):
     ratio: Fraction
     depth: int
     entries: tuple[GeometricChainEntry, ...]
     verified: bool
     sign_note: str
-    monoid: PuiseuxMonoid
-
-    def to_json(self) -> dict:
-        return {
-            "ratio": format_rational(self.ratio),
-            "depth": self.depth,
-            "entries": [e.to_json() for e in self.entries],
-            "verified": self.verified,
-            "sign_note": self.sign_note,
-        }
+    monoid: PuiseuxMonoid = field(metadata={"json": None})
 
 
 _SIGN_NOTE = (
@@ -660,8 +651,8 @@ def example33(level: int) -> PuiseuxMonoid:
 
 
 @dataclass(frozen=True)
-class AtomValuationRow:
-    label: str
+class AtomValuationRow(Record):
+    label: str = field(metadata={"json": "generator"})
     value: Fraction
     prime: int
     valuation: int
@@ -669,30 +660,17 @@ class AtomValuationRow:
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "generator": self.label,
-            "value": format_rational(self.value),
-            "prime": str(self.prime),
-            "valuation": self.valuation,
-            "unique_negative": self.unique_negative,
-            "passed": self.passed,
-        }
+        # primes are strings, as in the family's JSON: they outgrow the
+        # integers that JSON readers keep exact
+        return {**super().to_json(), "prime": str(self.prime)}
 
 
 @dataclass(frozen=True)
-class AtomValuationReport:
+class AtomValuationReport(Record):
     level: int
     rows: tuple[AtomValuationRow, ...]
     atoms_match_generators: bool
     passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "rows": [r.to_json() for r in self.rows],
-            "atoms_match_generators": self.atoms_match_generators,
-            "passed": self.passed,
-        }
 
 
 def _valuation_of(q: Fraction, p: int) -> int:

@@ -3,8 +3,8 @@
 Values are `fractions.Fraction` instances (arbitrary-precision, always in
 lowest terms).  This module adds the pieces the monoid machinery needs on
 top of the stdlib type: validated reduction, p-adic valuations,
-deterministic primality, prime search, partial subtraction on Q>=0, and the
-"a/b" text format.
+deterministic primality, prime search, partial subtraction on Q>=0, the
+"a/b" text format, and the JSON form built on it (`jsonable`, `Record`).
 
 No floating point is used anywhere in the package.
 """
@@ -12,6 +12,7 @@ No floating point is used anywhere in the package.
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 from .errors import InvalidInputError, UndefinedValuationError
@@ -149,3 +150,42 @@ def format_rational(q: Fraction | int) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def jsonable(value):
+    """The JSON form of a value, the one place that decides it.
+
+    An object with `to_json` gives that method's result, a Fraction its
+    "a/b" text, a tuple or list a list, and a dict the same dict with `str`
+    keys, all recursively; anything else (str, int, bool, None) is itself.
+    """
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, (tuple, list)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    return value
+
+
+class Record:
+    """Base of the frozen report dataclasses, whose JSON is their fields.
+
+    `to_json` emits the class attribute `suite` when a subclass sets one,
+    then each field through `jsonable`, under the field's name or under the
+    key given by `field(metadata={"json": key})`; the key None leaves the
+    field out.  A report whose JSON is not just its fields adds to this
+    result in its own `to_json`.
+    """
+
+    suite: str | None = None
+
+    def to_json(self) -> dict:
+        data = {} if self.suite is None else {"suite": self.suite}
+        for f in fields(self):
+            key = f.metadata.get("json", f.name)
+            if key is not None:
+                data[key] = jsonable(getattr(self, f.name))
+        return data

@@ -1,14 +1,17 @@
 """CLI behavior: golden outputs, stable JSON, exit codes."""
 
+import argparse
 import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from powmon.cli import main
+from powmon.cli import _build_parser, main
+from powmon.puiseux import example33, geometric_chain, verify_atoms_by_valuation
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -205,6 +208,163 @@ def test_set_level_golden_bytes(capsys, argv, size, sha256):
     assert code == 0
     data = out.encode()
     assert (len(data), hashlib.sha256(data).hexdigest()) == (size, sha256)
+
+
+CLI_GOLDENS = [
+    # (argv, exit code, stdout length in bytes, sha256 of stdout): recorded
+    # from the hand-written serializers, for every subcommand and verify
+    # suite in --json mode and for every text output longer than one line
+    (("atoms", "--monoid", "1/2,1/3,5/6", "--json"),
+     0, 254, "25bfa6de70c70f5369df136fa3ae415ee4af393688fb78e09f690da4e55359bf"),
+    (("member", "--family", "geometric:2/3:3", "--json", "4/3"),
+     0, 371, "f761078f7a76203b5fa461d4a74ae0ac14f2614f754d839efc0790125fde24ab"),
+    (("divisors", "--monoid", "2,3", "--json", "6"),
+     0, 273, "384ca5ec9c328fb0772f3a2de9f522a6ebbad0f83827370e571b67b939fe128f"),
+    (("divisors", "--monoid", "3,5", "--json", "4"),
+     1, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("factorize", "--monoid", "1/2,1/3", "--json", "2"),
+     0, 503, "940271a90d553a3ae6a7cbfb3f6d72c6cae582b51cf532c5d3d4521945a47abb"),
+    (("factorize", "--monoid", "2,3", "--max-length", "3", "--json", "12"),
+     0, 270, "1c7aa7e303a0b2e1fb38084e69019078c7657ee5089c6e36eb59bb53796bdcfb"),
+    (("lengths", "--monoid", "2,3", "--json", "12"),
+     0, 268, "feb84924b168e05c243d65e0c6b036945381f88274f783fcd4f1b4b3c061674a"),
+    (("lengths", "--monoid", "2,3", "--max-length", "3", "--json", "12"),
+     0, 244, "1c5ba09a17505e7169d9f9b8c0f5e4f4da634410152edd1b94c866174a6dabd9"),
+    (("mcd", "--monoid", "2,3", "--json", "4", "6"),
+     0, 248, "31882ae9b499cda9d45f08c7d45f0c8797390a4fad46e4862c7d7131dc9825c1"),
+    (("minkowski", "--json", "{0,3}", "{0,1,5}"),
+     0, 197, "983e5e81f01f0c06bafb9cfac6530052a8c8001e62325adc5131d63eac99c670"),
+    (("minkowski", "--monoid", "1", "--json", "{0,3}", "{0,1/2}"),
+     0, 345, "71124b1147943ac8de2876660e250bb3804147d949d752e67806079dadc0a73d"),
+    (("decompose", "--monoid", "1", "--json", "{0,2,3,5}"),
+     0, 533, "eb455cad265b2798827a0d5c06cf1636493a3aaa49a0a078f7c0e5b9bc201914"),
+    (("decompose", "--monoid", "1/2,1/3", "--json", "{0,1/2,1}"),
+     0, 544, "53ff2270fbea7c84f99e7fd09a0e86b00ba8048e83764d9b2a8e3b0accd686ee"),
+    (("is-atom", "--monoid", "1", "--restricted", "--json", "{0,1,2}"),
+     0, 378, "e0297cf9a8d79a36a72dcee96037b1826a9163b43a58a8799f37d16b00ca7b9b"),
+    (("factorize-set", "--monoid", "1", "--restricted", "--max-length", "2", "--json", "{0,1,2,3,4,5}"),
+     0, 580, "b01dea9271fb0c0cd1e3af10de6537c17ea463efde1097e413344af32b68a135"),
+    (("lengths-set", "--monoid", "1", "--restricted", "--max-length", "2", "--json", "{0,1,2,3,4,5}"),
+     0, 308, "4e85e24318c5c297b38f1d020ec7b62a39dd96c6c48ff4582223edf688901481"),
+    (("divisor-closure", "--monoid", "2,3", "--json", "{4,6}"),
+     0, 294, "72ffdc5387bb37512e94cb0fe13ced1cbc954b5a646abb1f8b76623f48a97e17"),
+    (("family", "example33:1", "--json"),
+     0, 744, "f892607e2fd763512e81d839e076cad20b430a6acc238d1584cd42d9549ee949"),
+    (("family", "geometric:2/3:3", "--json"),
+     0, 428, "e8389a84d2215ab55327f6b9582753c0c69d4d9498b58d4e9425c2124506f900"),
+    (("verify", "accp", "--monoid", "2,3", "--start", "6", "--json"),
+     0, 536, "33a6ff56a0671965654bfa4fcf2138f69c34808abff666e9df036cad8d57149b"),
+    (("verify", "accp", "--family", "geometric:2/3:4", "--depth", "3", "--json"),
+     0, 1002, "438ea1ec27b2caa71646ce50e6a9039f1bc64133d43215edfe59140f5557f43d"),
+    (("verify", "accp", "--monoid", "1", "--restricted", "--start", "{0,1,2,3}", "--json"),
+     0, 540, "812556b7487043689a9d6090d29fc40660a689c8eb8c86ab873a64e1535e4012"),
+    (("verify", "bfm", "--monoid", "1", "--restricted", "--json", "{0,1,2,3}", "{0,2,4}"),
+     0, 408, "7a6af5361463daf29d500446451cce3adc0fdf36867bbc6948403661c7dbbc7e"),
+    (("verify", "bfm", "--monoid", "2,3", "--cap", "2", "--json", "6", "12"),
+     1, 378, "cf46afd9345e8ff497b35be845da322c6a6dcad2b80553d68e49d63540c4967c"),
+    (("verify", "ffm", "--monoid", "1", "--restricted", "--json", "{0,1,2,3}", "{0,2,4}"),
+     0, 397, "85b53389d0b98b3f57d9ee1c6992899ccdfb63760390f0c19a847814f656052b"),
+    (("verify", "ffm", "--monoid", "1/2,1/3", "--json", "2", "3/2"),
+     0, 410, "c5933028c87ffb083b0aa58f12af2cef5d024d1531d827a9bacfeb972de8d091"),
+    (("verify", "mcd", "--monoid", "2,3", "--json", "4", "6"),
+     0, 251, "494dda9933102ae575eb69c3afad8be9e841db36eb2a36e28f2d99a4f0ebf804"),
+    (("verify", "mcd", "--family", "example33:1", "--json", "4/5", "6/7"),
+     0, 1732, "2b26d75c46daa78f0cd0db1c2ca33b444108c2c367aa259e171084fefa56285c"),
+    (("verify", "atomicity", "--monoid", "2,3", "--max-card", "2", "--bound", "6", "--json"),
+     0, 235, "fc6616a423537889dde10162362cbcfee287702564361eb63be751efd9f31c60"),
+    (("verify", "example33", "--level", "1", "--json"),
+     0, 2508, "40e5961d28cf88cba8368e745e6b751ce81090c518e01bafbe00cf03e03bd5ad"),
+    (("factorize", "--monoid", "1/2,1/3", "2"),
+     0, 84, "37e40471b14323301295c4e9f9e79d1bd198768f6b8b671e3b16db804def2e96"),
+    (("decompose", "--monoid", "1", "{0,2,3,5}"),
+     0, 47, "42c5ccbc254566b5b1112d2bdac772bd6abca667f55ad3bf1d90f867dd778734"),
+    (("decompose", "--monoid", "1/2,1/3", "{0,1/2,1}"),
+     0, 50, "18418ae5d7a7957cf18cedcbfe0c87b57d70f5de3959a538dfd256edcd3eb470"),
+    (("is-atom", "--monoid", "1", "--restricted", "{0,1,2}"),
+     0, 31, "a425e5a85e4ba4274575e13b5bc0afe577df95a561d66ac0fa53b3cd9c8be0b5"),
+    (("factorize-set", "--monoid", "1", "--restricted", "--max-length", "2", "{0,1,2,3,4,5}"),
+     0, 70, "22d160ab779cfc106b5274a76f5b4ae3fa26a16c2c31e02e3ca7c7f0974b2c4e"),
+    (("family", "example33:1"),
+     0, 248, "a7ecd7d5975cd9af885ac4827b4e2784dbb9146ffebc40bb6f352bcbf9ebd73c"),
+    (("family", "geometric:2/3:3"),
+     0, 142, "5660eff0668dd78de0693e50c26e3a001bd87ce2dd5d395d54e3a75d0b6e4238"),
+    (("verify", "accp", "--monoid", "2,3", "--start", "6"),
+     0, 119, "df7f9ef0556dd512d6a00612f8655aadaa472d2596a23a0217c33d3a5b65d9dd"),
+    (("verify", "accp", "--family", "geometric:2/3:4", "--depth", "3"),
+     0, 439, "9ff6d8702fcc2c20d0ffb91325ce371fc237dd314e16a2403f6d830cf88a57b7"),
+    (("verify", "accp", "--monoid", "1", "--restricted", "--start", "{0,1,2,3}"),
+     0, 136, "4b299a69594643463945f7a0a70564fe5546e8a4af3ac5d246dad5f5b580db87"),
+    (("verify", "bfm", "--monoid", "1", "--restricted", "{0,1,2,3}", "{0,2,4}"),
+     0, 105, "ead0fa2baeaaf2b90679add474045fe6e15d0ba9949240a5006b325c11c7e401"),
+    (("verify", "bfm", "--monoid", "2,3", "--cap", "2", "6", "12"),
+     1, 101, "4f16aa491b92ca2b3fa101433448c21f245733f7bd955b57f96d5bcfc860802b"),
+    (("verify", "ffm", "--monoid", "1", "--restricted", "{0,1,2,3}", "{0,2,4}"),
+     0, 206, "18fa1628553adebbec707918afd961ce49038fd0ee8c9d35de84d6e6245ebbc3"),
+    (("verify", "ffm", "--monoid", "1/2,1/3", "2", "3/2"),
+     0, 199, "63716508a662d3eefeda8910acb76f4e31b0c55328602d29c069e726284cc26c"),
+    (("verify", "mcd", "--family", "example33:1", "4/5", "6/7"),
+     0, 226, "5d3ef99ef324b28a899acdf9f8609290c0778aedb1de95a0681c4f6b169660cb"),
+    (("verify", "example33", "--level", "1"),
+     0, 262, "fa6e687c6f0c564d8f9125d92c84e5d3cdbec579d9b771e3adfd873e9920bf60"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,size,sha256", CLI_GOLDENS, ids=[" ".join(g[0]) for g in CLI_GOLDENS],
+)
+def test_cli_golden_bytes(capsys, argv, code, size, sha256):
+    got, out, _ = run_cli(capsys, *argv)
+    data = out.encode()
+    assert (got, len(data), hashlib.sha256(data).hexdigest()) == (code, size, sha256)
+
+
+def _command_paths(parser, prefix=()):
+    """Every runnable command of the parser: ("atoms",), ("verify", "mcd"), ..."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        return [prefix]
+    return [
+        path
+        for name, sub in subparsers[0].choices.items()
+        for path in _command_paths(sub, prefix + (name,))
+    ]
+
+
+def test_every_command_has_a_json_golden():
+    """A command added later cannot skip the byte check."""
+    paths = _command_paths(_build_parser())
+    assert ("atoms",) in paths and ("verify", "mcd") in paths  # the walk reaches the leaves
+    covered = [argv for argv, *_ in SET_LEVEL_GOLDENS + CLI_GOLDENS if "--json" in argv]
+    missing = [path for path in paths if not any(argv[:len(path)] == path for argv in covered)]
+    assert missing == []
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(
+        json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+    ).hexdigest()
+
+
+def test_report_json_digests():
+    """Reports that no command prints on their own, recorded like CLI_GOLDENS."""
+    assert _digest(geometric_chain(Fraction(2, 3), 4).to_json()) == (
+        "9b7d8ce3df40907f6206f63b69a6a0f7a7d0beca2399ea2f28ea326a418a7a12"
+    )
+    assert _digest(verify_atoms_by_valuation(example33(1)).to_json()) == (
+        "02c3092b354cb36a441792259fbf377f78cac42e466d4645e9c8755cdc60d6d5"
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ("decompose", "--monoid", "1", "--restricted", "{1,2,3}"),
+    ("verify", "atomicity", "--monoid", "1", "--restricted"),
+    ("atoms", "--monoid", "1", "--max-length", "1"),
+    ("verify", "ffm", "--monoid", "1", "--max-length", "1", "{0,1}"),
+], ids=["decompose-restricted", "atomicity-restricted", "atoms-max-length", "ffm-max-length"])
+def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "unrecognized arguments" in err
 
 
 def test_json_byte_identical_across_invocations(capsys):

@@ -80,6 +80,17 @@ def test_decompositions_recombine_and_are_complete():
         assert got == expected, bin(bmask)
 
 
+def test_decompositions_put_each_pair_in_set_order():
+    """left <= right in FinSet order, which is not the order of the masks:
+    {0, 1, 3} has the larger mask but sorts before {0, 2}."""
+    assert [str(d) for d in decompositions(fs(0, 1, 2, 3, 5), N0)] == [
+        "{0} + {0, 1, 2, 3, 5}",
+        "{0, 1, 3} + {0, 2}",
+    ]
+    for rest in range(1 << 9):
+        b = FinSet(mask_to_set((rest << 1) | 1))
+        assert all(d.left <= d.right for d in decompositions(b, N0)), b
+
 def test_membership_validation():
     with pytest.raises(NotAMemberError):
         decompositions(fs(0, 1), M23)
