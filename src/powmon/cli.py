@@ -7,7 +7,10 @@ invocations are byte-identical).  Exit codes: 0 success, 1 domain error
 
 The working monoid is named either by generators (`--monoid "2,3"`,
 `--monoid "1"` for the nonnegative integers) or by family
-(`--family geometric:2/3:5`, `--family example33:2`).
+(`--family geometric:2/3:5`, `--family example33:2`); a family's level
+lives only in its label, which `puiseux.parse_family` reads.  Each command
+accepts only the flags it reads: `family` takes just its label, and
+`verify example33` just `--level`.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Callable
 
 from . import laboratory
@@ -28,51 +30,17 @@ from .decompose import (
 )
 from .errors import InvalidInputError, MonoidError
 from .powerset import FinSet
-from .puiseux import (
-    GeometricFamily,
-    PuiseuxMonoid,
-    example33,
-    geometric,
-    parse_monoid,
-)
+from .puiseux import PuiseuxMonoid, parse_family, parse_monoid
 from .rational import format_rational, jsonable, parse_rational
 
 
-def _parse_family(spec: str, level_flag: int | None) -> PuiseuxMonoid:
-    parts = spec.split(":")
-    kind = parts[0]
-    if kind == "geometric":
-        if len(parts) == 3:
-            ratio, level = parse_rational(parts[1]), int(parts[2])
-        elif len(parts) == 2 and level_flag is not None:
-            ratio, level = parse_rational(parts[1]), level_flag
-        else:
-            raise InvalidInputError(
-                f"geometric family needs a ratio and a level: geometric:2/3:5, got {spec!r}"
-            )
-        return geometric(ratio, level)
-    if kind == "example33":
-        if len(parts) == 2:
-            level = int(parts[1])
-        elif len(parts) == 1 and level_flag is not None:
-            level = level_flag
-        else:
-            raise InvalidInputError(
-                f"example33 family needs a level: example33:2, got {spec!r}"
-            )
-        return example33(level)
-    raise InvalidInputError(f"unknown family {kind!r} (expected geometric or example33)")
-
-
 def _ambient(args, required: bool = True) -> PuiseuxMonoid | None:
-    monoid_flag = getattr(args, "monoid", None)
-    family_flag = getattr(args, "family", None)
-    if monoid_flag and family_flag:
+    if args.monoid and args.family:
         raise InvalidInputError("--monoid and --family exclude each other")
-    if monoid_flag:
-        return parse_monoid(monoid_flag)
-    if family_flag:
-        return _parse_family(family_flag, getattr(args, "level", None))
+    if args.monoid:
+        return parse_monoid(args.monoid)
+    if args.family:
+        return parse_family(args.family)
     if required:
         raise InvalidInputError("an ambient monoid is required: pass --monoid or --family")
     return None
@@ -84,7 +52,7 @@ def _emit(args, payload, text_lines: Callable[[], list[str]]) -> None:
     The payload holds values (monoids, sets, Fractions, reports), encoded
     by `jsonable` only under --json; the lines are a callable so that
     --json never renders them."""
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(jsonable(payload), sort_keys=True, indent=2))
     else:
         for line in text_lines():
@@ -255,7 +223,7 @@ def _cmd_divisor_closure(args) -> None:
 
 
 def _cmd_family(args) -> None:
-    monoid = _parse_family(args.spec, args.level)
+    monoid = parse_family(args.spec)
     atoms = monoid.atoms()
     label = monoid.family.label()
     _emit(
@@ -286,12 +254,7 @@ def _cmd_verify(args) -> None:
     suite = args.suite
     if suite == "accp":
         start = None if args.start is None else _corpus_item(args.start)
-        handle = _verify_handle(args, [start] if start is not None else [])
-        if start is None:
-            if isinstance(handle, PuiseuxMonoid) and isinstance(handle.family, GeometricFamily):
-                start = Fraction(handle.family.ratio.numerator)
-            else:
-                raise InvalidInputError("verify accp needs --start")
+        handle = _verify_handle(args, [] if start is None else [start])
         report = laboratory.accp_chain_search(handle, start, args.depth)
     elif suite == "bfm":
         corpus = [_corpus_item(t) for t in args.corpus]
@@ -306,8 +269,7 @@ def _cmd_verify(args) -> None:
         monoid = _ambient(args)
         report = laboratory.atomicity_sweep(monoid, args.max_card, parse_rational(args.bound))
     elif suite == "example33":
-        level = args.level if args.level is not None else 2
-        report = laboratory.example33_suite(level)
+        report = laboratory.example33_suite(args.level)
     else:  # pragma: no cover - argparse restricts choices
         raise InvalidInputError(f"unknown verify suite {suite!r}")
     _emit(args, report, report.summary)
@@ -320,12 +282,12 @@ def _cmd_verify(args) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--monoid", help='ambient monoid generators, e.g. "2,3" or "1/2,1/3"')
-    common.add_argument("--family", help="named family, e.g. geometric:2/3:5 or example33:2")
-    common.add_argument("--level", type=int, help="family truncation level (with --family/family)")
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-    # only the commands that read a flag accept it
+    # each command accepts only the flags it reads
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--json", action="store_true", help="machine-readable output")
+    ambient = argparse.ArgumentParser(add_help=False)
+    ambient.add_argument("--monoid", help='ambient monoid generators, e.g. "2,3" or "1/2,1/3"')
+    ambient.add_argument("--family", help="named family, e.g. geometric:2/3:5 or example33:2")
     restricted = argparse.ArgumentParser(add_help=False)
     restricted.add_argument("--restricted", action="store_true",
                             help="work in the restricted power monoid (sets containing 0)")
@@ -340,53 +302,51 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_, *flags, **positional):
-        p = sub.add_parser(name, parents=[common, *flags], help=help_)
-        for arg, kw in positional.items():
+    def add(group, name, func, help_, *flags, **arguments):
+        p = group.add_parser(name, parents=[output, *flags], help=help_)
+        for arg, kw in arguments.items():
             p.add_argument(arg, **kw)
         p.set_defaults(func=func)
-        return p
 
-    add("atoms", _cmd_atoms, "atom set of the monoid")
-    add("member", _cmd_member, "membership of a rational", element={})
-    add("divisors", _cmd_divisors, "divisor set of a member", element={})
-    add("factorize", _cmd_factorize, "all factorizations of a member", capped, element={})
-    add("lengths", _cmd_lengths, "length set of a member", capped, element={})
-    add("mcd", _cmd_mcd, "all maximal common divisors of members",
+    add(sub, "atoms", _cmd_atoms, "atom set of the monoid", ambient)
+    add(sub, "member", _cmd_member, "membership of a rational", ambient, element={})
+    add(sub, "divisors", _cmd_divisors, "divisor set of a member", ambient, element={})
+    add(sub, "factorize", _cmd_factorize, "all factorizations of a member", ambient, capped,
+        element={})
+    add(sub, "lengths", _cmd_lengths, "length set of a member", ambient, capped, element={})
+    add(sub, "mcd", _cmd_mcd, "all maximal common divisors of members", ambient,
         elements={"nargs": "+"})
 
-    add("minkowski", _cmd_minkowski, "Minkowski sum of set literals",
+    add(sub, "minkowski", _cmd_minkowski, "Minkowski sum of set literals", ambient,
         sets={"nargs": "+"})
-    add("decompose", _cmd_decompose, "all two-summand decompositions of a set", set={})
-    add("is-atom", _cmd_is_atom, "atomhood of a set in the power monoid", restricted, set={})
-    add("factorize-set", _cmd_factorize_set, "all factorizations of a set",
+    add(sub, "decompose", _cmd_decompose, "all two-summand decompositions of a set", ambient,
+        set={})
+    add(sub, "is-atom", _cmd_is_atom, "atomhood of a set in the power monoid", ambient,
+        restricted, set={})
+    add(sub, "factorize-set", _cmd_factorize_set, "all factorizations of a set", ambient,
         restricted, capped, set={})
-    add("lengths-set", _cmd_lengths_set, "length set of a set", restricted, capped, set={})
-    add("divisor-closure", _cmd_divisor_closure,
-        "elements dividing some member of the set", set={})
+    add(sub, "lengths-set", _cmd_lengths_set, "length set of a set", ambient, restricted,
+        capped, set={})
+    add(sub, "divisor-closure", _cmd_divisor_closure,
+        "elements dividing some member of the set", ambient, set={})
 
-    add("family", _cmd_family, "construct and describe a named family", spec={})
+    add(sub, "family", _cmd_family, "construct and describe a named family", spec={})
 
     verify = sub.add_parser("verify", help="run a verification suite")
     vsub = verify.add_subparsers(dest="suite", required=True)
-
-    def vadd(name, help_, *flags, **extra):
-        p = vsub.add_parser(name, parents=[common, *flags], help=help_)
-        for arg, kw in extra.items():
-            p.add_argument(arg, **kw)
-        p.set_defaults(func=_cmd_verify)
-        return p
-
-    vadd("accp", "descending divisibility chains / stabilization certificate", restricted,
-         **{"--start": {"default": None}, "--depth": {"type": int, "default": 5}})
-    vadd("bfm", "bounded-factorization check over a corpus", restricted,
-         corpus={"nargs": "+"}, **{"--cap": {"type": int, "default": 24}})
-    vadd("ffm", "finite-factorization counts over a corpus", restricted,
-         corpus={"nargs": "+"})
-    vadd("mcd", "maximal-common-divisor probe of a pair", a={}, b={})
-    vadd("atomicity", "power-monoid atomicity sweep",
-         **{"--max-card": {"type": int, "default": 3}, "--bound": {"default": "8"}})
-    vadd("example33", "construction, valuation and witness checks")
+    add(vsub, "accp", _cmd_verify, "descending divisibility chains / stabilization certificate",
+        ambient, restricted,
+        **{"--start": {"default": None}, "--depth": {"type": int, "default": 5}})
+    add(vsub, "bfm", _cmd_verify, "bounded-factorization check over a corpus", ambient,
+        restricted, corpus={"nargs": "+"}, **{"--cap": {"type": int, "default": 24}})
+    add(vsub, "ffm", _cmd_verify, "finite-factorization counts over a corpus", ambient,
+        restricted, corpus={"nargs": "+"})
+    add(vsub, "mcd", _cmd_verify, "maximal-common-divisor probe of a pair", ambient,
+        a={}, b={})
+    add(vsub, "atomicity", _cmd_verify, "power-monoid atomicity sweep", ambient,
+        **{"--max-card": {"type": int, "default": 3}, "--bound": {"default": "8"}})
+    add(vsub, "example33", _cmd_verify, "construction, valuation and witness checks",
+        **{"--level": {"type": int, "default": 2, "help": "truncation level"}})
 
     return parser
 

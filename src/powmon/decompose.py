@@ -174,10 +174,10 @@ class _Engine:
         return [(d, low - d) for d in self.numerical.divisors(low)]
 
     def pair_decompositions(
-        self, bmask: int, restricted: bool, nontrivial_only: bool = False,
-        first_only: bool = False,
+        self, bmask: int, restricted: bool, witness_only: bool = False
     ) -> list[tuple[int, int]]:
-        """Unordered pairs of true-value masks (canonical: smaller int first)."""
+        """Unordered pairs of true-value masks (canonical: smaller int first);
+        with witness_only, at most one pair, and never a trivial one."""
         low = (bmask & -bmask).bit_length() - 1
         b0 = bmask >> low
         kern = self._kernel_override or kernel_for(self.built)
@@ -187,15 +187,15 @@ class _Engine:
             cand_c = self.member_mask >> dc
             found = kern.pair_search(
                 b0, cand_a, cand_c,
-                skip_a_unit=nontrivial_only and da == 0,
-                skip_c_unit=nontrivial_only and dc == 0,
-                first_only=first_only,
+                skip_a_unit=witness_only and da == 0,
+                skip_c_unit=witness_only and dc == 0,
+                first_only=witness_only,
             )
             for a0, c0 in found:
                 a, c = a0 << da, c0 << dc
                 pair = (a, c) if a <= c else (c, a)
                 seen.add(pair)
-                if first_only:
+                if witness_only:
                     return [pair]
         return sorted(seen)
 
@@ -203,9 +203,7 @@ class _Engine:
 
     def atom_witness(self, bmask: int, restricted: bool):
         """None when bmask is an atom; otherwise one nontrivial pair."""
-        found = self.pair_decompositions(
-            bmask, restricted, nontrivial_only=True, first_only=True
-        )
+        found = self.pair_decompositions(bmask, restricted, witness_only=True)
         return found[0] if found else None
 
     def is_atom(self, bmask: int, restricted: bool) -> bool:

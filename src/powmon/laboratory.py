@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .decompose import PowerMonoidView, set_factorizations, set_length_set
 from .errors import InvalidInputError
-from .factorization import Enumeration
+from .factorization import Enumeration, Factorization
 from .powerset import FinSet
 from .puiseux import (
     AtomValuationReport,
@@ -62,7 +62,7 @@ class AccpReport(Record):
 def _geometric_accp(monoid: PuiseuxMonoid, start, depth: int) -> AccpReport:
     family: GeometricFamily = monoid.family
     x1 = Fraction(family.ratio.numerator)
-    start = Fraction(start)
+    start = x1 if start is None else Fraction(start)
     if start != x1:
         raise InvalidInputError(
             f"the chain for this family starts at {format_rational(x1)}, got {format_rational(start)}"
@@ -105,33 +105,27 @@ def _geometric_accp(monoid: PuiseuxMonoid, start, depth: int) -> AccpReport:
     )
 
 
-def _longest_factorization(enum: Enumeration):
-    return max(enum.items, key=lambda z: z.length)
+def _identity(element):
+    """The identity of the monoid `element` lives in: {0} for a set, else 0."""
+    return FinSet([0]) if isinstance(element, FinSet) else Fraction(0)
 
 
-def _peel_element_chain(start: Fraction, z, cap: int) -> list[Fraction]:
-    """Strictly descending chain built by removing one atom at a time from a
-    factorization; materializes at most cap steps."""
+def _total(z: Factorization, element):
+    """What z recombines to; the empty factorization is the identity."""
+    return _identity(element) if z.is_empty() else z.total()
+
+
+def _peel_chain(start, z: Factorization, cap: int) -> list:
+    """Strictly descending chain from start: what is left of z as its atoms
+    are removed one at a time, at most cap steps.  Works on the counts, so
+    multiplicities too large to expand are fine."""
+    counts = list(z.counts)
     chain = [start]
-    current = start
-    for atom, mult in z.counts:
-        for _ in range(min(mult, cap - (len(chain) - 1))):
-            current = current - atom
-            chain.append(current)
-        if len(chain) - 1 >= cap:
-            break
-    return chain
-
-
-def _peel_set_chain(start: FinSet, z, cap: int) -> list[FinSet]:
-    parts = list(z.expand())
-    chain = [start]
-    for k in range(1, min(cap, len(parts)) + 1):
-        rest = parts[k:]
-        current = FinSet([0])
-        for p in rest:
-            current = current + p
-        chain.append(current)
+    for _ in range(min(cap, len(z))):
+        atom, mult = counts.pop(0)
+        if mult > 1:
+            counts.insert(0, (atom, mult - 1))
+        chain.append(_total(Factorization(counts), start))
     return chain
 
 
@@ -159,35 +153,24 @@ def accp_chain_search(handle, start, depth: int) -> AccpReport:
     explicit chain is materialized up to the requested depth; on small
     instances the bound is additionally cross-checked by divisor DFS.
     Geometric family handles instead report the explicit non-stabilizing
-    chain, at the truncation's depth.
+    chain, at the truncation's depth; for them `start` may be None, which
+    means the chain's first term x1 = n(r).  Every other handle needs a
+    start.
     """
     if depth < 1:
         raise InvalidInputError("depth must be positive")
     if isinstance(handle, PuiseuxMonoid) and isinstance(handle.family, GeometricFamily):
         return _geometric_accp(handle, start, depth)
 
+    if start is None:
+        raise InvalidInputError("verify accp needs --start")
+    enum = _enumerate(handle, start, None)
+    longest = max(enum.items, key=len, default=Factorization([]))
+    bound = len(longest)
+    chain = _peel_chain(start, longest, depth)
     cross_checked = None
-    if isinstance(handle, PowerMonoidView):
-        if not isinstance(start, FinSet):
-            raise InvalidInputError("power-monoid chains start at a finite set")
-        enum = set_factorizations(start, handle.ambient, handle.restricted)
-        bound = max((z.length for z in enum.items), default=0)
-        chain = (
-            _peel_set_chain(start, _longest_factorization(enum), depth)
-            if enum.items else [start]
-        )
-        identity_reached = chain[-1] == FinSet([0])
-    else:
-        start = handle._require_member(start)
-        enum = handle.factorizations(start)
-        bound = max((z.length for z in enum.items), default=0)
-        chain = (
-            _peel_element_chain(start, _longest_factorization(enum), depth)
-            if enum.items else [start]
-        )
-        identity_reached = chain[-1] == 0
-        if bound <= 64:
-            cross_checked = _dfs_longest_steps(handle, start) == bound
+    if not isinstance(handle, PowerMonoidView) and bound <= 64:
+        cross_checked = _dfs_longest_steps(handle, start) == bound
     steps = len(chain) - 1
     descending = all(
         later != earlier for earlier, later in zip(chain, chain[1:])
@@ -198,7 +181,7 @@ def accp_chain_search(handle, start, depth: int) -> AccpReport:
         "max_factorization_length": bound,
         "chain_shown_to": steps,
         "chain_strictly_descending": descending,
-        "chain_ends_at_identity": identity_reached,
+        "chain_ends_at_identity": chain[-1] == _identity(start),
     }
     if cross_checked is not None:
         cert["divisor_dfs_cross_check"] = cross_checked
@@ -225,14 +208,8 @@ def _enumerate(handle, element, cap: int | None) -> Enumeration:
             raise InvalidInputError(f"expected a finite set, got {element!r}")
         return set_factorizations(element, handle.ambient, handle.restricted, max_length=cap)
     if isinstance(element, FinSet):
-        raise InvalidInputError("a finite-set corpus needs a power-monoid handle")
+        raise InvalidInputError("a finite set needs a power-monoid handle")
     return handle.factorizations(element, max_length=cap)
-
-
-def _recombines(handle, element, z) -> bool:
-    if z.is_empty():
-        return (element == FinSet([0])) if isinstance(element, FinSet) else element == 0
-    return z.total() == element
 
 
 @dataclass(frozen=True)
@@ -324,7 +301,7 @@ def ffm_check(handle, corpus) -> FfmReport:
         recombine = True
         for z in enum.items:
             by_length[z.length] = by_length.get(z.length, 0) + 1
-            recombine = recombine and _recombines(handle, element, z)
+            recombine = recombine and _total(z, element) == element
         ok = ok and recombine
         rows.append(FfmRow(_fmt(element), len(enum.items), by_length, recombine))
     return FfmReport(subject=str(handle), rows=tuple(rows), passed=ok)

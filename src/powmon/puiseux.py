@@ -18,7 +18,8 @@ The module also hosts the named families: `geometric(r, level)` (truncations
 of the monoid generated by the powers of a ratio r in (0,1)) and
 `example33(level)` (truncations of an atomic monoid built on a fast-growing
 prime sequence, in which {4/5, 6/7} acquire ever-larger common divisors as
-the level grows).
+the level grows).  Each family tag writes its own label and JSON, and
+`parse_family` reads the labels back.
 """
 
 from __future__ import annotations
@@ -69,6 +70,9 @@ class GeometricFamily:
     def label(self) -> str:
         return f"geometric:{format_rational(self.ratio)}:{self.level}"
 
+    def to_json(self) -> dict:
+        return {"kind": "geometric", "ratio": format_rational(self.ratio), "level": self.level}
+
 
 @dataclass(frozen=True)
 class Example33Family:
@@ -108,6 +112,10 @@ class Example33Family:
 
     def label(self) -> str:
         return f"example33:{self.level}"
+
+    def to_json(self) -> dict:
+        return {"kind": "example33", "level": self.level,
+                "primes": [str(p) for p in self.primes]}
 
 
 # ---------------------------------------------------------------------------
@@ -497,18 +505,8 @@ class PuiseuxMonoid:
         }
         if self._numerical is not None:
             data["frobenius"] = self._numerical.frobenius
-        if isinstance(self.family, GeometricFamily):
-            data["family"] = {
-                "kind": "geometric",
-                "ratio": format_rational(self.family.ratio),
-                "level": self.family.level,
-            }
-        elif isinstance(self.family, Example33Family):
-            data["family"] = {
-                "kind": "example33",
-                "level": self.family.level,
-                "primes": [str(p) for p in self.family.primes],
-            }
+        if self.family is not None:
+            data["family"] = self.family.to_json()
         return data
 
 
@@ -521,6 +519,22 @@ def parse_monoid(text: str) -> PuiseuxMonoid:
     if not parts:
         raise InvalidInputError(f"no generators in {text!r}")
     return PuiseuxMonoid(parse_rational(p) for p in parts)
+
+
+def parse_family(spec: str) -> PuiseuxMonoid:
+    """The truncation a family label names, in exactly the forms `label()`
+    writes: "geometric:RATIO:LEVEL" or "example33:LEVEL"."""
+    kind, *fields = spec.split(":")
+    if (kind, len(fields)) not in (("geometric", 2), ("example33", 1)):
+        raise InvalidInputError(
+            f"a family is geometric:RATIO:LEVEL or example33:LEVEL, got {spec!r}"
+        )
+    if not fields[-1].isdecimal():
+        raise InvalidInputError(f"a family level is a nonnegative integer, got {spec!r}")
+    level = int(fields[-1])
+    if kind == "geometric":
+        return geometric(parse_rational(fields[0]), level)
+    return example33(level)
 
 
 # ---------------------------------------------------------------------------

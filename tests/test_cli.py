@@ -360,11 +360,71 @@ def test_report_json_digests():
     ("verify", "atomicity", "--monoid", "1", "--restricted"),
     ("atoms", "--monoid", "1", "--max-length", "1"),
     ("verify", "ffm", "--monoid", "1", "--max-length", "1", "{0,1}"),
-], ids=["decompose-restricted", "atomicity-restricted", "atoms-max-length", "ffm-max-length"])
+    ("family", "geometric:2/3:2", "--monoid", "2,3"),
+    ("verify", "example33", "--level", "0", "--monoid", "2,3"),
+    ("minkowski", "{0,1}", "{0,2}", "--level", "3"),
+    ("verify", "atomicity", "--monoid", "2,3", "--level", "5"),
+    ("family", "geometric:2/3", "--level", "3"),
+], ids=["decompose-restricted", "atomicity-restricted", "atoms-max-length", "ffm-max-length",
+        "family-monoid", "example33-monoid", "minkowski-level", "atomicity-level",
+        "family-level"])
 def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "unrecognized arguments" in err
+
+
+OPTION_TABLE = {
+    # the flags each command accepts (--help aside): 69 option slots
+    ("atoms",): ("--family", "--json", "--monoid"),
+    ("member",): ("--family", "--json", "--monoid"),
+    ("divisors",): ("--family", "--json", "--monoid"),
+    ("factorize",): ("--family", "--json", "--max-length", "--monoid"),
+    ("lengths",): ("--family", "--json", "--max-length", "--monoid"),
+    ("mcd",): ("--family", "--json", "--monoid"),
+    ("minkowski",): ("--family", "--json", "--monoid"),
+    ("decompose",): ("--family", "--json", "--monoid"),
+    ("is-atom",): ("--family", "--json", "--monoid", "--restricted"),
+    ("factorize-set",): ("--family", "--json", "--max-length", "--monoid", "--restricted"),
+    ("lengths-set",): ("--family", "--json", "--max-length", "--monoid", "--restricted"),
+    ("divisor-closure",): ("--family", "--json", "--monoid"),
+    ("family",): ("--json",),
+    ("verify", "accp"): ("--depth", "--family", "--json", "--monoid", "--restricted", "--start"),
+    ("verify", "bfm"): ("--cap", "--family", "--json", "--monoid", "--restricted"),
+    ("verify", "ffm"): ("--family", "--json", "--monoid", "--restricted"),
+    ("verify", "mcd"): ("--family", "--json", "--monoid"),
+    ("verify", "atomicity"): ("--bound", "--family", "--json", "--max-card", "--monoid"),
+    ("verify", "example33"): ("--json", "--level"),
+}
+
+
+def test_each_command_accepts_exactly_its_flags():
+    """A flag added later to a shared parent parser fails here."""
+    root = _build_parser()
+    accepted = {}
+    for path in _command_paths(root):
+        parser = root
+        for name in path:
+            action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            parser = action.choices[name]
+        accepted[path] = tuple(sorted(
+            flag for a in parser._actions if not isinstance(a, argparse._HelpAction)
+            for flag in a.option_strings
+        ))
+    assert accepted == OPTION_TABLE
+    assert sum(len(flags) for flags in accepted.values()) == 69
+
+
+@pytest.mark.parametrize("argv", [
+    ("family", "geometric:2/3:x"),
+    ("atoms", "--family", "example33:two"),
+    ("family", "example33"),
+    ("family", "geometric:2/3"),
+], ids=["geometric-level", "example33-level", "example33-no-level", "geometric-no-level"])
+def test_malformed_family_specs_are_domain_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_json_byte_identical_across_invocations(capsys):

@@ -33,6 +33,18 @@ def test_accp_geometric_chain():
         lab.accp_chain_search(monoid, F(1), 4)  # chain starts at the numerator
 
 
+def test_accp_start_defaults_only_on_geometric_handles():
+    report = lab.accp_chain_search(geometric(F(2, 3), 5), None, 4)
+    assert report.passed and report.chain == ("2", "4/3", "8/9", "16/27")
+    with pytest.raises(InvalidInputError):
+        lab.accp_chain_search(M23, None, 3)
+
+
+def test_accp_refuses_a_set_start_on_an_element_handle():
+    with pytest.raises(InvalidInputError):
+        lab.accp_chain_search(M23, FinSet([0, 2]), 3)
+
+
 def test_accp_truncates_display_to_requested_depth():
     report = lab.accp_chain_search(M23, F(12), 2)
     assert report.passed and report.chain_steps == 2

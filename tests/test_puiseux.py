@@ -13,7 +13,7 @@ from powmon import (
     geometric_chain,
     parse_monoid,
 )
-from powmon.puiseux import ReprSolver
+from powmon.puiseux import ReprSolver, example33, parse_family
 from oracles import brute_mcds, chain_value, reachable_upto
 
 
@@ -159,6 +159,15 @@ def test_parse_monoid_forms():
     assert parse_monoid("1").numerical.frobenius == -1
     with pytest.raises(InvalidInputError):
         parse_monoid("")
+
+
+@pytest.mark.parametrize("build", [lambda: geometric(F(2, 3), 3), lambda: example33(1)],
+                         ids=["geometric", "example33"])
+def test_parse_family_reads_back_the_label(build):
+    m = build()
+    again = parse_family(m.family.label())
+    assert again.generators == m.generators
+    assert again.to_json() == m.to_json()
 
 
 def test_str_and_json():
