@@ -27,6 +27,7 @@ from .decompose import (
     divisor_closure,
     is_atom,
     set_factorizations,
+    set_lengths,
 )
 from .errors import InvalidInputError, MonoidError
 from .powerset import FinSet
@@ -196,14 +197,14 @@ def _cmd_factorize_set(args) -> None:
 def _cmd_lengths_set(args) -> None:
     monoid = _ambient(args)
     b = FinSet.parse(args.set)
-    enum = set_factorizations(b, monoid, restricted=args.restricted,
-                              max_length=args.max_length)
+    lengths, exhaustive = set_lengths(b, monoid, restricted=args.restricted,
+                                      max_length=args.max_length)
     _emit(
         args,
         {"command": "lengths-set", "monoid": monoid, "set": b,
-         "restricted": args.restricted, "lengths": sorted(enum.lengths()),
-         "partial": not enum.exhaustive},
-        lambda: ["{" + ", ".join(str(n) for n in sorted(enum.lengths())) + "}"],
+         "restricted": args.restricted, "lengths": sorted(lengths),
+         "partial": not exhaustive},
+        lambda: ["{" + ", ".join(str(n) for n in sorted(lengths)) + "}"],
     )
 
 

@@ -12,6 +12,16 @@ Restricted mode works inside the restricted power monoid (every element
 contains 0); unrestricted mode allows singleton factors {a} and handles
 min(B) > 0 via divisor splits of min(B) in M.
 
+Pairs are searched in half of the space.  If A + C = B then max A + max C
+= max B, so one side of every pair has max at most max B / 2 (after
+shifting out the split).  Each split pair {d, min B - d} is searched twice,
+with the A side on either summand and its candidates masked to those
+bits, which finds every unordered pair from about 2^(|B|/2) A sides
+instead of 2^|B|.  The atom witness is the pair that a search over the
+full space would meet first (splits in ascending d, then the largest A,
+then the largest C), so `is_atom` reports the same decomposition whichever
+way the space is searched.
+
 Results leave the engine as masks and become objects only at the API
 boundary, where all ordering and counting stays on integers:
 
@@ -166,45 +176,66 @@ class _Engine:
     # -- pair decompositions ---------------------------------------------------
 
     def _splits(self, bmask: int, restricted: bool) -> list[tuple[int, int]]:
+        """The divisor splits (d, low - d) of low = min B with d <= low - d,
+        in ascending d; restricted mode has only (0, 0)."""
         low = (bmask & -bmask).bit_length() - 1
         if restricted:
             if low != 0:
                 raise InvalidInputError("restricted elements must contain 0")
             return [(0, 0)]
-        return [(d, low - d) for d in self.numerical.divisors(low)]
+        return [(d, low - d) for d in self.numerical.divisors(low) if 2 * d <= low]
 
-    def pair_decompositions(
-        self, bmask: int, restricted: bool, witness_only: bool = False
-    ) -> list[tuple[int, int]]:
-        """Unordered pairs of true-value masks (canonical: smaller int first);
-        with witness_only, at most one pair, and never a trivial one."""
-        low = (bmask & -bmask).bit_length() - 1
-        b0 = bmask >> low
+    def _split_pairs(self, b0: int, da: int, dc: int) -> list[tuple[int, int]]:
+        """Each pair {a, c} of true-value masks with min a = da, min c = dc
+        and a + c = b0 << (da + dc), at least once and in either order.
+
+        max is additive, so one side of every pair has its shifted max at
+        or below max b0 // 2: searching only such A sides, once with A on
+        the da side and once on the dc side, misses no pair."""
         kern = self._kernel_override or kernel_for(self.built)
+        half = (2 << ((b0.bit_length() - 1) >> 1)) - 1
+        members = self.member_mask
+        found = [(a0 << da, c0 << dc)
+                 for a0, c0 in kern.pair_search(b0, (members >> da) & half, members >> dc)]
+        if da != dc:
+            found += [(a0 << da, c0 << dc)
+                      for c0, a0 in kern.pair_search(b0, (members >> dc) & half, members >> da)]
+        return found
+
+    def pair_decompositions(self, bmask: int, restricted: bool) -> list[tuple[int, int]]:
+        """Unordered pairs of true-value masks (canonical: smaller int
+        first), each found from the side with the smaller max."""
+        b0 = bmask >> ((bmask & -bmask).bit_length() - 1)  # B - min B
         seen: set[tuple[int, int]] = set()
         for da, dc in self._splits(bmask, restricted):
-            cand_a = self.member_mask >> da
-            cand_c = self.member_mask >> dc
-            found = kern.pair_search(
-                b0, cand_a, cand_c,
-                skip_a_unit=witness_only and da == 0,
-                skip_c_unit=witness_only and dc == 0,
-                first_only=witness_only,
-            )
-            for a0, c0 in found:
-                a, c = a0 << da, c0 << dc
-                pair = (a, c) if a <= c else (c, a)
-                seen.add(pair)
-                if witness_only:
-                    return [pair]
+            for a, c in self._split_pairs(b0, da, dc):
+                seen.add((a, c) if a <= c else (c, a))
         return sorted(seen)
 
     # -- atomhood ---------------------------------------------------------------
 
     def atom_witness(self, bmask: int, restricted: bool):
-        """None when bmask is an atom; otherwise one nontrivial pair."""
-        found = self.pair_decompositions(bmask, restricted, witness_only=True)
-        return found[0] if found else None
+        """None when bmask is an atom; otherwise one nontrivial pair
+        (canonical: smaller int first).
+
+        The witness is the pair that a search over every split (d, low - d)
+        in ascending d, taking A-side masks from the largest down, meets
+        first: the splits are visited in pairs {d, low - d} and, at the
+        first with a nontrivial pair, the pair (a, c) over both orientations
+        that minimises (lowest bit of a, -a, -c) is taken.  When min B > 0,
+        B is no singleton and B - min B lies in M, that pair is
+        ({min B}, B - min B), answered without a search."""
+        unit = bmask & -bmask  # {min B}
+        b0 = bmask >> (unit.bit_length() - 1)
+        if unit != 1 and not restricted and b0 != 1 and not b0 & ~self.member_mask:
+            return (b0, unit) if b0 <= unit else (unit, b0)
+        for da, dc in self._splits(bmask, restricted):
+            found = [(a, c) for x, y in self._split_pairs(b0, da, dc) if x != 1 and y != 1
+                     for a, c in ((x, y), (y, x))]
+            if found:
+                a, c = min(found, key=lambda p: (p[0] & -p[0], -p[0], -p[1]))
+                return (a, c) if a <= c else (c, a)
+        return None
 
     def is_atom(self, bmask: int, restricted: bool) -> bool:
         key = (bmask, restricted)
@@ -315,11 +346,28 @@ def set_factorizations(
     return Enumeration(items, exhaustive=exhaustive)
 
 
-def set_length_set(b: FinSet, monoid: PuiseuxMonoid, restricted: bool = False) -> frozenset[int]:
-    """The length set of B, read off the engine's atom-mask tuples."""
+def set_lengths(
+    b: FinSet,
+    monoid: PuiseuxMonoid,
+    restricted: bool = False,
+    max_length: int | None = None,
+) -> tuple[frozenset[int], bool]:
+    """(lengths, exhaustive) of the factorizations `set_factorizations`
+    would return, read off the engine's atom-mask tuples."""
     eng, bmask = _prepared(b, monoid, restricted)
-    raw, _ = eng.factorizations(bmask, restricted, None)
-    return frozenset(len(z) for z in raw)
+    raw, exhaustive = eng.factorizations(bmask, restricted, max_length)
+    return frozenset(len(z) for z in raw), exhaustive
+
+
+def set_length_set(
+    b: FinSet,
+    monoid: PuiseuxMonoid,
+    restricted: bool = False,
+    max_length: int | None = None,
+) -> frozenset[int]:
+    """The length set of B; with max_length, only the lengths up to it
+    (`set_lengths` also tells whether the cap cut the search)."""
+    return set_lengths(b, monoid, restricted, max_length)[0]
 
 
 def divisor_closure(b: FinSet, monoid: PuiseuxMonoid) -> tuple[Fraction, ...]:

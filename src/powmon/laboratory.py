@@ -205,7 +205,7 @@ def accp_chain_search(handle, start, depth: int) -> AccpReport:
 def _enumerate(handle, element, cap: int | None) -> Enumeration:
     if isinstance(handle, PowerMonoidView):
         if not isinstance(element, FinSet):
-            raise InvalidInputError(f"expected a finite set, got {element!r}")
+            raise InvalidInputError(f"expected a finite set, got {_fmt(element)}")
         return set_factorizations(element, handle.ambient, handle.restricted, max_length=cap)
     if isinstance(element, FinSet):
         raise InvalidInputError("a finite set needs a power-monoid handle")

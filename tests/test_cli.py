@@ -86,6 +86,30 @@ def test_lengths_set(capsys):
     assert code == 0 and out == "{2, 3}\n"
 
 
+def test_lengths_set_builds_no_factorization(capsys, monkeypatch):
+    """lengths-set reads lengths and the partial flag off the engine's raw
+    tuples, with or without a cap, and builds no Factorization."""
+    from powmon import FinSet, PuiseuxMonoid, set_factorizations
+    from powmon.factorization import Factorization
+
+    b = FinSet(range(9))
+    capped = set_factorizations(b, PuiseuxMonoid([1]), restricted=True, max_length=3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lengths-set built a Factorization")
+
+    monkeypatch.setattr(Factorization, "__init__", refuse)
+    monkeypatch.setattr(Factorization, "_canonical", classmethod(refuse))
+    code, out, _ = run_cli(capsys, "lengths-set", "--monoid", "1", "--restricted",
+                           "--max-length", "3", "--json", "{0,1,2,3,4,5,6,7,8}")
+    assert code == 0 and not capped.exhaustive
+    payload = json.loads(out)
+    assert payload["lengths"] == sorted(capped.lengths()) == [2, 3]
+    assert payload["partial"] is True
+    code, out, _ = run_cli(capsys, "lengths-set", "--monoid", "1", "--restricted", "{0,1,2,3}")
+    assert (code, out) == (0, "{2, 3}\n")
+
+
 def test_divisor_closure(capsys):
     code, out, _ = run_cli(capsys, "divisor-closure", "--monoid", "2,3", "{4,6}")
     assert code == 0 and out == "{0, 2, 3, 4, 6}\n"
@@ -133,6 +157,12 @@ def test_domain_error_exit_code_1(capsys):
     assert "not in" in err
     code, _, err = run_cli(capsys, "factorize", "--monoid", "2,3", "1")
     assert code == 1
+
+
+@pytest.mark.parametrize("item", ["3", "3/2"])
+def test_wrong_kind_corpus_item_is_named_as_typed(capsys, item):
+    code, out, err = run_cli(capsys, "verify", "bfm", "--monoid", "1/2,1/3", "{0,1/2,1}", item)
+    assert (code, out, err) == (1, "", f"error: expected a finite set, got {item}\n")
 
 
 def test_usage_error_exit_code_2(capsys):

@@ -16,6 +16,7 @@ from powmon import (
     set_length_set,
 )
 from powmon import decompose
+from powmon._kernels import masks_py
 from powmon.factorization import Factorization
 from oracles import (
     ambient_pairs,
@@ -391,6 +392,17 @@ def test_length_set_matches_factorizations():
         ), b
 
 
+def test_capped_length_set_matches_capped_factorizations():
+    for cap in (1, 2, 3, 4, None):
+        for b, monoid, restricted in [(fs(*range(9)), N0, True), (fs(0, 1, 2, 3), N0, True),
+                                      (fs(0, F(1, 2), 1, F(3, 2)), HALF_THIRD, False)]:
+            enum = set_factorizations(b, monoid, restricted, max_length=cap)
+            assert decompose.set_lengths(b, monoid, restricted, cap) == (
+                enum.lengths(), enum.exhaustive
+            ), (b, cap)
+            assert set_length_set(b, monoid, restricted, max_length=cap) == enum.lengths()
+
+
 def test_to_finset_equals_public_finset():
     for monoid, mask in [(N0, 0b1011), (N0, 1), (HALF_THIRD, 0b1001101), (M23, 0b1101)]:
         eng = decompose.engine_for(monoid)
@@ -405,3 +417,107 @@ def test_huge_ambient_is_rejected():
     tiny = PuiseuxMonoid([F(1, 5000), F(1, 5001)])
     with pytest.raises(UnsupportedAmbientError):
         set_factorizations(FinSet([0, 1]), tiny, restricted=True)
+
+
+# -- half-space pair search and the atom witness order -----------------------
+
+
+def _m23_corpus():
+    """Unrestricted sets over <2,3>: every set of at most four members up
+    to 12, with and without 0."""
+    from itertools import combinations
+
+    members = [x for x in range(13) if M23.contains(x)]
+    return [(FinSet(c), M23, False) for card in (1, 2, 3, 4) for c in combinations(members, card)]
+
+
+def _large_minimum_corpus():
+    """Unrestricted sets with a large minimum: the 2-4-subsets of the even
+    numbers in [20, 40] over <1> and of [30, 45] over <2,3>, plus sets over
+    <2,3> whose B - min B leaves the monoid."""
+    from itertools import combinations
+
+    sets = [(FinSet(c), N0) for card in (2, 3, 4) for c in combinations(range(20, 41, 2), card)]
+    sets += [(FinSet(c), M23) for card in (2, 3, 4) for c in combinations(range(30, 46), card)]
+    sets += [(fs(2, 3), M23), (fs(5, 6), M23), (fs(7, 8, 12), M23), (fs(13, 14, 17, 20), M23)]
+    return [(b, monoid, False) for b, monoid in sets]
+
+
+def _pair_corpus():
+    unrestricted_interval = [(b, monoid, False) for b, monoid, _ in _interval_corpus()]
+    return _interval_corpus() + unrestricted_interval + _rational_corpus() + _m23_corpus()
+
+
+def _engine_cases(corpus):
+    """(engine, mask, restricted) on one pure-kernel engine per ambient."""
+    engines: dict = {}
+    for b, monoid, restricted in corpus:
+        if monoid not in engines:
+            engines[monoid] = decompose._Engine(monoid, kernel=masks_py)
+        eng = engines[monoid]
+        yield eng, eng.to_mask(b), restricted
+
+
+def _every_split(eng, bmask, restricted):
+    """Every divisor split (d, low - d) of low = min B, in ascending d."""
+    low = (bmask & -bmask).bit_length() - 1
+    return [(0, 0)] if restricted else [(d, low - d) for d in eng.numerical.divisors(low)]
+
+
+def _unmasked_pairs(eng, bmask, restricted):
+    b0 = bmask >> ((bmask & -bmask).bit_length() - 1)
+    out = set()
+    for da, dc in _every_split(eng, bmask, restricted):
+        for a0, c0 in masks_py.pair_search(b0, eng.member_mask >> da, eng.member_mask >> dc):
+            a, c = a0 << da, c0 << dc
+            out.add((min(a, c), max(a, c)))
+    return out
+
+
+def _first_only_witness(eng, bmask, restricted):
+    """The witness of a search over the full A-side space: the first
+    nontrivial pair of the first split that has one."""
+    b0 = bmask >> ((bmask & -bmask).bit_length() - 1)
+    for da, dc in _every_split(eng, bmask, restricted):
+        found = masks_py.pair_search(
+            b0, eng.member_mask >> da, eng.member_mask >> dc,
+            skip_a_unit=da == 0, skip_c_unit=dc == 0, first_only=True,
+        )
+        if found:
+            a, c = found[0][0] << da, found[0][1] << dc
+            return (min(a, c), max(a, c))
+    return None
+
+
+def test_half_space_finds_every_pair_once():
+    for eng, bmask, restricted in _engine_cases(_pair_corpus()):
+        pairs = eng.pair_decompositions(bmask, restricted)
+        assert pairs == sorted(set(pairs))
+        assert set(pairs) == _unmasked_pairs(eng, bmask, restricted), (bin(bmask), restricted)
+
+
+def test_atom_witness_is_the_full_space_first_witness():
+    shortcut = searched_positive_min = 0
+    for eng, bmask, restricted in _engine_cases(_pair_corpus() + _large_minimum_corpus()):
+        if bmask == 1:
+            continue  # the identity is no atom and has no witness
+        want = _first_only_witness(eng, bmask, restricted)
+        assert eng.atom_witness(bmask, restricted) == want, (bin(bmask), restricted)
+        low = (bmask & -bmask).bit_length() - 1
+        if want is not None and low and not restricted:
+            if (bmask >> low) & ~eng.member_mask:
+                searched_positive_min += 1
+            else:
+                shortcut += 1
+    # both ways of answering a set with a positive minimum are exercised
+    assert shortcut > 100 and searched_positive_min > 100
+
+
+def test_witness_examples_with_a_positive_minimum():
+    # {4, 6} - 4 = {0, 2} lies in <2,3>: the witness splits off {4}
+    assert str(is_atom(fs(4, 6), M23).witness) == "{0, 2} + {4}"
+    # {2, 3} - 2 = {0, 1} does not, and no split of 2 helps: an atom
+    assert is_atom(fs(2, 3), M23).is_atom
+    # {5, 6} - 5 = {0, 1} does not either, but the split 5 = 2 + 3 does,
+    # and its largest A side is {2, 3}
+    assert str(is_atom(fs(5, 6), M23).witness) == "{2, 3} + {3}"

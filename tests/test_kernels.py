@@ -88,6 +88,34 @@ def test_engines_agree_end_to_end(compiled_kernel):
             assert (zc, okc) == (zp, okp), (bin(bmask), restricted)
 
 
+def test_engines_agree_on_atom_witnesses(compiled_kernel):
+    """Both backends give the same witness for every set of the corpus
+    above in both modes, and for every set of members below 11 without 0
+    in unrestricted mode, so the half-masked A-side candidates and the
+    divisor splits run on the compiled kernel too."""
+    from fractions import Fraction as F
+
+    from powmon import PuiseuxMonoid
+    from powmon.decompose import _Engine
+
+    monoid = PuiseuxMonoid([F(1, 2), F(1, 3)])
+    eng_c = _Engine(monoid, kernel=compiled_kernel)
+    eng_py = _Engine(monoid, kernel=masks_py)
+    eng_c.ensure(16)
+    eng_py.ensure(16)
+    split_searches = 0
+    for bmask in range(2, 1 << 11):
+        if bmask & ~eng_c.member_mask:
+            continue
+        low = (bmask & -bmask).bit_length() - 1
+        split_searches += low > 0 and (bmask >> low) & ~eng_c.member_mask != 0
+        for restricted in (True, False) if bmask & 1 else (False,):
+            assert eng_c.atom_witness(bmask, restricted) == eng_py.atom_witness(
+                bmask, restricted
+            ), (bin(bmask), restricted)
+    assert split_searches > 100  # B - min B outside the ambient: no shortcut
+
+
 def test_first_only_yields_single_nontrivial_witness(compiled_kernel):
     B = 0b1111
     got_c = compiled_kernel.pair_search(B, B, B, True, True, True)
