@@ -6,7 +6,10 @@ value i), the members of M up to the working bound become the candidate
 mask, and decompositions are found by the kernel's pair search.  Atomhood,
 full factorization enumeration and length sets are built on top, with
 memoization shared per ambient (the corpus sweeps revisit the same
-normalized cofactors constantly).
+normalized cofactors constantly).  The kernel's own results are memoized by
+its effective input (B - min B and the candidate masks cut to it), so
+`is_atom`, `set_factorizations` and every translate of a shape past the
+conductor share one search.
 
 Restricted mode works inside the restricted power monoid (every element
 contains 0); unrestricted mode allows singleton factors {a} and handles
@@ -17,7 +20,8 @@ Pairs are searched in half of the space.  If A + C = B then max A + max C
 shifting out the split).  Each split pair {d, min B - d} is searched twice,
 with the A side on either summand and its candidates masked to those
 bits, which finds every unordered pair from about 2^(|B|/2) A sides
-instead of 2^|B|.  The atom witness is the pair that a search over the
+instead of 2^|B|; a pair whose sides both reach max B / 2 is met twice and
+kept once.  The atom witness is the pair that a search over the
 full space would meet first (splits in ascending d, then the largest A,
 then the largest C), so `is_atom` reports the same decomposition whichever
 way the space is searched.
@@ -40,6 +44,8 @@ boundary, where all ordering and counting stays on integers:
   {0,1,3} sorts before {0,2}), so the key orders exactly as
   `Factorization.__lt__`, and each Factorization is built from counts
   already in canonical order through the trusted `Factorization._canonical`;
+* the engine builds each raw tuple once, from its smallest atom mask, so
+  no set is needed to drop repeats;
 * length sets are read off the raw tuples and build no objects.
 """
 
@@ -132,6 +138,7 @@ class _Engine:
         self._grow_lock = threading.Lock()
         self._factor_memo: dict = {}
         self._atom_memo: dict = {}
+        self._pair_memo: dict = {}  # kernel results by effective input
 
     def ensure(self, bits: int) -> None:
         if bits > UNIVERSE_LIMIT:
@@ -185,32 +192,46 @@ class _Engine:
             return [(0, 0)]
         return [(d, low - d) for d in self.numerical.divisors(low) if 2 * d <= low]
 
+    def _pair_search(self, b0: int, cand_a: int, cand_c: int) -> tuple[tuple[int, int], ...]:
+        """The kernel's pairs for (b0, cand_a, cand_c), each distinct
+        effective input searched once.  The kernel reads its candidates only
+        through b0 & cand, so that triple is an exact key; beyond the
+        conductor every candidate bit is set and the translates of a shape
+        share one entry."""
+        key = (b0, b0 & cand_a, b0 & cand_c)
+        hit = self._pair_memo.get(key)
+        if hit is None:
+            kern = self._kernel_override or kernel_for(self.built)
+            hit = self._pair_memo[key] = tuple(kern.pair_search(*key))
+        return hit
+
     def _split_pairs(self, b0: int, da: int, dc: int) -> list[tuple[int, int]]:
         """Each pair {a, c} of true-value masks with min a = da, min c = dc
-        and a + c = b0 << (da + dc), at least once and in either order.
+        and a + c = b0 << (da + dc), once and in either order.
 
         max is additive, so one side of every pair has its shifted max at
         or below max b0 // 2: searching only such A sides, once with A on
-        the da side and once on the dc side, misses no pair."""
-        kern = self._kernel_override or kernel_for(self.built)
+        the da side and once on the dc side, misses no pair.  A pair whose
+        sides both reach that far is met by both searches (or twice by the
+        one search when da == dc); it is kept once."""
         half = (2 << ((b0.bit_length() - 1) >> 1)) - 1
         members = self.member_mask
-        found = [(a0 << da, c0 << dc)
-                 for a0, c0 in kern.pair_search(b0, (members >> da) & half, members >> dc)]
-        if da != dc:
-            found += [(a0 << da, c0 << dc)
-                      for c0, a0 in kern.pair_search(b0, (members >> dc) & half, members >> da)]
+        first = self._pair_search(b0, (members >> da) & half, members >> dc)
+        if da == dc:
+            return [(a0 << da, c0 << da) for a0, c0 in first if a0 <= c0]
+        found = [(a0 << da, c0 << dc) for a0, c0 in first]
+        found += [(a0 << da, c0 << dc)
+                  for c0, a0 in self._pair_search(b0, (members >> dc) & half, members >> da)
+                  if a0 > half]
         return found
 
     def pair_decompositions(self, bmask: int, restricted: bool) -> list[tuple[int, int]]:
         """Unordered pairs of true-value masks (canonical: smaller int
         first), each found from the side with the smaller max."""
         b0 = bmask >> ((bmask & -bmask).bit_length() - 1)  # B - min B
-        seen: set[tuple[int, int]] = set()
-        for da, dc in self._splits(bmask, restricted):
-            for a, c in self._split_pairs(b0, da, dc):
-                seen.add((a, c) if a <= c else (c, a))
-        return sorted(seen)
+        return sorted((a, c) if a <= c else (c, a)
+                      for da, dc in self._splits(bmask, restricted)
+                      for a, c in self._split_pairs(b0, da, dc))
 
     # -- atomhood ---------------------------------------------------------------
 
@@ -249,33 +270,36 @@ class _Engine:
 
     def factorizations(
         self, bmask: int, restricted: bool, budget: int | None = None
-    ) -> tuple[frozenset, bool]:
-        """(set of sorted atom-mask tuples, exhaustive flag)."""
+    ) -> tuple[tuple[tuple[int, ...], ...], bool]:
+        """(distinct ascending atom-mask tuples, exhaustive flag).
+
+        Each factorization is built once, from its smallest atom a: the
+        pair (a, c) extends only the factorizations z of c with z[0] >= a,
+        and a pair of two equal sides is taken in one orientation."""
         key = (bmask, restricted, budget)
         hit = self._factor_memo.get(key)
         if hit is not None:
             return hit
         if bmask == 1:
-            result: tuple[frozenset, bool] = (frozenset({()}), True)
+            result: tuple[tuple[tuple[int, ...], ...], bool] = (((),), True)
             self._factor_memo[key] = result
             return result
         if budget is not None and budget <= 0:
-            result = (frozenset(), False)
+            result = ((), False)
             self._factor_memo[key] = result
             return result
-        out: set[tuple[int, ...]] = set()
+        out: list[tuple[int, ...]] = []
         exhaustive = True
         for x, y in self.pair_decompositions(bmask, restricted):
-            for a, c in ((x, y), (y, x)):
+            for a, c in ((x, y), (y, x)) if x != y else ((x, y),):
                 if a == 1 or not self.is_atom(a, restricted):
                     continue
                 inner, inner_ok = self.factorizations(
                     c, restricted, None if budget is None else budget - 1
                 )
                 exhaustive = exhaustive and inner_ok
-                for z in inner:
-                    out.add(tuple(sorted(z + (a,))))
-        result = (frozenset(out), exhaustive)
+                out.extend((a,) + z for z in inner if not z or z[0] >= a)
+        result = (tuple(out), exhaustive)
         self._factor_memo[key] = result
         return result
 

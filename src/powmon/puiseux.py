@@ -346,9 +346,11 @@ class PuiseuxMonoid:
     # -- scaling helpers ----------------------------------------------------
 
     def to_scaled(self, q: Fraction) -> int | None:
-        """lambda*q when integral, else None (then q is certainly not a member)."""
-        t = q * self.scale
-        return t.numerator if t.denominator == 1 else None
+        """lambda*q when integral, else None (then q is certainly not a member).
+        Integer arithmetic: a Fraction product would normalize by a gcd."""
+        scale = self.scale
+        n, r = divmod(q.numerator * scale.numerator, q.denominator * scale.denominator)
+        return None if r else n
 
     def from_scaled(self, n: int) -> Fraction:
         return Fraction(n) / self.scale

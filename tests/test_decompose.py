@@ -280,6 +280,10 @@ def test_parallel_queries_are_order_independent(monkeypatch):
     assert eng.built == 9
     assert len(eng._values) >= eng.built
     assert all(v == F(i) / fresh.scale for i, v in enumerate(eng._values))
+    single = decompose._Engine(PuiseuxMonoid([1]))
+    for b in corpus:
+        single.factorizations(single.to_mask(b), True)
+    assert eng._pair_memo == single._pair_memo
 
 
 def test_universe_growth_is_never_undone():
@@ -521,3 +525,122 @@ def test_witness_examples_with_a_positive_minimum():
     # {5, 6} - 5 = {0, 1} does not either, but the split 5 = 2 + 3 does,
     # and its largest A side is {2, 3}
     assert str(is_atom(fs(5, 6), M23).witness) == "{2, 3} + {3}"
+
+
+def _positive_minimum_m23_corpus():
+    """Sets over <2,3> with a positive minimum: the 0-free sets of the
+    <2,3> corpus and the large-minimum ones."""
+    return [(b, monoid, r) for b, monoid, r in _m23_corpus() + _large_minimum_corpus()
+            if monoid is M23 and b.min > 0]
+
+
+def test_split_pairs_returns_each_pair_once():
+    corpus = _interval_corpus() + [(b, N0, False) for b, _, _ in _interval_corpus()]
+    for eng, bmask, restricted in _engine_cases(corpus + _positive_minimum_m23_corpus()):
+        b0 = bmask >> ((bmask & -bmask).bit_length() - 1)
+        found = [tuple(sorted(p)) for da, dc in eng._splits(bmask, restricted)
+                 for p in eng._split_pairs(b0, da, dc)]
+        assert len(found) == len(set(found)), (bin(bmask), restricted)
+        assert eng.pair_decompositions(bmask, restricted) == sorted(found)
+
+
+# -- one kernel search per effective input, one build per factorization ------
+
+
+class CountingKernel:
+    """A stand-in kernel that counts its searches and records their inputs,
+    reduced to what the kernel reads of them."""
+
+    def __init__(self):
+        self.calls = 0
+        self.inputs: set = set()
+
+    def pair_search(self, b, cand_a, cand_c):
+        self.calls += 1
+        self.inputs.add((b, b & cand_a, b & cand_c))
+        return masks_py.pair_search(b, cand_a, cand_c)
+
+
+def _counting_engine(monkeypatch, monoid):
+    kernel = CountingKernel()
+    eng = decompose._Engine(monoid, kernel=kernel)
+    monkeypatch.setattr(decompose, "_ENGINES", {monoid: eng})
+    return eng, kernel
+
+
+def _assert_one_search_per_input(eng, kernel):
+    assert kernel.calls == len(eng._pair_memo) == len(kernel.inputs)
+    assert set(eng._pair_memo) == kernel.inputs
+    assert all(type(pairs) is tuple for pairs in eng._pair_memo.values())
+
+
+def test_interval_corpus_searches_each_input_once(monkeypatch):
+    eng, kernel = _counting_engine(monkeypatch, N0)
+    for b, monoid, restricted in _interval_corpus():
+        is_atom(b, monoid, restricted)
+        set_length_set(b, monoid, restricted)
+    _assert_one_search_per_input(eng, kernel)
+    assert kernel.calls == 511  # one search per B - min B but {0}
+
+
+def test_atomicity_sweep_searches_each_input_once(monkeypatch):
+    from powmon.laboratory import atomicity_sweep
+
+    eng, kernel = _counting_engine(monkeypatch, HALF_THIRD)
+    report = atomicity_sweep(HALF_THIRD, 3, 4)
+    assert report.passed and report.checked == 2324
+    _assert_one_search_per_input(eng, kernel)
+
+
+def test_length_set_after_is_atom_repeats_no_search(monkeypatch):
+    """set_length_set reuses the search is_atom made of the same set: of
+    an atom it searches nothing at all, of a non-atom only the cofactors."""
+    atoms = 0
+    for b, monoid, restricted in [(fs(0, 1, 3), N0, True), (fs(0, 3, 4), N0, False),
+                                  (fs(2, 3), M23, False), (fs(F(1, 3), F(1, 2)), HALF_THIRD, False),
+                                  (fs(*range(10)), N0, True), (fs(0, 1, 2, 3, 5), N0, False),
+                                  (fs(0, F(1, 2), 1, F(3, 2)), HALF_THIRD, False),
+                                  (fs(5, 6), M23, False)]:
+        eng, kernel = _counting_engine(monkeypatch, monoid)
+        check = is_atom(b, monoid, restricted)
+        searched = kernel.calls
+        assert searched, b
+        lengths = set_length_set(b, monoid, restricted)
+        if check.is_atom:
+            atoms += 1
+            assert lengths == {1} and kernel.calls == searched, b
+        else:
+            assert kernel.calls > searched, b
+        _assert_one_search_per_input(eng, kernel)
+    assert atoms == 4
+
+
+def test_translates_share_one_search():
+    """Past the conductor of <2,3> every candidate bit is set, so a
+    translate of a searched set needs no search of its own."""
+    kernel = CountingKernel()
+    eng = decompose._Engine(M23, kernel=kernel)
+    witnesses = []
+    for b in (fs(20, 21, 23), fs(30, 31, 33), fs(41, 42, 44)):
+        bmask = eng.to_mask(b)
+        witnesses.append(eng.atom_witness(bmask, False))
+        if len(witnesses) == 1:
+            searched = kernel.calls
+            assert searched
+    assert kernel.calls == searched
+    assert [str(eng.to_decomposition(*w)) for w in witnesses] == [
+        "{2, 3, 5} + {18}", "{2, 3, 5} + {28}", "{2, 3, 5} + {39}"]
+
+
+def test_raw_factorizations_are_distinct_and_ascending():
+    eng = decompose._Engine(N0, kernel=masks_py)
+    for rest in range(1 << 9):
+        bmask = (rest << 1) | 1
+        eng.ensure(bmask.bit_length())
+        expected = oracle_restricted_factorizations(bmask, 9)
+        for cap in (None, 1, 2, 3):
+            raw, _ = eng.factorizations(bmask, True, cap)
+            assert type(raw) is tuple and len(raw) == len(set(raw)), (bin(bmask), cap)
+            assert all(list(z) == sorted(z) for z in raw), (bin(bmask), cap)
+            assert set(raw) == {z for z in expected if cap is None or len(z) <= cap}, (
+                bin(bmask), cap)

@@ -51,6 +51,22 @@ def test_membership():
     assert m.to_scaled(F(1, 6)) == 1
 
 
+def test_to_scaled_matches_the_fraction_product():
+    """The integer divmod gives what the Fraction product q * scale gave,
+    integral or not, over scales that are integers and that are not."""
+    for monoid in (PuiseuxMonoid([1]), PuiseuxMonoid([F(1, 2), F(1, 3)]), geometric(F(2, 3), 3),
+                   PuiseuxMonoid([F(2)]), PuiseuxMonoid([F(4, 5), F(6, 7)])):
+        nonintegral = 0
+        for den in range(1, 30):
+            for num in range(0, 90):
+                q = F(num, den)
+                t = q * monoid.scale
+                want = t.numerator if t.denominator == 1 else None
+                assert monoid.to_scaled(q) == want, (monoid, q)
+                nonintegral += want is None
+        assert nonintegral
+
+
 def test_atoms():
     assert PuiseuxMonoid([F(1, 2), F(1, 3), F(5, 6)]).atoms() == (F(1, 3), F(1, 2))
     assert PuiseuxMonoid([F(2)]).atoms() == (F(2),)
