@@ -58,7 +58,7 @@ from fractions import Fraction
 from .errors import InvalidInputError, NotAMemberError, UnsupportedAmbientError
 from .factorization import Enumeration, Factorization
 from .powerset import FinSet
-from ._kernels import kernel_for
+from ._kernels import masks_py
 from .puiseux import PuiseuxMonoid
 from .rational import Record
 
@@ -131,7 +131,7 @@ class _Engine:
         self.built = 0
         self._values: list[Fraction] = []  # _values[i] == i / scale for i < built
         self.atom_ints = set(self.numerical.atoms)
-        self._kernel_override = kernel  # tests and benchmarks pin a backend
+        self._kernel = kernel or masks_py  # tests substitute a kernel
         # memo writes are idempotent (pure results), so only the universe
         # extension needs a lock: it read-modify-writes member_mask and
         # appends to _values, which must stay aligned with the bit index
@@ -201,8 +201,8 @@ class _Engine:
         key = (b0, b0 & cand_a, b0 & cand_c)
         hit = self._pair_memo.get(key)
         if hit is None:
-            kern = self._kernel_override or kernel_for(self.built)
-            hit = self._pair_memo[key] = tuple(kern.pair_search(*key))
+            # through the module attribute, which a tracer may rebind
+            hit = self._pair_memo[key] = tuple(self._kernel.pair_search(*key))
         return hit
 
     def _split_pairs(self, b0: int, da: int, dc: int) -> list[tuple[int, int]]:
@@ -274,8 +274,10 @@ class _Engine:
         """(distinct ascending atom-mask tuples, exhaustive flag).
 
         Each factorization is built once, from its smallest atom a: the
-        pair (a, c) extends only the factorizations z of c with z[0] >= a,
-        and a pair of two equal sides is taken in one orientation."""
+        pair (a, c) extends only the factorizations z of c with z[0] >= a.
+        So each pair x <= y is taken in one orientation, (x, y), or
+        (y, {0}) when x is {0}: every atom dividing c has a mask of at most
+        c, so (y, x) with x != {0} would keep nothing."""
         key = (bmask, restricted, budget)
         hit = self._factor_memo.get(key)
         if hit is not None:
@@ -291,14 +293,14 @@ class _Engine:
         out: list[tuple[int, ...]] = []
         exhaustive = True
         for x, y in self.pair_decompositions(bmask, restricted):
-            for a, c in ((x, y), (y, x)) if x != y else ((x, y),):
-                if a == 1 or not self.is_atom(a, restricted):
-                    continue
-                inner, inner_ok = self.factorizations(
-                    c, restricted, None if budget is None else budget - 1
-                )
-                exhaustive = exhaustive and inner_ok
-                out.extend((a,) + z for z in inner if not z or z[0] >= a)
+            a, c = (y, x) if x == 1 else (x, y)
+            if not self.is_atom(a, restricted):
+                continue
+            inner, inner_ok = self.factorizations(
+                c, restricted, None if budget is None else budget - 1
+            )
+            exhaustive = exhaustive and inner_ok
+            out.extend((a,) + z for z in inner if not z or z[0] >= a)
         result = (tuple(out), exhaustive)
         self._factor_memo[key] = result
         return result

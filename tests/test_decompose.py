@@ -478,18 +478,16 @@ def _unmasked_pairs(eng, bmask, restricted):
     return out
 
 
-def _first_only_witness(eng, bmask, restricted):
+def _full_space_first_witness(eng, bmask, restricted):
     """The witness of a search over the full A-side space: the first
-    nontrivial pair of the first split that has one."""
+    nontrivial pair of the first split that has one.  A side is trivial
+    when it is {0}, that is a mask of 1 on a split side d == 0."""
     b0 = bmask >> ((bmask & -bmask).bit_length() - 1)
     for da, dc in _every_split(eng, bmask, restricted):
-        found = masks_py.pair_search(
-            b0, eng.member_mask >> da, eng.member_mask >> dc,
-            skip_a_unit=da == 0, skip_c_unit=dc == 0, first_only=True,
-        )
-        if found:
-            a, c = found[0][0] << da, found[0][1] << dc
-            return (min(a, c), max(a, c))
+        for a0, c0 in masks_py.pair_search(b0, eng.member_mask >> da, eng.member_mask >> dc):
+            if (a0 != 1 or da) and (c0 != 1 or dc):
+                a, c = a0 << da, c0 << dc
+                return (min(a, c), max(a, c))
     return None
 
 
@@ -505,7 +503,7 @@ def test_atom_witness_is_the_full_space_first_witness():
     for eng, bmask, restricted in _engine_cases(_pair_corpus() + _large_minimum_corpus()):
         if bmask == 1:
             continue  # the identity is no atom and has no witness
-        want = _first_only_witness(eng, bmask, restricted)
+        want = _full_space_first_witness(eng, bmask, restricted)
         assert eng.atom_witness(bmask, restricted) == want, (bin(bmask), restricted)
         low = (bmask & -bmask).bit_length() - 1
         if want is not None and low and not restricted:
