@@ -22,8 +22,8 @@ from .puiseux import (
     Example33Family,
     GeometricFamily,
     PuiseuxMonoid,
+    _geometric_chain_in,
     example33,
-    geometric_chain,
     verify_atoms_by_valuation,
 )
 from .rational import Record, format_rational, is_prime
@@ -68,7 +68,7 @@ def _geometric_accp(monoid: PuiseuxMonoid, start, depth: int) -> AccpReport:
             f"the chain for this family starts at {format_rational(x1)}, got {format_rational(start)}"
         )
     used = min(depth, family.level)
-    chain = geometric_chain(family.ratio, used)
+    chain = _geometric_chain_in(monoid, used)
     certs = []
     ok = chain.verified
     values = [e.value for e in chain.entries]

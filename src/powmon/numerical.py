@@ -1,20 +1,59 @@
 """Numerical monoids: cofinite additive submonoids of N0.
 
 Membership is answered in O(1) through the Apery set with respect to the
-smallest generator (computed once, Dijkstra-style, so queries stay cheap for
-arbitrarily large elements).  Atoms, divisor sets, factorizations and length
-sets are exact enumerations.  Finitely generated Puiseux monoids reduce to
-these by clearing denominators.
+smallest generator, so queries stay cheap for arbitrarily large elements.
+The table is computed once, by Boecker and Liptak's round-robin algorithm
+("A fast and simple algorithm for the money changing problem", Algorithmica
+48, 2007), walking each generator only over the residues it can reach.
+Atoms, divisor sets, factorizations and length sets are exact enumerations.
+Finitely generated Puiseux monoids reduce to these by clearing denominators.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Iterable, Sequence
 
 from .errors import InvalidInputError, NotAMemberError, NotCofiniteError
 from .factorization import Enumeration, Factorization
+
+
+def _residue_table(gens: Sequence[int], modulus: int) -> list[int]:
+    """Smallest element of <gens> in each residue class mod `modulus`.
+
+    Round robin (Boecker and Liptak 2007): the table starts as {0} and takes
+    the generators in turn.  Adding g relaxes each cycle r, r + g, r + 2g, ...
+    of Z/modulus once, starting from its smallest entry, so one pass per
+    generator is exact and no heap is needed.  Before g, only the multiples
+    of D = gcd(modulus, earlier generators) are reachable, and afterwards
+    only those of gcd(D, g); so g walks only the cycles inside that subgroup,
+    each of which holds a multiple of D and so starts from a finite entry.
+    The gcd of `gens` must be 1, which leaves no entry unreachable.
+    """
+    table: list = [math.inf] * modulus
+    table[0] = 0
+    reach = modulus
+    for g in gens:
+        step = g % modulus
+        if not step:
+            continue  # every cycle of g is a single residue
+        cycle_gcd = math.gcd(modulus, step)
+        reach = math.gcd(reach, cycle_gcd)
+        for first in range(0, cycle_gcd, reach):
+            # the cycle through `first` is first + cycle_gcd * Z/modulus
+            r = min(range(first, modulus, cycle_gcd), key=table.__getitem__)
+            best = table[r]
+            for _ in range(modulus // cycle_gcd - 1):
+                r += step
+                if r >= modulus:
+                    r -= modulus
+                best += g
+                current = table[r]
+                if current < best:
+                    best = current
+                else:
+                    table[r] = best
+    return table
 
 
 class NumericalMonoid:
@@ -41,22 +80,9 @@ class NumericalMonoid:
 
     @staticmethod
     def _compute_apery(gens: Sequence[int]) -> tuple[int, ...]:
-        # shortest monoid element in each residue class mod the multiplicity
-        m = gens[0]
-        dist = [None] * m
-        dist[0] = 0
-        heap: list[tuple[int, int]] = [(0, 0)]
-        while heap:
-            v, r = heapq.heappop(heap)
-            if dist[r] != v:
-                continue
-            for g in gens:
-                nv = v + g
-                nr = nv % m
-                if dist[nr] is None or nv < dist[nr]:
-                    dist[nr] = nv
-                    heapq.heappush(heap, (nv, nr))
-        return tuple(dist)  # complete: gcd 1 makes every residue reachable
+        # shortest monoid element in each residue class mod the multiplicity,
+        # by round robin over the reachable subgroup (Boecker-Liptak 2007)
+        return tuple(_residue_table(gens, gens[0]))
 
     def _is_minimal(self, g: int) -> bool:
         # g is a sum of two nonzero elements iff g - h stays in the monoid
@@ -76,15 +102,9 @@ class NumericalMonoid:
         """Smallest element in each residue class mod `modulus` (default: multiplicity)."""
         if modulus is None or modulus == self.multiplicity:
             return tuple(sorted(self._apery))
-        if modulus <= 0:
-            raise InvalidInputError("modulus must be positive")
-        found: dict[int, int] = {}
-        x = 0
-        while len(found) < modulus:
-            if self.contains(x) and (x % modulus) not in found:
-                found[x % modulus] = x
-            x += 1
-        return tuple(sorted(found.values()))
+        if not isinstance(modulus, int) or modulus <= 0:
+            raise InvalidInputError(f"modulus must be a positive integer, got {modulus!r}")
+        return tuple(sorted(_residue_table(self.generators, modulus)))
 
     def gaps(self) -> tuple[int, ...]:
         return tuple(x for x in range(self.frobenius + 1) if not self.contains(x))

@@ -603,6 +603,11 @@ _SIGN_NOTE = (
 )
 
 
+def _require_chain_depth(depth) -> None:
+    if not isinstance(depth, int) or depth < 1:
+        raise InvalidInputError(f"depth must be a positive integer, got {depth}")
+
+
 def geometric_chain(ratio, depth: int) -> GeometricChainReport:
     """The element chain x_n = n(r)**n / d(r)**(n-1) with exact step witnesses.
 
@@ -611,9 +616,17 @@ def geometric_chain(ratio, depth: int) -> GeometricChainReport:
     that keeps ascending as far as the truncation can see.
     """
     r = _validated_ratio(ratio)
-    if not isinstance(depth, int) or depth < 1:
-        raise InvalidInputError(f"depth must be a positive integer, got {depth}")
-    monoid = geometric(r, depth)
+    _require_chain_depth(depth)
+    return _geometric_chain_in(geometric(r, depth), depth)
+
+
+def _geometric_chain_in(monoid: PuiseuxMonoid, depth: int) -> GeometricChainReport:
+    """`geometric_chain` checked in an already built truncation of level at
+    least `depth`.  Each x_k = n * r**(k-1) and step (d - n) * r**k, k <= depth,
+    is a sum of generators of the truncation at `depth`, so it lies in every
+    deeper one too, and the report reads the same."""
+    _require_chain_depth(depth)
+    r = monoid.family.ratio
     num, den = r.numerator, r.denominator
     entries = []
     verified = True

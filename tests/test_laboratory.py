@@ -1,8 +1,17 @@
+import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
 
-from powmon import FinSet, InvalidInputError, PowerMonoidView, PuiseuxMonoid, geometric
+from powmon import (
+    FinSet,
+    InvalidInputError,
+    NumericalMonoid,
+    PowerMonoidView,
+    PuiseuxMonoid,
+    geometric,
+)
 from powmon import laboratory as lab
 
 
@@ -31,6 +40,33 @@ def test_accp_geometric_chain():
     assert all(c["singleton_lift_recombines"] for c in report.certificates)
     with pytest.raises(InvalidInputError):
         lab.accp_chain_search(monoid, F(1), 4)  # chain starts at the numerator
+
+
+def test_accp_on_a_built_geometric_handle_builds_no_table(monkeypatch):
+    """The chain is checked in the handle's own truncation, at every depth
+    up to its level and past it, with the reports the chain built from a
+    fresh truncation at the used depth gave."""
+    handles = {level: geometric(F(2, 3), level) for level in (4, 17)}
+    builds = []
+    build = NumericalMonoid.__dict__["_compute_apery"].__func__
+
+    def counting(gens):
+        builds.append(len(gens))
+        return build(gens)
+
+    monkeypatch.setattr(NumericalMonoid, "_compute_apery", staticmethod(counting))
+    for level, start, depth, digest in (
+        (4, None, 4, "ed6f13159951deb456fdc603bcd2eeb8b234a584658b84fe616aff1fc852a8a0"),
+        (4, None, 3, "f0528d21a352e37d7f1cf0e3fc66a070dc6d08283968e79d4a21370477587ef0"),
+        (4, None, 9, "0b5fa6bee5ff4c2af5765a02bead350a02fa6b4c1744ddbe135199d68494f323"),
+        (17, 2, 17, "6db306be7b026ce328eec22d5a8d2853629f43911c9a8345914c4872e374ec5d"),
+        (17, None, 5, "e844b9b08fb93649e3cb9f222069d4fa2da89b5f096a95a6278e3761e454bd1d"),
+    ):
+        report = lab.accp_chain_search(handles[level], start, depth)
+        assert report.passed
+        encoded = json.dumps(report.to_json(), sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(encoded.encode()).hexdigest() == digest, (level, depth)
+    assert builds == []
 
 
 def test_accp_start_defaults_only_on_geometric_handles():

@@ -1,9 +1,18 @@
+import hashlib
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from powmon import InvalidInputError, NotAMemberError, NotCofiniteError, NumericalMonoid
+from powmon import (
+    InvalidInputError,
+    NotAMemberError,
+    NotCofiniteError,
+    NumericalMonoid,
+    example33,
+    geometric,
+)
 from oracles import (
     brute_apery,
     brute_divisors,
@@ -55,6 +64,97 @@ def test_apery_consistency():
         assert n35.contains(w)
         assert w - 3 < 0 or not n35.contains(w - 3)
     assert set(NumericalMonoid([2, 3]).apery_set(5)) == brute_apery([2, 3], 5)
+
+
+# Generator sets for the exact-table checks: the trivial monoid, generators
+# that are multiples of the multiplicity, several generators sharing a
+# factor with it, and small geometric truncations.
+APERY_CORPUS = [
+    [1],
+    [2, 3],
+    [3, 6, 7],
+    [4, 9, 12, 20],
+    [6, 10, 15],
+    [12, 18, 20, 27, 30],
+    [30, 42, 70, 105],
+    *(
+        list(geometric(Fraction(*ratio), level).scaled_generators)
+        for ratio, level in (((2, 3), 4), ((2, 3), 6), ((3, 5), 3), ((3, 5), 4),
+                             ((2, 5), 3), ((2, 5), 5))
+    ),
+]
+
+
+def _assert_exact_table(gens):
+    m = gens[0]
+    table = NumericalMonoid._compute_apery(gens)
+    assert len(table) == m
+    assert all(w % m == r for r, w in enumerate(table)), gens
+    assert set(table) == brute_apery(gens, m), gens
+
+
+def test_apery_table_matches_brute_force():
+    for gens in APERY_CORPUS:
+        _assert_exact_table(gens)
+        assert NumericalMonoid(gens).frobenius == brute_frobenius(gens), gens
+
+
+def test_apery_set_other_moduli_match_brute_force():
+    for gens in APERY_CORPUS:
+        if max(gens) > 105:
+            continue
+        monoid = NumericalMonoid(gens)
+        m = gens[0]
+        for modulus in sorted({1, 2, 7, max(m - 1, 1), m + 1, 2 * m + 1, max(gens)}):
+            got = monoid.apery_set(modulus)
+            assert len(got) == modulus
+            assert set(got) == brute_apery(gens, modulus), (gens, modulus)
+    with pytest.raises(InvalidInputError):
+        NumericalMonoid([2, 3]).apery_set(0)
+
+
+def test_apery_random_sets_with_shared_factors():
+    rng = random.Random(29)
+    checked = 0
+    while checked < 150:
+        factor = rng.choice([2, 3, 4, 6, 10])
+        gens = sorted({rng.randrange(1, 25) * rng.choice([1, factor])
+                       for _ in range(rng.randrange(1, 5))})
+        if math.gcd(*gens) != 1:
+            continue
+        checked += 1
+        _assert_exact_table(gens)
+        modulus = rng.randrange(1, 30)
+        assert set(NumericalMonoid(gens).apery_set(modulus)) == brute_apery(gens, modulus)
+
+
+def test_example33_table_against_enumeration():
+    """example33(0) scales to a multiplicity brute_apery cannot reach (its
+    scan would run to about 7e10), so its table is checked against the
+    smallest sum a*60325 + b*582295 in each residue class instead: every
+    Apery element with respect to m is a sum of the other generators."""
+    gens = list(example33(0).scaled_generators)
+    assert gens == [57771, 60325, 582295]
+    m, g1, g2 = gens
+    table = NumericalMonoid._compute_apery(gens)
+    bound = max(table)
+    smallest: dict[int, int] = {}
+    for b in range(bound // g2 + 1):
+        for x in range(b * g2, bound + 1, g1):
+            r = x % m
+            if x < smallest.get(r, bound + 1):
+                smallest[r] = x
+    assert [smallest.get(r) for r in range(m)] == list(table)
+    assert NumericalMonoid(gens).frobenius == bound - m == 91302219
+
+
+def test_geometric_table_identical_at_scale():
+    """The 2/3 truncation at level 17 (multiplicity 2**17) gives the table,
+    byte for byte, that a heap-based shortest-path build gave."""
+    numerical = geometric(Fraction(2, 3), 17).numerical
+    digest = hashlib.sha256(repr(tuple(numerical._apery)).encode()).hexdigest()
+    assert digest == "4c73b47e53b8b68e363c653c8295b0f1c09875fc1acab36de33536e671fcc789"
+    assert numerical.frobenius == 386896201
 
 
 def test_cofiniteness_past_frobenius():
