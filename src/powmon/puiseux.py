@@ -7,12 +7,13 @@ backends:
   numerators) maps the monoid onto a numerical monoid, where membership is
   O(1) via the Apery set.  Used whenever the resulting multiplicity is small
   enough to table.
-* generator solver: a bounded-knapsack search directly over the rational
-  generators, pruned by p-adic valuation constraints.  When a generator is
-  the only remaining one with negative valuation at a prime p, its
-  coefficient is forced into a single residue class mod a power of p, which
-  collapses the search.  This is what makes the huge-denominator families
-  below tractable; the two backends are cross-checked in the tests.
+* generator solver: a bounded-knapsack search over the generators scaled by
+  L = lcm(denominators), so every remainder it meets is an integer, pruned
+  by p-adic valuation constraints.  When a generator is the only remaining
+  one with negative valuation at a prime p, its coefficient is forced into
+  a single residue class mod a power of p, which collapses the search.
+  This is what makes the huge-denominator families below tractable; the
+  two backends are cross-checked in the tests.
 
 The module also hosts the named families: `geometric(r, level)` (truncations
 of the monoid generated by the powers of a ratio r in (0,1)) and
@@ -126,11 +127,12 @@ def _modinv(a: int, m: int) -> int:
     return pow(a % m, -1, m)
 
 
-def _crt(a1: int, m1: int, a2: int, m2: int) -> tuple[int, int] | None:
-    """Combine x = a1 (mod m1) with x = a2 (mod m2); moduli are coprime here."""
-    k = ((a2 - a1) * _modinv(m1, m2)) % m2
-    m = m1 * m2
-    return ((a1 + m1 * k) % m, m)
+def _strip(n: int, primes: Iterable[int]) -> int:
+    """n with every factor from `primes` divided out."""
+    for p in primes:
+        while n % p == 0:
+            n //= p
+    return n
 
 
 class _StopSearch(Exception):
@@ -140,23 +142,63 @@ class _StopSearch(Exception):
 class ReprSolver:
     """Enumerates representations of a target as N0-combinations of generators.
 
-    Exhaustive within the stated caps.  Valuation constraints are only ever
-    used to *restrict* coefficient ranges to provably necessary residue
-    classes, so pruning never loses solutions.
+    Exhaustive within the stated caps.  The search runs on integers: with L
+    the lcm of the generators' denominators, a target t and each generator
+    g_i become T = t*L and G_i = g_i*L, and every remainder the search meets
+    stays an integer.  Valuation constraints are only ever used to
+    *restrict* coefficient ranges to provably necessary residue classes, so
+    pruning never loses solutions.  For a known prime p of L, a remainder
+    past the last generator with p in its denominator must be divisible by
+    p**v_p(L); at that last generator the coefficient is forced into one
+    residue class mod p**e, e its exponent of p.  Both are precomputed per
+    depth, so each test is one integer operation.
     """
 
     def __init__(self, generators: Sequence[Fraction], hint_primes: Iterable[int] = ()):
         self.gens: tuple[Fraction, ...] = tuple(sorted(generators))
-        self._discover_primes(hint_primes)
+        self._lcm = lcm = math.lcm(*(g.denominator for g in self.gens))
+        self._scaled = scaled = tuple(g.numerator * (lcm // g.denominator) for g in self.gens)
+        last: dict[int, int] = {}  # each prime's last generator with it in the denominator
+        for p in self._discover_primes(hint_primes):
+            for i, g in enumerate(self.gens):
+                if g.denominator % p == 0:
+                    last[p] = i
+        self._primes = tuple(sorted(last))
+        n = len(self.gens)
+        # moduli[i] divides every remainder worth searching at depth i: it has
+        # p**v_p(L) for each prime whose last carrier is before i, and
+        # ps = p**(v_p(L) - e), the power of p in G_i, for each whose last
+        # carrier is i.  Such a p forces the coefficient of G_i into the class
+        # (T // ps) * (G_i // ps)**-1 mod p**e.
+        moduli = [1] * n
+        residues: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        for p, i in last.items():
+            v, e = int_valuation(lcm, p), int_valuation(self.gens[i].denominator, p)
+            ps, m = p ** (v - e), p**e
+            moduli[i] *= ps
+            for j in range(i + 1, n):
+                moduli[j] *= ps * m
+            residues[i].append((ps, m, _modinv(scaled[i] // ps, m)))
+        self._moduli = tuple(moduli)
+        # the classes of one depth, combined once by the CRT: the coefficient
+        # is sum((T // ps) * coef) mod the product of their p**e
+        self._residues = []
+        for terms in residues:
+            modulus = math.prod(m for _, m, _ in terms)
+            self._residues.append((modulus, tuple(
+                (ps, inv * (modulus // m) * _modinv(modulus // m, m) % modulus)
+                for ps, m, inv in terms
+            )))
 
-    def _discover_primes(self, hints: Iterable[int]) -> None:
+    def _discover_primes(self, hints: Iterable[int]) -> set[int]:
+        """The primes of the denominators found by trial division up to
+        _TRIAL_LIMIT, among the hints, or as a cofactor left prime once the
+        primes found so far are divided out.  A cofactor that stays composite
+        (unknown primes) only weakens the pruning."""
         primes: set[int] = {p for p in hints if is_prime(p)}
-        fully = True
+        rests = []
         for g in self.gens:
-            rest = g.denominator
-            for p in sorted(primes):
-                while rest % p == 0:
-                    rest //= p
+            rest = _strip(g.denominator, primes)
             d = 2
             while d <= _TRIAL_LIMIT and d * d <= rest:
                 if rest % d == 0:
@@ -164,35 +206,22 @@ class ReprSolver:
                     while rest % d == 0:
                         rest //= d
                 d += 1 if d == 2 else 2
-            if rest > 1:
-                if is_prime(rest):
-                    primes.add(rest)
-                else:
-                    fully = False  # unknown composite: weaker pruning only
-        self._fully_factored = fully
-        # negative-valuation exponents per generator, and the last index at
-        # which each prime still has a negative carrier
-        self._neg: list[dict[int, int]] = []
-        max_idx: dict[int, int] = {}
-        for i, g in enumerate(self.gens):
-            neg: dict[int, int] = {}
-            for p in primes:
-                e = int_valuation(g.denominator, p) - int_valuation(g.numerator, p)
-                if e > 0:
-                    neg[p] = e
-                    max_idx[p] = i
-            self._neg.append(neg)
-        self._max_neg_idx = max_idx
-        self._primes = tuple(sorted(max_idx))
-
-    def _coefficient_constraint(self, t: Fraction, g: Fraction, p: int, e: int):
-        """Residue class forced on the coefficient of g, or None when no
-        coefficient can clear the p-adic obstruction."""
-        ratio = t / g
-        if int_valuation(ratio.numerator, p) - int_valuation(ratio.denominator, p) < 0:
-            return None
-        m = p**e
-        return ((ratio.numerator * _modinv(ratio.denominator, m)) % m, m)
+            rests.append(rest)
+        # smallest first, and again after a pass that found a prime: a product
+        # of two large primes splits once another cofactor yields one of them
+        composite: set[int] = set()
+        found = True
+        while found:
+            found = False
+            for rest in sorted(rests):
+                rest = _strip(rest, primes)
+                if rest > 1 and rest not in composite:
+                    if is_prime(rest):
+                        primes.add(rest)
+                        found = True
+                    else:
+                        composite.add(rest)
+        return primes
 
     def search(
         self,
@@ -204,11 +233,16 @@ class ReprSolver:
 
         Returns (solutions, exhaustive); `limit` stops after that many
         solutions, `max_total` caps the coefficient sum (either makes the
-        result potentially non-exhaustive).
+        result potentially non-exhaustive).  A target outside (1/L)*Z has no
+        representation, which is exhaustive under any cap.
         """
+        target = Fraction(target)
         if target < 0:
             return [], True
-        gens = self.gens
+        start, r = divmod(target.numerator * self._lcm, target.denominator)
+        if r:
+            return [], True
+        gens, moduli, residues = self._scaled, self._moduli, self._residues
         n = len(gens)
         solutions: list[tuple[int, ...]] = []
         state = {"pruned": False}
@@ -219,7 +253,7 @@ class ReprSolver:
             if limit is not None and len(solutions) >= limit:
                 raise _StopSearch
 
-        def rec(i: int, t: Fraction, total: int) -> None:
+        def rec(i: int, t: int, total: int) -> None:
             if t == 0:
                 for j in range(i, n):
                     counts[j] = 0
@@ -227,24 +261,13 @@ class ReprSolver:
                 return
             if i == n or t < gens[i]:
                 return
-            # a denominator prime with no remaining negative carrier is fatal
-            rest = t.denominator
-            for p in self._primes:
-                if self._max_neg_idx[p] >= i:
-                    while rest % p == 0:
-                        rest //= p
-            if self._fully_factored:
-                if rest > 1:
-                    return
-            else:
-                for p in self._primes:
-                    if self._max_neg_idx[p] < i and t.denominator % p == 0:
-                        return
+            # a prime no generator from i on can clear is fatal
+            if t % moduli[i]:
+                return
             g = gens[i]
             if i == n - 1:
-                q = t / g
-                if q.denominator == 1:
-                    c = q.numerator
+                c, r = divmod(t, g)
+                if r == 0:
                     if max_total is not None and total + c > max_total:
                         state["pruned"] = True
                         return
@@ -252,16 +275,10 @@ class ReprSolver:
                     record()
                     counts[i] = 0
                 return
-            offset, modulus = 0, 1
-            for p, e in self._neg[i].items():
-                if self._max_neg_idx[p] == i:
-                    constraint = self._coefficient_constraint(t, g, p, e)
-                    if constraint is None:
-                        return
-                    offset, modulus = _crt(offset, modulus, *constraint)
+            modulus, terms = residues[i]
+            c = sum(t // ps * coef for ps, coef in terms) % modulus
             max_c = t // g
             cap_c = max_c if max_total is None else min(max_c, max_total - total)
-            c = offset
             while c <= cap_c:
                 counts[i] = c
                 rec(i + 1, t - c * g, total + c)
@@ -271,7 +288,7 @@ class ReprSolver:
             counts[i] = 0
 
         try:
-            rec(0, Fraction(target), 0)
+            rec(0, start, 0)
         except _StopSearch:
             return solutions, False
         return solutions, not state["pruned"]

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -14,6 +15,7 @@ from powmon import (
     parse_monoid,
 )
 from powmon.puiseux import ReprSolver, example33, parse_family
+from powmon.rational import int_valuation
 from oracles import brute_mcds, chain_value, reachable_upto
 
 
@@ -167,6 +169,234 @@ def test_solver_combined_residue_constraints():
     assert exhaustive
     totals = {sum(c * g for g, c in zip(solver.gens, vec)) for vec in vectors}
     assert totals == {F(25, 6) + 8}
+
+
+def _fraction_search(solver, target, limit=None, max_total=None):
+    """`ReprSolver.search` as it ran on Fractions before it ran on t * lcm:
+    the reference the integer search must match call for call.  It reads
+    only the solver's generators and known primes."""
+    gens = solver.gens
+    n = len(gens)
+    neg, max_neg_idx = [], {}
+    for i, g in enumerate(gens):
+        neg.append({})
+        for p in solver._primes:
+            e = int_valuation(g.denominator, p) - int_valuation(g.numerator, p)
+            if e > 0:
+                neg[i][p] = e
+                max_neg_idx[p] = i
+    fully_factored = True
+    for g in gens:
+        rest = g.denominator
+        for p in solver._primes:
+            while rest % p == 0:
+                rest //= p
+        fully_factored = fully_factored and rest == 1
+
+    def coefficient_constraint(t, g, p, e):
+        ratio = t / g
+        if int_valuation(ratio.numerator, p) - int_valuation(ratio.denominator, p) < 0:
+            return None
+        m = p**e
+        return ((ratio.numerator * pow(ratio.denominator, -1, m)) % m, m)
+
+    if target < 0:
+        return [], True
+    solutions = []
+    state = {"pruned": False}
+    counts = [0] * n
+
+    class Stop(Exception):
+        pass
+
+    def record():
+        solutions.append(tuple(counts))
+        if limit is not None and len(solutions) >= limit:
+            raise Stop
+
+    def rec(i, t, total):
+        if t == 0:
+            for j in range(i, n):
+                counts[j] = 0
+            record()
+            return
+        if i == n or t < gens[i]:
+            return
+        rest = t.denominator
+        for p in solver._primes:
+            if max_neg_idx[p] >= i:
+                while rest % p == 0:
+                    rest //= p
+        if fully_factored:
+            if rest > 1:
+                return
+        else:
+            for p in solver._primes:
+                if max_neg_idx[p] < i and t.denominator % p == 0:
+                    return
+        g = gens[i]
+        if i == n - 1:
+            q = t / g
+            if q.denominator == 1:
+                c = q.numerator
+                if max_total is not None and total + c > max_total:
+                    state["pruned"] = True
+                    return
+                counts[i] = c
+                record()
+                counts[i] = 0
+            return
+        offset, modulus = 0, 1
+        for p, e in neg[i].items():
+            if max_neg_idx[p] == i:
+                constraint = coefficient_constraint(t, g, p, e)
+                if constraint is None:
+                    return
+                a, m = constraint  # combined with the class so far by the CRT
+                k = ((a - offset) * pow(modulus, -1, m)) % m
+                offset, modulus = (offset + modulus * k) % (modulus * m), modulus * m
+        max_c = t // g
+        cap_c = max_c if max_total is None else min(max_c, max_total - total)
+        c = offset
+        while c <= cap_c:
+            counts[i] = c
+            rec(i + 1, t - c * g, total + c)
+            c += modulus
+        if c <= max_c:
+            state["pruned"] = True
+        counts[i] = 0
+
+    try:
+        rec(0, F(target), 0)
+    except Stop:
+        return solutions, False
+    return solutions, not state["pruned"]
+
+
+# 100003 * 100019: past the trial-division limit and composite, so these
+# solvers keep an unknown cofactor and prune on their known primes only
+_UNFACTORED = 100003 * 100019
+
+
+def _agreement_solvers():
+    solvers = []
+    for level in range(4):
+        m = example33(level)
+        solvers.append(ReprSolver(m.generators, m.family.primes))
+    solvers += [
+        ReprSolver([F(1, 4), F(3, 8), F(5, 9), F(7, 27)]),  # prime powers
+        ReprSolver([F(5, 6), F(4)]),  # one generator carries 2 and 3
+        ReprSolver([F(7, 12), F(5, 18), F(11, 10)]),  # composite denominators
+        ReprSolver([F(1, 3), F(1, 2), F(_UNFACTORED + 1, _UNFACTORED)]),
+        ReprSolver([F(2, 5), F(_UNFACTORED + 2, 3 * _UNFACTORED), F(_UNFACTORED + 1, _UNFACTORED)]),
+    ]
+    return solvers
+
+
+def test_integer_search_matches_the_fraction_search():
+    rng = random.Random(47)
+    calls = 0
+    for solver in _agreement_solvers():
+        gens = solver.gens
+        targets = [F(4, 5), F(6, 7), F(4, 5) + F(6, 7)] if len(gens) > 3 else []
+        targets += [sum(rng.choices(gens, k=rng.randrange(0, 5)), F(0)) for _ in range(12)]
+        for target in targets:
+            for limit in (None, 1, 2):
+                for max_total in (None, 1, 2, 3):
+                    want = _fraction_search(solver, target, limit, max_total)
+                    assert solver.search(target, limit, max_total) == want, (gens, target)
+                    calls += 1
+    unfactored = [s for s in _agreement_solvers() if s.gens[-1].denominator == _UNFACTORED]
+    assert unfactored and all(100003 not in s._primes for s in unfactored)
+    assert calls > 1000
+
+
+def test_target_outside_the_lattice_is_exhaustive_under_a_cap():
+    """The one intended difference from the Fraction search: a target with
+    t * lcm not integral has no representation, and the integer search says
+    so at once, exhaustive, where the Fraction search reported the capped
+    candidates it never tried.  `factorizations`, the only caller with a
+    cap, refuses such a target as a non-member first."""
+    solver = ReprSolver([F(1, 2), F(1, 3)])
+    assert _fraction_search(solver, F(5, 4), max_total=1) == ([], False)
+    assert solver.search(F(5, 4), max_total=1) == ([], True)
+    assert solver.search(F(5, 4)) == _fraction_search(solver, F(5, 4)) == ([], True)
+    with pytest.raises(NotAMemberError):
+        PuiseuxMonoid([F(1, 2), F(1, 3)]).factorizations(F(5, 4), max_length=1)
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_prime_discovery_ignores_generator_order(level):
+    """Without hints, a cofactor that is a product of two large primes is
+    split once another generator gives one of them, whatever the order."""
+    m = example33(level)
+    bare, hinted = ReprSolver(m.generators), ReprSolver(m.generators, m.family.primes)
+    assert bare._primes == hinted._primes
+    assert set(m.family.primes) <= set(bare._primes)
+    if level == 3:
+        target = bare.gens[0] + bare.gens[1] + bare.gens[5]
+        assert bare.search(target) == ([(1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0)], True)
+
+
+def test_prime_discovery_retests_a_cofactor_after_a_later_split():
+    """100003 * 100019 is tested before the prime c, and splits only after
+    c has split 100019 * c: a second pass over the cofactors finds 100003."""
+    a, b, c = 100003, 100019, 100000000003
+    gens = [F(1, a * b), F(1, c), F(1, b * c)]
+    for order in itertools.permutations(gens):
+        assert ReprSolver(order)._primes == (a, b, c)
+
+
+def test_every_solver_query_goes_through_the_class_method(monkeypatch):
+    """A wrapper bound over `ReprSolver.search` after the handle and its
+    solver exist sees every query, so a tracer that rebinds the class
+    attribute counts every search."""
+    m = example33(1)
+    assert m.numerical is None
+    m._solver()
+    calls = []
+    search = ReprSolver.search
+
+    def counting(self, *args, **kwargs):
+        calls.append(kwargs)
+        return search(self, *args, **kwargs)
+
+    monkeypatch.setattr(ReprSolver, "search", counting)
+    atoms = m.atoms()
+    assert calls
+    for query in (lambda: m.contains(F(4, 5)),
+                  lambda: m.factorizations(atoms[0] + atoms[1]),
+                  lambda: m.mcd([F(4, 5), F(6, 7)])):
+        calls.clear()
+        query()
+        assert calls
+    calls.clear()
+    m.factorizations(F(4, 5), max_length=2)
+    assert {"max_total": 2} in calls
+
+
+_P, _Q = 300007, 300017
+
+
+@pytest.mark.parametrize("build", [lambda: example33(1),
+                                   lambda: PuiseuxMonoid([F(2, _P), F(3, _P), F(5, _Q)])],
+                         ids=["example33", "two-primes"])
+def test_capped_factorizations_without_an_apery_table(build):
+    m = build()
+    assert m.numerical is None
+    atoms = m.atoms()
+    targets = [F(4, 5), F(6, 7)] if m.family else [F(6, _P), F(12, _P), F(6, _P) + F(10, _Q)]
+    targets += [atoms[0], atoms[0] + atoms[1], atoms[0] + atoms[1] + atoms[-1]]
+    seen = set()
+    for q in targets:
+        full = m.factorizations(q).items
+        for k in (1, 2, 3):
+            capped = m.factorizations(q, max_length=k)
+            assert capped.items == tuple(z for z in full if z.length <= k), (q, k)
+            if capped.exhaustive:
+                assert all(z.length <= k for z in full), (q, k)
+            seen.add((capped.exhaustive, bool(capped.items)))
+    assert seen >= {(True, True), (False, False)}
 
 
 def test_parse_monoid_forms():
