@@ -37,6 +37,11 @@ class Factorization:
         return z
 
     @classmethod
+    def from_vector(cls, atoms: tuple, vector: tuple[int, ...]) -> "Factorization":
+        """From counts over distinct ascending atoms (zero counts dropped)."""
+        return cls._canonical(tuple((a, c) for a, c in zip(atoms, vector) if c))
+
+    @classmethod
     def from_parts(cls, parts: Iterable) -> "Factorization":
         return cls((a, 1) for a in parts)
 

@@ -119,26 +119,46 @@ class NumericalMonoid:
             raise NotAMemberError(f"{x} is not in {self}")
 
     def divisors(self, x: int) -> list[int]:
-        """All d in the monoid with x - d also in the monoid, ascending."""
+        """All d in the monoid with x - d also in the monoid, ascending.
+
+        By residue class: d = r (mod m) is a member iff d >= apery[r], and
+        x - d is one iff d <= x - apery[(x - r) % m], so each class holds
+        one arithmetic progression and the cost is O(m + output), not O(x).
+        """
         self._require_member(x)
-        return [d for d in range(x + 1) if self.contains(d) and self.contains(x - d)]
+        m, apery = self.multiplicity, self._apery
+        found = [
+            d
+            for r in range(min(m, x + 1))
+            for d in range(apery[r], x - apery[(x - r) % m] + 1, m)
+        ]
+        found.sort()
+        return found
 
     def factorizations(self, x: int, max_length: int | None = None) -> Enumeration:
-        """Every multiset of atoms summing to x.
+        """Every multiset of atoms summing to x, canonically sorted."""
+        vectors, exhaustive = self.factorization_vectors(x, max_length)
+        return Enumeration(
+            tuple(sorted(Factorization.from_vector(self.atoms, v) for v in vectors)),
+            exhaustive=exhaustive,
+        )
 
-        Exponent vectors are explored lexicographically over the ascending
-        atom list; results are returned canonically sorted.
-        """
+    def factorization_vectors(
+        self, x: int, max_length: int | None = None
+    ) -> tuple[list[tuple[int, ...]], bool]:
+        """The count vectors over the ascending atoms of every factorization
+        of x, lexicographic, and whether no `max_length` cap cut the search."""
         self._require_member(x)
         atoms = self.atoms
         last = len(atoms) - 1
-        found: list[Factorization] = []
+        found: list[tuple[int, ...]] = []
+        counts = [0] * len(atoms)  # counts[j] is 0 for every j >= the depth
         pruned = False
 
-        def rec(i: int, remaining: int, count: int, stack: list[tuple[int, int]]) -> None:
+        def rec(i: int, remaining: int, count: int) -> None:
             nonlocal pruned
             if remaining == 0:
-                found.append(Factorization(stack))
+                found.append(tuple(counts))
                 return
             if not self.contains(remaining):
                 return
@@ -149,18 +169,20 @@ class NumericalMonoid:
                     if max_length is not None and count + q > max_length:
                         pruned = True
                         return
-                    found.append(Factorization(stack + [(g, q)]))
+                    counts[i] = q
+                    found.append(tuple(counts))
+                    counts[i] = 0
                 return
             for c in range(remaining // g + 1):
                 if max_length is not None and count + c > max_length:
                     pruned = True
                     break
-                stack.append((g, c))
-                rec(i + 1, remaining - c * g, count + c, stack)
-                stack.pop()
+                counts[i] = c
+                rec(i + 1, remaining - c * g, count + c)
+            counts[i] = 0
 
-        rec(0, x, 0, [])
-        return Enumeration(tuple(sorted(found)), exhaustive=not pruned)
+        rec(0, x, 0)
+        return found, not pruned
 
     def length_set(self, x: int) -> frozenset[int]:
         """Factorization lengths of x; finite and nonempty for every member."""

@@ -20,13 +20,18 @@ of the monoid generated by the powers of a ratio r in (0,1)) and
 `example33(level)` (truncations of an atomic monoid built on a fast-growing
 prime sequence, in which {4/5, 6/7} acquire ever-larger common divisors as
 the level grows).  Each family tag writes its own label and JSON, and
-`parse_family` reads the labels back.
+`parse_family` reads the labels back.  Both constructors return one shared
+handle per validated argument tuple, from a memo of at most
+`FAMILY_HANDLES` handles each (least recently used first out), so repeated
+calls share the handle's Apery table, atoms and solvers.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -55,6 +60,11 @@ APERY_LIMIT = 250_000
 
 _TRIAL_LIMIT = 100_000
 _DIVISOR_ENUM_LIMIT = 200_000
+
+# Handles kept per family constructor, and solver-path membership answers
+# kept per handle (the memo is cleared when full).
+FAMILY_HANDLES = 8
+MEMBER_MEMO_SIZE = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +343,10 @@ class PuiseuxMonoid:
         self._member_solver: ReprSolver | None = None
         self._atom_solver: ReprSolver | None = None
         self._atoms: tuple[Fraction, ...] | None = None
+        # solver-path membership answers; the lock keeps the bound when
+        # threads share the handle
+        self._member_memo: dict[Fraction, bool] = {}
+        self._member_memo_lock = threading.Lock()
 
     # -- backends ----------------------------------------------------------
 
@@ -383,7 +397,15 @@ class PuiseuxMonoid:
         if self._numerical is not None:
             n = self.to_scaled(q)
             return n is not None and self._numerical.contains(n)
-        return self._solver().is_member(q)
+        memo = self._member_memo
+        found = memo.get(q)
+        if found is None:
+            found = self._solver().is_member(q)
+            with self._member_memo_lock:
+                if len(memo) >= MEMBER_MEMO_SIZE:
+                    memo.clear()
+                memo[q] = found
+        return found
 
     def _require_member(self, q) -> Fraction:
         q = Fraction(q)
@@ -432,25 +454,17 @@ class PuiseuxMonoid:
         if q == 0:
             return Enumeration((Factorization([]),))
         if self._numerical is not None:
-            n = self.to_scaled(q)
-            inner = self._numerical.factorizations(n, max_length=max_length)
-            items = tuple(
-                sorted(
-                    Factorization(
-                        (self.from_scaled(a), m) for a, m in z.counts
-                    )
-                    for z in inner.items
-                )
+            # the scaled atoms ascend with the rational ones, so a count
+            # vector over one is the same factorization over the other
+            atoms = self.atoms()
+            vectors, exhaustive = self._numerical.factorization_vectors(
+                self.to_scaled(q), max_length
             )
-            return Enumeration(items, exhaustive=inner.exhaustive)
-        solver = self._solver_over_atoms()
-        vectors, exhaustive = solver.search(q, max_total=max_length)
-        items = tuple(
-            sorted(
-                Factorization(zip(solver.gens, vec))
-                for vec in vectors
-            )
-        )
+        else:
+            solver = self._solver_over_atoms()
+            atoms = solver.gens
+            vectors, exhaustive = solver.search(q, max_total=max_length)
+        items = tuple(sorted(Factorization.from_vector(atoms, v) for v in vectors))
         return Enumeration(items, exhaustive=exhaustive)
 
     def length_set(self, q) -> frozenset[int]:
@@ -578,6 +592,8 @@ def geometric(ratio, level: int) -> PuiseuxMonoid:
     multiplicity is n(r)**level; levels pushing that beyond the Apery bound
     are refused outright (every prime divides many generators here, so the
     valuation-guided solver has no leverage and would crawl instead).
+    Equal arguments return the same shared handle while it stays among the
+    last `FAMILY_HANDLES` built.
     """
     r = _validated_ratio(ratio)
     if not isinstance(level, int) or level < 0:
@@ -587,6 +603,11 @@ def geometric(ratio, level: int) -> PuiseuxMonoid:
             f"truncation level {level} of ratio {r} scales to multiplicity "
             f"{r.numerator}**{level} > {APERY_LIMIT}: beyond desk scale"
         )
+    return _geometric(r, int(level))
+
+
+@functools.lru_cache(maxsize=FAMILY_HANDLES)
+def _geometric(r: Fraction, level: int) -> PuiseuxMonoid:
     gens = [r**k for k in range(level + 1)]
     monoid = PuiseuxMonoid(gens, family=GeometricFamily(r, level))
     if set(monoid.atoms()) != set(gens):
@@ -675,9 +696,16 @@ def example33(level: int) -> PuiseuxMonoid:
     constraint, so the construction is deterministic: p0 = 17, and for each
     n the prime p(3n+1) exceeds p(3n), 15*2**(3n+3) and the numerators of
     4/5 - sum and 6/7 - sum; p(3n+2) and p(3n+3) are the next primes up.
+    Equal levels return the same shared handle while it stays among the
+    last `FAMILY_HANDLES` built.
     """
     if not isinstance(level, int) or level < 0:
         raise InvalidInputError(f"level must be a nonnegative integer, got {level}")
+    return _example33(int(level))
+
+
+@functools.lru_cache(maxsize=FAMILY_HANDLES)
+def _example33(level: int) -> PuiseuxMonoid:
     primes = [17]
     for n in range(level + 1):
         s_n = sum(Fraction(1, primes[3 * i]) for i in range(n + 1))

@@ -55,8 +55,9 @@ def valuation(q: Fraction | int, p: int) -> int:
 
 
 # Deterministic Miller-Rabin witnesses: this set decides primality exactly
-# for all n below the limit (Sorenson & Webster).  Above it we fall back to
-# trial division, which stays exact at any size.
+# for all n below the limit (Sorenson & Webster).  Above it one strong
+# base-2 round screens out most composites (its "composite" answer is
+# exact), and trial division decides the rest, which stays exact at any size.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
@@ -96,6 +97,8 @@ def is_prime(n: int) -> bool:
             return False
     if n < _MR_LIMIT:
         return _miller_rabin(n, _MR_WITNESSES)
+    if not _miller_rabin(n, (2,)):
+        return False
     i = 53
     while i * i <= n:
         # wheel over residues coprime to 2 and 3: i = 5 and i + 2 = 1 (mod 6)

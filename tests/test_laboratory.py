@@ -188,6 +188,26 @@ def test_mcd_probe_attaches_witness_on_example33():
     assert report.witness.passed
 
 
+def test_mcd_probe_and_witness_share_one_table(monkeypatch):
+    """The probe at level 3 and the witness over levels 0..3 share the family
+    handles, so only example33(0), the one level with an Apery table,
+    builds a table, and it builds it once."""
+    from powmon import puiseux
+
+    builds = []
+    build = NumericalMonoid.__dict__["_compute_apery"].__func__
+
+    def counting(gens):
+        builds.append(len(gens))
+        return build(gens)
+
+    monkeypatch.setattr(NumericalMonoid, "_compute_apery", staticmethod(counting))
+    puiseux._example33.cache_clear()
+    assert lab.mcd_probe(puiseux.example33(3), (F(4, 5), F(6, 7))).passed
+    assert lab.non_2mcd_witness([0, 1, 2, 3]).passed
+    assert len(builds) == 1
+
+
 def test_non_2mcd_witness_chain():
     report = lab.non_2mcd_witness([0, 1])
     assert report.passed and report.strictly_increasing

@@ -203,6 +203,30 @@ def test_divisors_examples():
     assert n23.divisors(0) == [0]
 
 
+def _scanned_divisors(monoid, x):
+    return [d for d in range(x + 1) if monoid.contains(d) and monoid.contains(x - d)]
+
+
+def test_divisors_by_residue_class_match_the_scan():
+    """The per-class progressions list exactly what a scan of 0..x finds,
+    below, around and past the conductor."""
+    rng = random.Random(17)
+    for _ in range(120):
+        k = rng.randrange(1, 5)
+        while True:
+            gens = rng.sample(range(1, 40), k)
+            if math.gcd(*gens) == 1:
+                break
+        monoid = NumericalMonoid(gens)
+        top = monoid.frobenius + 2 * monoid.multiplicity + 2
+        members = [x for x in range(top) if monoid.contains(x)]
+        for x in rng.sample(members, min(8, len(members))):
+            assert monoid.divisors(x) == _scanned_divisors(monoid, x), (gens, x)
+    numerical = geometric(Fraction(2, 3), 9).numerical
+    x = 2 * 3**9
+    assert numerical.divisors(x) == _scanned_divisors(numerical, x)
+
+
 def test_random_monoids_against_oracles():
     """Membership, divisors and factorizations against plain reachability
     and unpruned recursion, on random generator sets."""

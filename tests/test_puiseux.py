@@ -14,7 +14,9 @@ from powmon import (
     geometric_chain,
     parse_monoid,
 )
-from powmon.puiseux import ReprSolver, example33, parse_family
+from powmon import puiseux
+from powmon.factorization import Factorization
+from powmon.puiseux import FAMILY_HANDLES, MEMBER_MEMO_SIZE, ReprSolver, example33, parse_family
 from powmon.rational import int_valuation
 from oracles import brute_mcds, chain_value, reachable_upto
 
@@ -350,8 +352,10 @@ def test_prime_discovery_retests_a_cofactor_after_a_later_split():
 def test_every_solver_query_goes_through_the_class_method(monkeypatch):
     """A wrapper bound over `ReprSolver.search` after the handle and its
     solver exist sees every query, so a tracer that rebinds the class
-    attribute counts every search."""
-    m = example33(1)
+    attribute counts every search.  The handle is a fresh copy of the
+    shared one, whose atoms and membership memo may be filled already."""
+    shared = example33(1)
+    m = PuiseuxMonoid(shared.generators, family=shared.family)
     assert m.numerical is None
     m._solver()
     calls = []
@@ -483,3 +487,120 @@ def test_members_upto_unavailable_without_apery():
     assert solver_only.numerical is None
     with pytest.raises(UnsupportedAmbientError):
         solver_only.members_upto(1)
+
+
+def test_family_constructors_return_one_shared_handle():
+    assert example33(1) is example33(1)
+    assert parse_family("example33:1") is example33(1)
+    assert geometric(F(2, 3), 3) is geometric(F(4, 6), 3) is parse_family("geometric:2/3:3")
+    assert geometric(F(2, 3), 3) is not geometric(F(2, 3), 4)
+
+
+def test_family_handle_memos_hold_their_bound():
+    """Each constructor keeps the last FAMILY_HANDLES handles and evicts the
+    least recently used one first."""
+    assert puiseux._example33.cache_info().maxsize == FAMILY_HANDLES
+    assert puiseux._geometric.cache_info().maxsize == FAMILY_HANDLES
+    puiseux._geometric.cache_clear()
+    handles = [geometric(F(2, 3), level) for level in range(FAMILY_HANDLES + 1)]
+    assert puiseux._geometric.cache_info().currsize == FAMILY_HANDLES
+    assert geometric(F(2, 3), FAMILY_HANDLES) is handles[-1]
+    assert geometric(F(2, 3), 1) is handles[1]
+    rebuilt = geometric(F(2, 3), 0)  # the oldest handle was evicted
+    assert rebuilt is not handles[0] and rebuilt == handles[0]
+    assert puiseux._geometric.cache_info().currsize == FAMILY_HANDLES
+
+
+def _fresh_example33(level):
+    shared = example33(level)
+    return PuiseuxMonoid(shared.generators, family=shared.family)
+
+
+def test_member_memo_holds_its_bound(monkeypatch):
+    """The solver-path memo is cleared when full, so it never holds more
+    than MEMBER_MEMO_SIZE answers and the oldest is gone first; the Apery
+    path keeps none."""
+    assert MEMBER_MEMO_SIZE == 4096
+    bound = 4
+    monkeypatch.setattr(puiseux, "MEMBER_MEMO_SIZE", bound)
+    m = _fresh_example33(1)
+    assert m.numerical is None
+    queries = [F(4, 5) + k * m.generators[0] for k in range(2 * bound + 1)]
+    for q in queries:
+        assert m.contains(q)
+        assert 1 <= len(m._member_memo) <= bound
+    assert queries[0] not in m._member_memo and queries[-1] in m._member_memo
+    apery = geometric(F(2, 3), 3)
+    assert apery.contains(F(5, 3)) and not apery.contains(F(1, 3))
+    assert apery._member_memo == {}
+
+
+def test_member_memo_keeps_its_bound_under_threads(monkeypatch):
+    """Threads sharing one handle never see the memo past its bound, and
+    every answer matches the sequential one."""
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    bound = 4
+    monkeypatch.setattr(puiseux, "MEMBER_MEMO_SIZE", bound)
+    m = _fresh_example33(1)
+    queries = [F(4, 5) + k * m.generators[0] - m.generators[k % 3] for k in range(48)]
+    sequential = [_fresh_example33(1).contains(q) for q in queries]
+
+    def job(q):
+        found = m.contains(q)
+        return found, len(m._member_memo)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so races show
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            threaded = list(pool.map(job, queries * 4, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [found for found, _ in threaded] == sequential * 4
+    assert max(size for _, size in threaded) <= bound
+
+
+def test_member_memo_agrees_with_a_fresh_solver():
+    """Random members and near misses, each asked twice (the second answer
+    comes from the memo), against a solver built for the query alone."""
+    rng = random.Random(33)
+    m = _fresh_example33(1)
+    gens = m.generators
+    queries = []
+    for _ in range(60):
+        q = sum((rng.randrange(3) * g for g in gens), F(0))
+        queries.append(q)
+        queries.append(q + rng.choice(gens) - rng.choice(gens))
+    queries.extend(rng.sample(queries, 30))
+    answers = set()
+    for q in queries:
+        want = ReprSolver(gens, m.family.primes).is_member(q) if q >= 0 else False
+        assert m.contains(q) == want == m.contains(q), q
+        answers.add(want)
+    assert answers == {True, False}
+
+
+def test_apery_factorizations_build_each_factorization_once(monkeypatch):
+    """On the Apery path each factorization is built once, straight from its
+    scaled count vector, with the items and order the mapped numerical
+    factorizations give."""
+    m = PuiseuxMonoid([F(1, 2), F(1, 3), F(5, 4)])
+    q = F(29, 4)
+    want = tuple(sorted(
+        Factorization((m.from_scaled(a), c) for a, c in z.counts)
+        for z in m.numerical.factorizations(m.to_scaled(q)).items
+    ))
+    built = []
+    canonical = Factorization._canonical.__func__
+
+    def counting(cls, counts):
+        built.append(counts)
+        return canonical(cls, counts)
+
+    monkeypatch.setattr(Factorization, "_canonical", classmethod(counting))
+    monkeypatch.setattr(Factorization, "__init__", None)
+    got = m.factorizations(q)
+    assert got.items == want and [z.counts for z in got.items] == [z.counts for z in want]
+    assert len(built) == len(want) > 1

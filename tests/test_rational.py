@@ -106,6 +106,47 @@ def test_trial_division_fallback_matches_sieve(monkeypatch):
     assert wrong == []
 
 
+def test_strong_base2_pseudoprimes_reach_trial_division(monkeypatch):
+    """Above the Miller-Rabin range the strong base-2 round cannot reject a
+    strong base-2 pseudoprime, so trial division must.  2047, 3277, 4033 and
+    4681 have a factor in the small-prime screen; 8321 and the two larger
+    ones pass the screen and the round and are rejected by trial division."""
+    monkeypatch.setattr(rational, "_MR_LIMIT", 0)
+    rounds = []
+    miller_rabin = rational._miller_rabin
+
+    def recording(n, bases):
+        passed = miller_rabin(n, bases)
+        rounds.append((n, tuple(bases), passed))
+        return passed
+
+    monkeypatch.setattr(rational, "_miller_rabin", recording)
+    past_screen = (8321, 3215031751, 3825123056546413051)
+    for n in (2047, 3277, 4033, 4681) + past_screen:
+        assert miller_rabin(n, (2,))
+        assert not is_prime(n)
+    assert [n for n, bases, passed in rounds if bases == (2,) and passed] == list(past_screen)
+
+
+def test_base2_round_rejects_a_large_semiprime_at_once(monkeypatch):
+    """p9 * p10 of example33(3) lies past the Miller-Rabin range; the base-2
+    round rejects it, where trial division would first reach p9."""
+    p9, p10 = 166483969, 27716909059761437
+    n = p9 * p10
+    assert n > rational._MR_LIMIT and is_prime(p9) and is_prime(p10)
+    rounds = []
+    miller_rabin = rational._miller_rabin
+
+    def recording(m, bases):
+        passed = miller_rabin(m, bases)
+        rounds.append((m, tuple(bases), passed))
+        return passed
+
+    monkeypatch.setattr(rational, "_miller_rabin", recording)
+    assert not is_prime(n)
+    assert rounds == [(n, (2,), False)]
+
+
 def test_next_prime_above():
     assert next_prime_above(15) == 17
     assert next_prime_above(17) == 19
