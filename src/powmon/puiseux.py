@@ -6,7 +6,8 @@ backends:
 * scale isomorphism: multiplying by lambda = lcm(denominators)/gcd(scaled
   numerators) maps the monoid onto a numerical monoid, where membership is
   O(1) via the Apery set.  Used whenever the resulting multiplicity is small
-  enough to table.
+  enough to table, except that `example33` truncations answer membership
+  with the solver and build their table only when an enumeration needs it.
 * generator solver: a bounded-knapsack search over the generators scaled by
   L = lcm(denominators), so every remainder it meets is an integer, pruned
   by p-adic valuation constraints.  When a generator is the only remaining
@@ -23,7 +24,9 @@ the level grows).  Each family tag writes its own label and JSON, and
 `parse_family` reads the labels back.  Both constructors return one shared
 handle per validated argument tuple, from a memo of at most
 `FAMILY_HANDLES` handles each (least recently used first out), so repeated
-calls share the handle's Apery table, atoms and solvers.
+calls share the handle's Apery table, atoms and solvers.  No answer is
+memoized across calls: what a handle keeps costs the same to build whichever
+call builds it, so the cost of a call does not depend on what ran before.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -61,10 +63,8 @@ APERY_LIMIT = 250_000
 _TRIAL_LIMIT = 100_000
 _DIVISOR_ENUM_LIMIT = 200_000
 
-# Handles kept per family constructor, and solver-path membership answers
-# kept per handle (the memo is cleared when full).
+# Handles kept per family constructor.
 FAMILY_HANDLES = 8
-MEMBER_MEMO_SIZE = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -335,24 +335,29 @@ class PuiseuxMonoid:
         g0 = math.gcd(*nums)
         self.scale: Fraction = Fraction(lcm_den, g0)
         self.scaled_generators: tuple[int, ...] = tuple(n // g0 for n in nums)
+        self._tabled = min(self.scaled_generators) <= APERY_LIMIT
+        # The family hands the solver every prime of the denominators, one
+        # private prime per generator, so each coefficient is forced and a
+        # membership query is a short walk: cheaper than a table of the
+        # multiplicity (57,771 residues at example33(0)).  The table is then
+        # built on first use by an enumeration, and membership and atoms
+        # stay on the solver whether it exists or not.
+        self._table_members = self._tabled and not self._hint_primes()
         self._numerical: NumericalMonoid | None = (
-            NumericalMonoid(self.scaled_generators)
-            if min(self.scaled_generators) <= APERY_LIMIT
-            else None
+            NumericalMonoid(self.scaled_generators) if self._table_members else None
         )
         self._member_solver: ReprSolver | None = None
         self._atom_solver: ReprSolver | None = None
         self._atoms: tuple[Fraction, ...] | None = None
-        # solver-path membership answers; the lock keeps the bound when
-        # threads share the handle
-        self._member_memo: dict[Fraction, bool] = {}
-        self._member_memo_lock = threading.Lock()
 
     # -- backends ----------------------------------------------------------
 
     @property
     def numerical(self) -> NumericalMonoid | None:
-        """The scaled numerical monoid, when small enough to table."""
+        """The scaled numerical monoid, when small enough to table (built
+        here on first use when membership runs on the solver)."""
+        if self._numerical is None and self._tabled:
+            self._numerical = NumericalMonoid(self.scaled_generators)
         return self._numerical
 
     def _hint_primes(self) -> tuple[int, ...]:
@@ -394,18 +399,10 @@ class PuiseuxMonoid:
             return False
         if q == 0:
             return True
-        if self._numerical is not None:
+        if self._table_members:
             n = self.to_scaled(q)
             return n is not None and self._numerical.contains(n)
-        memo = self._member_memo
-        found = memo.get(q)
-        if found is None:
-            found = self._solver().is_member(q)
-            with self._member_memo_lock:
-                if len(memo) >= MEMBER_MEMO_SIZE:
-                    memo.clear()
-                memo[q] = found
-        return found
+        return self._solver().is_member(q)
 
     def _require_member(self, q) -> Fraction:
         q = Fraction(q)
@@ -416,7 +413,7 @@ class PuiseuxMonoid:
     def atoms(self) -> tuple[Fraction, ...]:
         """The atoms: exactly the minimal generators."""
         if self._atoms is None:
-            if self._numerical is not None:
+            if self._table_members:
                 self._atoms = tuple(self.from_scaled(a) for a in self._numerical.atoms)
             else:
                 solver = self._solver()
@@ -428,9 +425,10 @@ class PuiseuxMonoid:
     def divisors(self, q) -> list[Fraction]:
         """All d in the monoid with q - d also in the monoid, ascending."""
         q = self._require_member(q)
-        if self._numerical is not None:
+        numerical = self.numerical
+        if numerical is not None:
             n = self.to_scaled(q)
-            return [self.from_scaled(d) for d in self._numerical.divisors(n)]
+            return [self.from_scaled(d) for d in numerical.divisors(n)]
         # no Apery table: divisors are the sub-sums of the factorizations
         out: set[Fraction] = set()
         budget = _DIVISOR_ENUM_LIMIT
@@ -453,11 +451,12 @@ class PuiseuxMonoid:
         q = self._require_member(q)
         if q == 0:
             return Enumeration((Factorization([]),))
-        if self._numerical is not None:
+        numerical = self.numerical
+        if numerical is not None:
             # the scaled atoms ascend with the rational ones, so a count
             # vector over one is the same factorization over the other
             atoms = self.atoms()
-            vectors, exhaustive = self._numerical.factorization_vectors(
+            vectors, exhaustive = numerical.factorization_vectors(
                 self.to_scaled(q), max_length
             )
         else:
@@ -508,13 +507,14 @@ class PuiseuxMonoid:
     def members_upto(self, bound) -> list[Fraction]:
         """Ascending list of members q <= bound (needs the Apery backend)."""
         bound = Fraction(bound)
-        if self._numerical is None:
+        numerical = self.numerical
+        if numerical is None:
             raise UnsupportedAmbientError(
                 "member enumeration needs the scaled numerical backend; "
                 "this monoid's denominators are too large"
             )
         top = math.floor(bound * self.scale)
-        return [self.from_scaled(n) for n in self._numerical.members_upto(top)]
+        return [self.from_scaled(n) for n in numerical.members_upto(top)]
 
     # -- presentation -------------------------------------------------------
 
@@ -536,8 +536,8 @@ class PuiseuxMonoid:
             "scale": format_rational(self.scale),
             "numerical_generators": [str(n) for n in self.scaled_generators],
         }
-        if self._numerical is not None:
-            data["frobenius"] = self._numerical.frobenius
+        if self._tabled:
+            data["frobenius"] = self.numerical.frobenius
         if self.family is not None:
             data["family"] = self.family.to_json()
         return data

@@ -16,7 +16,7 @@ from powmon import (
 )
 from powmon import puiseux
 from powmon.factorization import Factorization
-from powmon.puiseux import FAMILY_HANDLES, MEMBER_MEMO_SIZE, ReprSolver, example33, parse_family
+from powmon.puiseux import FAMILY_HANDLES, ReprSolver, example33, parse_family
 from powmon.rational import int_valuation
 from oracles import brute_mcds, chain_value, reachable_upto
 
@@ -353,7 +353,7 @@ def test_every_solver_query_goes_through_the_class_method(monkeypatch):
     """A wrapper bound over `ReprSolver.search` after the handle and its
     solver exist sees every query, so a tracer that rebinds the class
     attribute counts every search.  The handle is a fresh copy of the
-    shared one, whose atoms and membership memo may be filled already."""
+    shared one, whose atoms may be filled already."""
     shared = example33(1)
     m = PuiseuxMonoid(shared.generators, family=shared.family)
     assert m.numerical is None
@@ -511,75 +511,72 @@ def test_family_handle_memos_hold_their_bound():
     assert puiseux._geometric.cache_info().currsize == FAMILY_HANDLES
 
 
-def _fresh_example33(level):
-    shared = example33(level)
-    return PuiseuxMonoid(shared.generators, family=shared.family)
+def _counting_searches(monkeypatch) -> list:
+    calls = []
+    search = ReprSolver.search
+
+    def counting(self, *args, **kwargs):
+        calls.append(args[0])
+        return search(self, *args, **kwargs)
+
+    monkeypatch.setattr(ReprSolver, "search", counting)
+    return calls
 
 
-def test_member_memo_holds_its_bound(monkeypatch):
-    """The solver-path memo is cleared when full, so it never holds more
-    than MEMBER_MEMO_SIZE answers and the oldest is gone first; the Apery
-    path keeps none."""
-    assert MEMBER_MEMO_SIZE == 4096
-    bound = 4
-    monkeypatch.setattr(puiseux, "MEMBER_MEMO_SIZE", bound)
-    m = _fresh_example33(1)
-    assert m.numerical is None
-    queries = [F(4, 5) + k * m.generators[0] for k in range(2 * bound + 1)]
-    for q in queries:
-        assert m.contains(q)
-        assert 1 <= len(m._member_memo) <= bound
-    assert queries[0] not in m._member_memo and queries[-1] in m._member_memo
-    apery = geometric(F(2, 3), 3)
-    assert apery.contains(F(5, 3)) and not apery.contains(F(1, 3))
-    assert apery._member_memo == {}
+def test_example33_membership_stays_on_the_solver(monkeypatch):
+    """example33(0) scales to a tableable multiplicity, but membership and
+    atoms go to the solver: no table is built until an enumeration asks for
+    one, and the answers agree with that table before and after it exists."""
+    from powmon.numerical import NumericalMonoid
 
+    builds = []
+    build = NumericalMonoid.__dict__["_compute_apery"].__func__
 
-def test_member_memo_keeps_its_bound_under_threads(monkeypatch):
-    """Threads sharing one handle never see the memo past its bound, and
-    every answer matches the sequential one."""
-    import sys
-    from concurrent.futures import ThreadPoolExecutor
+    def counting(gens):
+        builds.append(len(gens))
+        return build(gens)
 
-    bound = 4
-    monkeypatch.setattr(puiseux, "MEMBER_MEMO_SIZE", bound)
-    m = _fresh_example33(1)
-    queries = [F(4, 5) + k * m.generators[0] - m.generators[k % 3] for k in range(48)]
-    sequential = [_fresh_example33(1).contains(q) for q in queries]
-
-    def job(q):
-        found = m.contains(q)
-        return found, len(m._member_memo)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often, so races show
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            threaded = list(pool.map(job, queries * 4, timeout=120))
-    finally:
-        sys.setswitchinterval(interval)
-    assert [found for found, _ in threaded] == sequential * 4
-    assert max(size for _, size in threaded) <= bound
-
-
-def test_member_memo_agrees_with_a_fresh_solver():
-    """Random members and near misses, each asked twice (the second answer
-    comes from the memo), against a solver built for the query alone."""
+    monkeypatch.setattr(NumericalMonoid, "_compute_apery", staticmethod(counting))
+    shared = example33(0)
+    m = PuiseuxMonoid(shared.generators, family=shared.family)
     rng = random.Random(33)
-    m = _fresh_example33(1)
-    gens = m.generators
     queries = []
     for _ in range(60):
-        q = sum((rng.randrange(3) * g for g in gens), F(0))
+        q = sum((rng.randrange(3) * g for g in m.generators), F(0))
         queries.append(q)
-        queries.append(q + rng.choice(gens) - rng.choice(gens))
-    queries.extend(rng.sample(queries, 30))
-    answers = set()
-    for q in queries:
-        want = ReprSolver(gens, m.family.primes).is_member(q) if q >= 0 else False
-        assert m.contains(q) == want == m.contains(q), q
-        answers.add(want)
-    assert answers == {True, False}
+        queries.append(q + rng.choice(m.generators) - rng.choice(m.generators))
+    before = [m.contains(q) for q in queries]
+    assert m.atoms() == m.generators
+    assert m.mcd([F(4, 5), F(6, 7)]) == (F(1, 17),)
+    assert builds == [] and set(before) == {True, False}
+    searches = _counting_searches(monkeypatch)
+    table = m.numerical
+    assert builds == [3] and m.numerical is table  # built once, on demand
+    want = [n is not None and table.contains(n) for n in map(m.to_scaled, queries)]
+    assert before == want
+    searches.clear()
+    assert [m.contains(q) for q in queries] == want
+    assert len(searches) == sum(q > 0 for q in queries)  # still the solver
+
+
+def test_a_call_costs_the_same_whatever_ran_before(monkeypatch):
+    """The shared handles keep their atoms and solvers, but no answers: once
+    the atoms are known, a probe asks the solver the same queries on its
+    first call, after the witness it embeds has run, and on a repeat."""
+    from powmon import laboratory as lab
+
+    puiseux._example33.cache_clear()
+    for level in range(3):
+        example33(level).atoms()
+    pair = (F(4, 5), F(6, 7))
+    calls = _counting_searches(monkeypatch)
+    lab.mcd_probe(example33(2), pair)
+    first = list(calls)
+    lab.non_2mcd_witness([0, 1, 2])
+    for _ in range(2):
+        calls.clear()
+        lab.mcd_probe(example33(2), pair)
+        assert calls == first
 
 
 def test_apery_factorizations_build_each_factorization_once(monkeypatch):
