@@ -9,7 +9,11 @@ memoization shared per ambient (the corpus sweeps revisit the same
 normalized cofactors constantly).  The kernel's own results are memoized by
 its effective input (B - min B and the candidate masks cut to it), so
 `is_atom`, `set_factorizations` and every translate of a shape past the
-conductor share one search.
+conductor share one search.  Factorability, the one question of the
+atomicity sweep (`factorability_sweep`), has a memo of its own: one bool
+per (bmask, restricted), found by walking the pairs lazily until an atom
+meets a factorable cofactor, so it lists no factorization and leaves the
+factorization memo empty.
 
 Restricted mode works inside the restricted power monoid (every element
 contains 0); unrestricted mode allows singleton factors {a} and handles
@@ -51,9 +55,12 @@ boundary, where all ordering and counting stays on integers:
 
 from __future__ import annotations
 
+import math
 import threading
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import InvalidInputError, NotAMemberError, UnsupportedAmbientError
 from .factorization import Enumeration, Factorization
@@ -138,6 +145,7 @@ class _Engine:
         self._grow_lock = threading.Lock()
         self._factor_memo: dict = {}
         self._atom_memo: dict = {}
+        self._factorable_memo: dict = {}  # factorability by (bmask, restricted)
         self._pair_memo: dict = {}  # kernel results by effective input
 
     def ensure(self, bits: int) -> None:
@@ -225,13 +233,18 @@ class _Engine:
                   if a0 > half]
         return found
 
+    def _pairs(self, bmask: int, restricted: bool) -> Iterator[tuple[int, int]]:
+        """The pairs of `pair_decompositions` in no set order, split by
+        split, each split searched only when the walk reaches it."""
+        b0 = bmask >> ((bmask & -bmask).bit_length() - 1)  # B - min B
+        for da, dc in self._splits(bmask, restricted):
+            for a, c in self._split_pairs(b0, da, dc):
+                yield (a, c) if a <= c else (c, a)
+
     def pair_decompositions(self, bmask: int, restricted: bool) -> list[tuple[int, int]]:
         """Unordered pairs of true-value masks (canonical: smaller int
         first), each found from the side with the smaller max."""
-        b0 = bmask >> ((bmask & -bmask).bit_length() - 1)  # B - min B
-        return sorted((a, c) if a <= c else (c, a)
-                      for da, dc in self._splits(bmask, restricted)
-                      for a, c in self._split_pairs(b0, da, dc))
+        return sorted(self._pairs(bmask, restricted))
 
     # -- atomhood ---------------------------------------------------------------
 
@@ -264,6 +277,23 @@ class _Engine:
         if hit is None:
             hit = bmask != 1 and self.atom_witness(bmask, restricted) is None
             self._atom_memo[key] = hit
+        return hit
+
+    # -- factorability ------------------------------------------------------------
+
+    def factorable(self, bmask: int, restricted: bool) -> bool:
+        """Whether B has a factorization, found without listing any: {0}
+        has the empty one, and B has one when some pair (a, c), oriented
+        as in `factorizations` (so (B, {0}) when B is an atom), has a an
+        atom and c factorable.  The walk stops at the first such pair."""
+        key = (bmask, restricted)
+        hit = self._factorable_memo.get(key)
+        if hit is None:
+            hit = bmask == 1 or any(
+                self.is_atom(a, restricted) and self.factorable(c, restricted)
+                for a, c in ((y, x) if x == 1 else (x, y) for x, y in self._pairs(bmask, restricted))
+            )
+            self._factorable_memo[key] = hit
         return hit
 
     # -- factorization enumeration ------------------------------------------------
@@ -394,6 +424,28 @@ def set_length_set(
     """The length set of B; with max_length, only the lengths up to it
     (`set_lengths` also tells whether the cap cut the search)."""
     return set_lengths(b, monoid, restricted, max_length)[0]
+
+
+def factorability_sweep(
+    monoid: PuiseuxMonoid, max_card: int, element_bound
+) -> tuple[dict[int, int], tuple[FinSet, ...]]:
+    """(sets per cardinality, the sets without a factorization) over every
+    nonempty B with |B| <= max_card and max B <= element_bound, in
+    P_fin(M).  Candidates are ORs of member bits in the order of
+    `itertools.combinations` over the ascending members; each is only asked
+    whether it factors, and a FinSet is built only for one that does not."""
+    scaled = monoid.scaled_members_upto(element_bound)
+    eng = engine_for(monoid)
+    if scaled:
+        eng.ensure(scaled[-1] + 1)
+    bits = [1 << n for n in scaled]
+    failures = tuple(
+        eng.to_finset(bmask)
+        for card in range(1, max_card + 1)
+        for bmask in map(sum, combinations(bits, card))  # distinct bits: sum is OR
+        if not eng.factorable(bmask, False)
+    )
+    return {card: math.comb(len(bits), card) for card in range(1, max_card + 1)}, failures
 
 
 def divisor_closure(b: FinSet, monoid: PuiseuxMonoid) -> tuple[Fraction, ...]:

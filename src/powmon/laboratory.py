@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .decompose import PowerMonoidView, set_factorizations, set_length_set
+from .decompose import PowerMonoidView, factorability_sweep, set_factorizations
 from .errors import InvalidInputError
 from .factorization import Enumeration, Factorization
 from .powerset import FinSet
@@ -616,30 +616,19 @@ class SweepReport(Record):
 
 def atomicity_sweep(monoid: PuiseuxMonoid, max_card: int, element_bound) -> SweepReport:
     """Every nonempty B with |B| <= max_card, max(B) <= bound has at least
-    one factorization in the power monoid.  A failure would be a defect of
-    the implementation, not of the statement; none is expected."""
-    from itertools import combinations
-
+    one factorization in the power monoid.  Each B is asked only whether it
+    has one (`decompose.factorability_sweep`), never for its lengths.  A
+    failure would be a defect of the implementation, not of the statement;
+    none is expected."""
     if max_card < 1:
         raise InvalidInputError("max_card must be positive")
-    members = monoid.members_upto(element_bound)
-    checked = 0
-    by_card: dict[int, int] = {}
-    failures = []
-    for card in range(1, max_card + 1):
-        by_card[card] = 0
-        for combo in combinations(members, card):
-            b = FinSet(combo)
-            checked += 1
-            by_card[card] += 1
-            if not set_length_set(b, monoid, restricted=False):
-                failures.append(str(b))
+    by_card, failures = factorability_sweep(monoid, max_card, element_bound)
     return SweepReport(
         subject=str(monoid),
         max_card=max_card,
         element_bound=_fmt(Fraction(element_bound)),
-        checked=checked,
+        checked=sum(by_card.values()),
         by_cardinality=by_card,
-        failures=tuple(failures),
+        failures=tuple(str(b) for b in failures),
         passed=not failures,
     )

@@ -54,6 +54,7 @@ from .rational import (
     is_prime,
     next_prime_above,
     parse_rational,
+    prime_factors,
 )
 
 # Largest multiplicity for which the Apery table is built eagerly; beyond
@@ -202,9 +203,12 @@ class ReprSolver:
 
     def _discover_primes(self, hints: Iterable[int]) -> set[int]:
         """The primes of the denominators found by trial division up to
-        _TRIAL_LIMIT, among the hints, or as a cofactor left prime once the
-        primes found so far are divided out.  A cofactor that stays composite
-        (unknown primes) only weakens the pruning."""
+        _TRIAL_LIMIT, among the hints, as a cofactor left prime once the
+        primes found so far are divided out, or by splitting a cofactor that
+        stays composite (a prime power, or primes past the trial limit that
+        no other generator yields) with integer roots and Pollard's rho.
+        A cofactor that even rho leaves unsplit (unknown primes) only
+        weakens the pruning."""
         primes: set[int] = {p for p in hints if is_prime(p)}
         rests = []
         for g in self.gens:
@@ -231,6 +235,8 @@ class ReprSolver:
                         found = True
                     else:
                         composite.add(rest)
+        for rest in sorted(composite):
+            primes |= prime_factors(_strip(rest, primes))
         return primes
 
     def search(
@@ -506,15 +512,18 @@ class PuiseuxMonoid:
 
     def members_upto(self, bound) -> list[Fraction]:
         """Ascending list of members q <= bound (needs the Apery backend)."""
-        bound = Fraction(bound)
+        return [self.from_scaled(n) for n in self.scaled_members_upto(bound)]
+
+    def scaled_members_upto(self, bound) -> list[int]:
+        """lambda*q for each member q <= bound, ascending (needs the Apery
+        backend)."""
         numerical = self.numerical
         if numerical is None:
             raise UnsupportedAmbientError(
                 "member enumeration needs the scaled numerical backend; "
                 "this monoid's denominators are too large"
             )
-        top = math.floor(bound * self.scale)
-        return [self.from_scaled(n) for n in numerical.members_upto(top)]
+        return numerical.members_upto(math.floor(Fraction(bound) * self.scale))
 
     # -- presentation -------------------------------------------------------
 

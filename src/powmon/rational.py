@@ -3,7 +3,8 @@
 Values are `fractions.Fraction` instances (arbitrary-precision, always in
 lowest terms).  This module adds the pieces the monoid machinery needs on
 top of the stdlib type: validated reduction, p-adic valuations,
-deterministic primality, prime search, partial subtraction on Q>=0, the
+deterministic primality, prime search, factor splitting by integer roots
+and Pollard's rho, partial subtraction on Q>=0, the
 "a/b" text format, and the JSON form built on it (`jsonable`, `Record`).
 
 No floating point is used anywhere in the package.
@@ -106,6 +107,88 @@ def is_prime(n: int) -> bool:
             return False
         i += 6
     return True
+
+
+# Iterations of Pollard's rho per attempt: enough to split off a prime
+# factor up to about 10^10 with high probability, and a cap of about 0.2 s
+# on a cofactor whose prime factors are all larger.
+_RHO_STEPS = 1 << 18
+_RHO_BATCH = 128  # differences multiplied together per gcd
+
+
+def _integer_root(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 1, by integer Newton steps from above."""
+    if k == 2:
+        return math.isqrt(n)
+    x = 1 << -(-n.bit_length() // k)  # 2**ceil(bits / k) > the root
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _perfect_power_root(n: int) -> int | None:
+    """The smallest r with r**k == n for some k >= 2, or None."""
+    for k in range(n.bit_length(), 1, -1):
+        r = _integer_root(n, k)
+        if r > 1 and r**k == n:
+            return r
+    return None
+
+
+def _rho(n: int, c: int) -> int | None:
+    """A divisor d of the composite n with 1 < d <= n, by Pollard's rho on
+    x -> x*x + c with Brent's cycle search, or None after _RHO_STEPS
+    iterations.  d == n means this c failed and another may not."""
+    y, q, g, r = 2, 1, 1, 1
+    while g == 1:
+        if r > _RHO_STEPS:
+            return None
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+        k = 0
+        while k < r and g == 1:
+            ys = y
+            for _ in range(min(_RHO_BATCH, r - k)):
+                y = (y * y + c) % n
+                q = q * (x - y) % n
+            g = math.gcd(q, n)
+            k += _RHO_BATCH
+        r *= 2
+    if g == n:  # the batch jumped past the factor: redo it one step at a time
+        g = 1
+        while g == 1:
+            ys = (ys * ys + c) % n
+            g = math.gcd(x - ys, n)
+    return g
+
+
+def prime_factors(n: int) -> set[int]:
+    """The prime factors of n > 0 that integer roots and Pollard's rho find
+    within their budget.  A composite factor that neither splits is left
+    out, so the answer may be partial but never holds a non-prime."""
+    primes: set[int] = set()
+    pending = [n]
+    while pending:
+        m = pending.pop()
+        if m < 2:
+            continue
+        if is_prime(m):
+            primes.add(m)
+            continue
+        root = _perfect_power_root(m)
+        if root is not None:
+            pending.append(root)
+            continue
+        for c in range(1, 9):  # a walk that closes on m itself is retried
+            d = _rho(m, c)
+            if d != m:
+                break
+        if d is not None and d != m:
+            pending += [d, m // d]
+    return primes
 
 
 def next_prime_above(bound: Fraction | int) -> int:

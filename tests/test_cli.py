@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from powmon import PuiseuxMonoid
 from powmon.cli import _build_parser, main
+from powmon.laboratory import atomicity_sweep
 from powmon.puiseux import example33, geometric_chain, verify_atoms_by_valuation
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -383,6 +385,19 @@ def test_report_json_digests():
     assert _digest(verify_atoms_by_valuation(example33(1)).to_json()) == (
         "02c3092b354cb36a441792259fbf377f78cac42e466d4645e9c8755cdc60d6d5"
     )
+
+
+@pytest.mark.parametrize("gens, max_card, bound, digest", [
+    ((Fraction(1, 2), Fraction(1, 3)), 4, 4,
+     "a351a185bbf066a71770c0bd8eb321daecde102161b341d29ed0103a5d74baaf"),
+    ((2, 3), 4, 12, "47a08d617d427dec0d691c997fafa8a5118a866c302c9f788505fced045ed6af"),
+    ((5, 7), 3, 20, "713e4e6430e0d511cea3c6f2a05700c33f904e26b5ffe9371424f59617f10d59"),
+], ids=["half-third", "two-three", "five-seven"])
+def test_atomicity_sweep_json_digests(gens, max_card, bound, digest):
+    """Sweeps larger than the CLI goldens', recorded when the sweep still
+    listed every factorization of each set."""
+    report = atomicity_sweep(PuiseuxMonoid(gens), max_card, bound)
+    assert _digest(report.to_json()) == digest
 
 
 @pytest.mark.parametrize("argv", [

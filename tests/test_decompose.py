@@ -642,3 +642,65 @@ def test_raw_factorizations_are_distinct_and_ascending():
             assert all(list(z) == sorted(z) for z in raw), (bin(bmask), cap)
             assert set(raw) == {z for z in expected if cap is None or len(z) <= cap}, (
                 bin(bmask), cap)
+
+
+# -- factorability without enumeration -----------------------------------------
+
+
+def _factorability_corpus():
+    """The subsets of [0, 9] over <1> in both modes; sets over <2,3> of at
+    most four members up to 14, and with a minimum in [30, 45]; sets over
+    <1/2, 1/3>; and, restricted over <2,3>, the subsets of [0, 9] with 0,
+    many of which leave the monoid and so have no factorization."""
+    from itertools import combinations
+
+    subsets = [FinSet(mask_to_set(mask)) for mask in range(1, 1 << 10)]
+    corpus = _interval_corpus() + [(b, N0, False) for b in subsets]
+    members = [x for x in range(15) if M23.contains(x)]
+    corpus += [(FinSet(c), M23, False) for card in (1, 2, 3, 4)
+               for c in combinations(members, card)]
+    corpus += [(b, M23, False) for b, monoid, _ in _large_minimum_corpus() if monoid is M23]
+    return corpus + _rational_corpus() + [(b, M23, True) for b, _, _ in _interval_corpus()]
+
+
+def test_factorable_agrees_with_enumeration():
+    engines: dict = {}
+    answers = set()
+    for b, monoid, restricted in _factorability_corpus():
+        if monoid not in engines:
+            engines[monoid] = (decompose._Engine(monoid), decompose._Engine(monoid))
+        asked, listed = engines[monoid]
+        bmask = sum(1 << n for n in map(monoid.to_scaled, b.elems))
+        asked.ensure(bmask.bit_length())
+        listed.ensure(bmask.bit_length())
+        answer = asked.factorable(bmask, restricted)
+        assert answer == bool(listed.factorizations(bmask, restricted)[0]), (b, restricted)
+        if restricted and monoid is N0:
+            assert answer == bool(oracle_restricted_factorizations(bmask, 9)), b
+        answers.add(answer)
+    assert answers == {True, False}
+    assert all(not asked._factor_memo for asked, _ in engines.values())
+
+
+def test_atomicity_sweep_lists_no_factorization(monkeypatch):
+    """The sweep asks factorability only: it fills no factorization memo,
+    and with nothing failing it builds no FinSet at all."""
+    from powmon.laboratory import atomicity_sweep
+
+    eng, _ = _counting_engine(monkeypatch, HALF_THIRD)
+    built = []
+    init, trusted = FinSet.__init__, FinSet._sorted.__func__
+
+    def counting_init(self, elements):
+        built.append(elements)
+        init(self, elements)
+
+    def counting_sorted(cls, elems):
+        built.append(elems)
+        return trusted(cls, elems)
+
+    monkeypatch.setattr(FinSet, "__init__", counting_init)
+    monkeypatch.setattr(FinSet, "_sorted", classmethod(counting_sorted))
+    report = atomicity_sweep(HALF_THIRD, 3, 4)
+    assert report.passed and report.checked == 2324
+    assert built == [] and eng._factor_memo == {} and eng._factorable_memo

@@ -62,7 +62,7 @@ def test_construction_is_deterministic_and_prefix_stable():
     assert p2[: len(p1)] == p1
 
 
-def test_membership_witnesses():
+def test_membership_witnesses(deadline):
     monoid = example33(1)
     fam = monoid.family
     # 4/5 = p1*b0 + a0 and 6/7 = p2*c0 + a0, exactly
@@ -92,7 +92,7 @@ def test_atom_verification_requires_family():
         verify_atoms_by_valuation(PuiseuxMonoid([F(1, 2)]))
 
 
-def test_factorizations_of_four_fifths():
+def test_factorizations_of_four_fifths(deadline):
     """At level L there are exactly L+1 factorizations of 4/5, one per
     b-index: p(3k+1) copies of b_k plus a_0..a_k."""
     for level in (0, 1, 2, 3):
@@ -105,7 +105,7 @@ def test_factorizations_of_four_fifths():
         assert enum.lengths() == lengths
 
 
-def test_mcd_is_full_partial_sum():
+def test_mcd_is_full_partial_sum(deadline):
     for level in (0, 1, 2, 3):
         monoid = example33(level)
         assert monoid.mcd([F(4, 5), F(6, 7)]) == (monoid.family.partial_sum(level),)

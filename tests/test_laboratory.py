@@ -12,6 +12,7 @@ from powmon import (
     PuiseuxMonoid,
     geometric,
 )
+from powmon import decompose
 from powmon import laboratory as lab
 
 
@@ -236,6 +237,26 @@ def test_atomicity_sweep():
     assert report.checked == sum(report.by_cardinality.values())
     n0 = lab.atomicity_sweep(N0, 2, 6)
     assert n0.passed
+
+
+def test_atomicity_sweep_reports_a_failure_as_its_set(monkeypatch):
+    """A stand-in engine that finds no factorization of {1/2, 1}: the
+    report names that set as the sweep always did, str(FinSet(...))."""
+    half_third = PuiseuxMonoid([F(1, 2), F(1, 3)])
+    engine = decompose._Engine(half_third)
+    unfactorable = engine.to_mask(FinSet([F(1, 2), 1]))
+    factorable = engine.factorable
+
+    def stand_in(bmask, restricted):
+        return bmask != unfactorable and factorable(bmask, restricted)
+
+    monkeypatch.setattr(engine, "factorable", stand_in)
+    monkeypatch.setattr(decompose, "_ENGINES", {half_third: engine})
+    report = lab.atomicity_sweep(half_third, 3, 2)
+    assert report.failures == (str(FinSet([F(1, 2), 1])),) == ("{1/2, 1}",)
+    assert not report.passed
+    assert report.summary()[0].endswith("1 without a factorization")
+    assert report.to_json()["certificates"] == [{"failures": ["{1/2, 1}"]}]
 
 
 def test_example33_suite_level1():

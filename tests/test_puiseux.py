@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -14,7 +15,7 @@ from powmon import (
     geometric_chain,
     parse_monoid,
 )
-from powmon import puiseux
+from powmon import puiseux, rational
 from powmon.factorization import Factorization
 from powmon.puiseux import FAMILY_HANDLES, ReprSolver, example33, parse_family
 from powmon.rational import int_valuation
@@ -275,8 +276,9 @@ def _fraction_search(solver, target, limit=None, max_total=None):
     return solutions, not state["pruned"]
 
 
-# 100003 * 100019: past the trial-division limit and composite, so these
-# solvers keep an unknown cofactor and prune on their known primes only
+# 100003 * 100019: past the trial-division limit and composite, so with
+# Pollard's rho given no steps these solvers keep an unknown cofactor and
+# prune on their known primes only
 _UNFACTORED = 100003 * 100019
 
 
@@ -295,7 +297,8 @@ def _agreement_solvers():
     return solvers
 
 
-def test_integer_search_matches_the_fraction_search():
+def test_integer_search_matches_the_fraction_search(monkeypatch, deadline):
+    monkeypatch.setattr(rational, "_RHO_STEPS", 0)
     rng = random.Random(47)
     calls = 0
     for solver in _agreement_solvers():
@@ -328,7 +331,7 @@ def test_target_outside_the_lattice_is_exhaustive_under_a_cap():
 
 
 @pytest.mark.parametrize("level", [2, 3])
-def test_prime_discovery_ignores_generator_order(level):
+def test_prime_discovery_ignores_generator_order(level, deadline):
     """Without hints, a cofactor that is a product of two large primes is
     split once another generator gives one of them, whatever the order."""
     m = example33(level)
@@ -340,16 +343,53 @@ def test_prime_discovery_ignores_generator_order(level):
         assert bare.search(target) == ([(1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0)], True)
 
 
-def test_prime_discovery_retests_a_cofactor_after_a_later_split():
+def test_prime_discovery_retests_a_cofactor_after_a_later_split(monkeypatch, deadline):
     """100003 * 100019 is tested before the prime c, and splits only after
-    c has split 100019 * c: a second pass over the cofactors finds 100003."""
+    c has split 100019 * c: a second pass over the cofactors finds 100003
+    (with Pollard's rho given no steps, so that the pass alone must)."""
+    monkeypatch.setattr(rational, "_RHO_STEPS", 0)
     a, b, c = 100003, 100019, 100000000003
     gens = [F(1, a * b), F(1, c), F(1, b * c)]
     for order in itertools.permutations(gens):
         assert ReprSolver(order)._primes == (a, b, c)
 
 
-def test_every_solver_query_goes_through_the_class_method(monkeypatch):
+def test_a_prime_square_cofactor_splits_by_its_root(deadline):
+    """100003**2 is past the trial limit and no other generator yields
+    100003, so the search once had no residue class for it and this
+    non-member query crawled for seconds; the square root splits it."""
+    p, q = 100003, 300007
+    gens = [F(1, p * p), F(1, q)]
+    query = F(p * p * q - p * p - q, p * p * q)
+    start = time.perf_counter()
+    answer = PuiseuxMonoid(gens).contains(query)
+    assert time.perf_counter() - start < 0.5
+    assert ReprSolver(gens)._primes == (p, q)
+    hinted = ReprSolver(gens, [p])
+    assert answer == hinted.is_member(query) is False
+    m = PuiseuxMonoid(gens)
+    for target in (F(1, p), F(3, p * p) + F(5, q), query + F(1, p * p), query + F(1, q)):
+        assert m.contains(target) == hinted.is_member(target), target
+
+
+def test_a_semiprime_cofactor_splits_by_rho(deadline):
+    """p9 * p10 of example33(3) lies past the Miller-Rabin range and no
+    other generator yields either prime: Pollard's rho splits it.  So does
+    the 100003 * 100019 of the agreement solvers."""
+    fam = example33(3).family
+    p9, p10, p11 = fam.prime(9), fam.prime(10), fam.prime(11)
+    gens = [F(1, p9 * p10), F(1, p11)]
+    bare = ReprSolver(gens)
+    assert bare._primes == (p9, p10, p11)
+    hinted = ReprSolver(gens, [p9, p10])
+    for target in (F(2, p11), F(1, p9 * p10) + F(3, p11), F(1, p9), F(1, p9 * p11)):
+        assert bare.search(target) == hinted.search(target), target
+    assert PuiseuxMonoid(gens).contains(F(2, p11))
+    solver = ReprSolver([F(1, 3), F(1, 2), F(_UNFACTORED + 1, _UNFACTORED)])
+    assert solver._primes == (2, 3, 100003, 100019)
+
+
+def test_every_solver_query_goes_through_the_class_method(monkeypatch, deadline):
     """A wrapper bound over `ReprSolver.search` after the handle and its
     solver exist sees every query, so a tracer that rebinds the class
     attribute counts every search.  The handle is a fresh copy of the
@@ -385,7 +425,7 @@ _P, _Q = 300007, 300017
 @pytest.mark.parametrize("build", [lambda: example33(1),
                                    lambda: PuiseuxMonoid([F(2, _P), F(3, _P), F(5, _Q)])],
                          ids=["example33", "two-primes"])
-def test_capped_factorizations_without_an_apery_table(build):
+def test_capped_factorizations_without_an_apery_table(build, deadline):
     m = build()
     assert m.numerical is None
     atoms = m.atoms()
@@ -523,7 +563,7 @@ def _counting_searches(monkeypatch) -> list:
     return calls
 
 
-def test_example33_membership_stays_on_the_solver(monkeypatch):
+def test_example33_membership_stays_on_the_solver(monkeypatch, deadline):
     """example33(0) scales to a tableable multiplicity, but membership and
     atoms go to the solver: no table is built until an enumeration asks for
     one, and the answers agree with that table before and after it exists."""
@@ -559,7 +599,7 @@ def test_example33_membership_stays_on_the_solver(monkeypatch):
     assert len(searches) == sum(q > 0 for q in queries)  # still the solver
 
 
-def test_a_call_costs_the_same_whatever_ran_before(monkeypatch):
+def test_a_call_costs_the_same_whatever_ran_before(monkeypatch, deadline):
     """The shared handles keep their atoms and solvers, but no answers: once
     the atoms are known, a probe asks the solver the same queries on its
     first call, after the witness it embeds has run, and on a repeat."""

@@ -147,6 +147,40 @@ def test_base2_round_rejects_a_large_semiprime_at_once(monkeypatch):
     assert rounds == [(n, (2,), False)]
 
 
+def _trial_factors(n: int) -> set[int]:
+    out, d = set(), 2
+    while d * d <= n:
+        while n % d == 0:
+            out.add(d)
+            n //= d
+        d += 1
+    return out | {n} if n > 1 else out
+
+
+def test_prime_factors_of_small_numbers(deadline):
+    rng = random.Random(12)
+    for n in list(range(1, 2000)) + [rng.randrange(2, 10**6) for _ in range(40)]:
+        assert rational.prime_factors(n) == _trial_factors(n), n
+
+
+def test_prime_factors_by_roots_and_rho(deadline):
+    p9, p10 = 166483969, 27716909059761437
+    assert rational.prime_factors(100003**2) == {100003}
+    assert rational.prime_factors(2**61 - 1) == {2**61 - 1}
+    assert rational.prime_factors(100019**5) == {100019}
+    assert rational.prime_factors(100003 * 100019) == {100003, 100019}
+    assert rational.prime_factors(p9 * p10) == {p9, p10}
+    assert rational.prime_factors(p9**2 * p10) == {p9, p10}
+
+
+def test_prime_factors_leave_out_what_rho_cannot_split(monkeypatch, deadline):
+    """Past its budget rho gives up: the answer is partial, never wrong."""
+    monkeypatch.setattr(rational, "_RHO_STEPS", 1 << 8)
+    big = 1000000000039 * 1000000000061
+    assert rational.prime_factors(big) == set()
+    assert rational.prime_factors(7 * big) == {7}
+
+
 def test_next_prime_above():
     assert next_prime_above(15) == 17
     assert next_prime_above(17) == 19
