@@ -246,6 +246,17 @@ class _Engine:
         first), each found from the side with the smaller max."""
         return sorted(self._pairs(bmask, restricted))
 
+    @staticmethod
+    def _oriented(pairs) -> Iterator[tuple[int, int]]:
+        """Each canonical pair x <= y as the (atom side, cofactor) pair
+        (a, c) that factorization extends: (x, y), or (y, {0}) when x is
+        {0}.  Each factorization is built once, from its smallest atom a:
+        the pair (a, c) extends only the factorizations z of c with
+        z[0] >= a, and every atom dividing c has a mask of at most c, so
+        (y, x) with x != {0} would keep nothing."""
+        for x, y in pairs:
+            yield (y, x) if x == 1 else (x, y)
+
     # -- atomhood ---------------------------------------------------------------
 
     def atom_witness(self, bmask: int, restricted: bool):
@@ -283,15 +294,15 @@ class _Engine:
 
     def factorable(self, bmask: int, restricted: bool) -> bool:
         """Whether B has a factorization, found without listing any: {0}
-        has the empty one, and B has one when some pair (a, c), oriented
-        as in `factorizations` (so (B, {0}) when B is an atom), has a an
-        atom and c factorable.  The walk stops at the first such pair."""
+        has the empty one, and B has one when some pair (a, c) of
+        `_oriented` (so (B, {0}) when B is an atom) has a an atom and c
+        factorable.  The walk stops at the first such pair."""
         key = (bmask, restricted)
         hit = self._factorable_memo.get(key)
         if hit is None:
             hit = bmask == 1 or any(
                 self.is_atom(a, restricted) and self.factorable(c, restricted)
-                for a, c in ((y, x) if x == 1 else (x, y) for x, y in self._pairs(bmask, restricted))
+                for a, c in self._oriented(self._pairs(bmask, restricted))
             )
             self._factorable_memo[key] = hit
         return hit
@@ -301,13 +312,8 @@ class _Engine:
     def factorizations(
         self, bmask: int, restricted: bool, budget: int | None = None
     ) -> tuple[tuple[tuple[int, ...], ...], bool]:
-        """(distinct ascending atom-mask tuples, exhaustive flag).
-
-        Each factorization is built once, from its smallest atom a: the
-        pair (a, c) extends only the factorizations z of c with z[0] >= a.
-        So each pair x <= y is taken in one orientation, (x, y), or
-        (y, {0}) when x is {0}: every atom dividing c has a mask of at most
-        c, so (y, x) with x != {0} would keep nothing."""
+        """(distinct ascending atom-mask tuples, exhaustive flag), each
+        built once, from its smallest atom (see `_oriented`)."""
         key = (bmask, restricted, budget)
         hit = self._factor_memo.get(key)
         if hit is not None:
@@ -322,8 +328,7 @@ class _Engine:
             return result
         out: list[tuple[int, ...]] = []
         exhaustive = True
-        for x, y in self.pair_decompositions(bmask, restricted):
-            a, c = (y, x) if x == 1 else (x, y)
+        for a, c in self._oriented(self.pair_decompositions(bmask, restricted)):
             if not self.is_atom(a, restricted):
                 continue
             inner, inner_ok = self.factorizations(

@@ -109,11 +109,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# Iterations of Pollard's rho per attempt: enough to split off a prime
-# factor up to about 10^10 with high probability, and a cap of about 0.2 s
-# on a cofactor whose prime factors are all larger.
-_RHO_STEPS = 1 << 18
-_RHO_BATCH = 128  # differences multiplied together per gcd
+# Steps of Pollard's rho per attempt: a prime factor p takes about sqrt(p)
+# steps, so this splits off one up to about 10^9 with high probability and
+# gives up after about 45 ms on a cofactor whose prime factors are all
+# larger (measured on a product of two primes near 10^12).
+_RHO_STEPS = 1 << 16
 
 
 def _integer_root(n: int, k: int) -> int:
@@ -139,44 +139,37 @@ def _perfect_power_root(n: int) -> int | None:
 
 def _rho(n: int, c: int) -> int | None:
     """A divisor d of the composite n with 1 < d <= n, by Pollard's rho on
-    x -> x*x + c with Brent's cycle search, or None after _RHO_STEPS
-    iterations.  d == n means this c failed and another may not."""
-    y, q, g, r = 2, 1, 1, 1
-    while g == 1:
-        if r > _RHO_STEPS:
-            return None
-        x = y
-        for _ in range(r):
-            y = (y * y + c) % n
-        k = 0
-        while k < r and g == 1:
-            ys = y
-            for _ in range(min(_RHO_BATCH, r - k)):
-                y = (y * y + c) % n
-                q = q * (x - y) % n
-            g = math.gcd(q, n)
-            k += _RHO_BATCH
-        r *= 2
-    if g == n:  # the batch jumped past the factor: redo it one step at a time
-        g = 1
-        while g == 1:
-            ys = (ys * ys + c) % n
-            g = math.gcd(x - ys, n)
-    return g
+    x -> x*x + c with Floyd's cycle search, or None after _RHO_STEPS
+    steps.  d == n means this c failed and another may not."""
+    x = y = 2
+    for _ in range(_RHO_STEPS):
+        x = (x * x + c) % n
+        y = (y * y + c) % n
+        y = (y * y + c) % n
+        g = math.gcd(x - y, n)
+        if g != 1:
+            return g
+    return None
 
 
 def prime_factors(n: int) -> set[int]:
     """The prime factors of n > 0 that integer roots and Pollard's rho find
     within their budget.  A composite factor that neither splits is left
-    out, so the answer may be partial but never holds a non-prime."""
+    out, and so is a factor at or past _MR_LIMIT that passes the base-2
+    round: it is likely prime, but only trial division could prove it, and
+    that does not finish at such sizes.  So the answer may be partial but
+    never holds a non-prime."""
     primes: set[int] = set()
     pending = [n]
     while pending:
         m = pending.pop()
         if m < 2:
             continue
-        if is_prime(m):
-            primes.add(m)
+        if m < _MR_LIMIT:
+            if is_prime(m):
+                primes.add(m)
+                continue
+        elif _miller_rabin(m, (2,)):
             continue
         root = _perfect_power_root(m)
         if root is not None:

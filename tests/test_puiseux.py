@@ -389,6 +389,19 @@ def test_a_semiprime_cofactor_splits_by_rho(deadline):
     assert solver._primes == (2, 3, 100003, 100019)
 
 
+def test_a_cofactor_with_a_prime_past_the_mr_range_builds_quickly(deadline):
+    """100003 * (2**89 - 1) fails the base-2 round, so it is split; rho
+    finds 100003, and the prime 2**89 - 1 that is left passes that round and
+    stays unknown instead of being proved by trial division."""
+    big = 100003 * (2**89 - 1)
+    start = time.perf_counter()
+    solver = ReprSolver([F(1, big), F(1, 7)])
+    assert time.perf_counter() - start < 0.5
+    assert solver._primes == (7, 100003)
+    m = PuiseuxMonoid([F(1, big)])
+    assert m.contains(F(5, big)) and not m.contains(F(1, 2 * big))
+
+
 def test_every_solver_query_goes_through_the_class_method(monkeypatch, deadline):
     """A wrapper bound over `ReprSolver.search` after the handle and its
     solver exist sees every query, so a tracer that rebinds the class

@@ -181,6 +181,16 @@ def test_prime_factors_leave_out_what_rho_cannot_split(monkeypatch, deadline):
     assert rational.prime_factors(7 * big) == {7}
 
 
+def test_prime_factors_leave_out_a_probable_prime_past_the_mr_range(deadline):
+    """2**89 - 1 is prime and past _MR_LIMIT, where only trial division
+    could prove it, and that does not finish: it passes the base-2 round
+    and is left out, while the composite around it still splits."""
+    mersenne = 2**89 - 1
+    assert mersenne >= rational._MR_LIMIT
+    assert rational.prime_factors(mersenne) == set()
+    assert rational.prime_factors(100003 * mersenne) == {100003}
+
+
 def test_next_prime_above():
     assert next_prime_above(15) == 17
     assert next_prime_above(17) == 19
