@@ -127,7 +127,7 @@ class PowerMonoidView:
 class _Engine:
     """Mask machinery and memo tables for one ambient monoid."""
 
-    def __init__(self, monoid: PuiseuxMonoid, kernel=None):
+    def __init__(self, monoid: PuiseuxMonoid):
         if monoid.numerical is None:
             raise UnsupportedAmbientError(
                 f"set-level operations need member enumeration; {monoid} has no Apery backend"
@@ -138,7 +138,6 @@ class _Engine:
         self.built = 0
         self._values: list[Fraction] = []  # _values[i] == i / scale for i < built
         self.atom_ints = set(self.numerical.atoms)
-        self._kernel = kernel or masks_py  # tests substitute a kernel
         # memo writes are idempotent (pure results), so only the universe
         # extension needs a lock: it read-modify-writes member_mask and
         # appends to _values, which must stay aligned with the bit index
@@ -209,8 +208,8 @@ class _Engine:
         key = (b0, b0 & cand_a, b0 & cand_c)
         hit = self._pair_memo.get(key)
         if hit is None:
-            # through the module attribute, which a tracer may rebind
-            hit = self._pair_memo[key] = tuple(self._kernel.pair_search(*key))
+            # through the module attribute, which a tracer or test may rebind
+            hit = self._pair_memo[key] = tuple(masks_py.pair_search(*key))
         return hit
 
     def _split_pairs(self, b0: int, da: int, dc: int) -> list[tuple[int, int]]:

@@ -8,7 +8,6 @@ restricted power monoid: contains 0) is checked on demand.
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -52,22 +51,10 @@ class FinSet:
     # -- monoid structure ----------------------------------------------------
 
     def __add__(self, other: "FinSet") -> "FinSet":
-        """Minkowski sum via a k-way merge of shifted copies (exact, ordered)."""
+        """Minkowski sum {s + t}: exact, deduplicated and sorted by __init__."""
         if not isinstance(other, FinSet):
             return NotImplemented
-        small, large = (self, other) if len(self) <= len(other) else (other, self)
-
-        def shifted_copy(s):
-            return (s + t for t in large.elems)
-
-        merged = heapq.merge(*(shifted_copy(s) for s in small.elems))
-        out = []
-        last = None
-        for v in merged:
-            if v != last:
-                out.append(v)
-                last = v
-        return FinSet(out)
+        return FinSet(s + t for s in self.elems for t in other.elems)
 
     def __mul__(self, n: int) -> "FinSet":
         """n-fold Minkowski sum; the 0-fold sum is the identity {0}."""

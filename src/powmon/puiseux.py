@@ -203,12 +203,12 @@ class ReprSolver:
 
     def _discover_primes(self, hints: Iterable[int]) -> set[int]:
         """The primes of the denominators found by trial division up to
-        _TRIAL_LIMIT, among the hints, as a cofactor left prime once the
-        primes found so far are divided out, or by splitting a cofactor that
-        stays composite (a prime power, or primes past the trial limit that
-        no other generator yields) with integer roots and Pollard's rho.
-        A cofactor that even rho leaves unsplit (unknown primes) only
-        weakens the pruning."""
+        _TRIAL_LIMIT, among the hints, or in a cofactor left once the primes
+        found so far are divided out, by `prime_factors` (a prime, or a
+        composite split by integer roots and Pollard's rho).  A cofactor
+        part it leaves out (a prime whose primality is refused, or a product
+        rho cannot split) stays an unknown prime: that only weakens the
+        pruning."""
         primes: set[int] = {p for p in hints if is_prime(p)}
         rests = []
         for g in self.gens:
@@ -222,21 +222,20 @@ class ReprSolver:
                 d += 1 if d == 2 else 2
             rests.append(rest)
         # smallest first, and again after a pass that found a prime: a product
-        # of two large primes splits once another cofactor yields one of them
-        composite: set[int] = set()
+        # of two large primes splits once another cofactor yields one of them.
+        # What prime_factors leaves of a cofactor is not sent to it again, so
+        # a product rho cannot split costs its budget once.
+        left = {1}
         found = True
         while found:
             found = False
             for rest in sorted(rests):
                 rest = _strip(rest, primes)
-                if rest > 1 and rest not in composite:
-                    if is_prime(rest):
-                        primes.add(rest)
-                        found = True
-                    else:
-                        composite.add(rest)
-        for rest in sorted(composite):
-            primes |= prime_factors(_strip(rest, primes))
+                if rest not in left:
+                    new = prime_factors(rest)
+                    left.add(_strip(rest, new))
+                    found = found or bool(new)
+                    primes |= new
         return primes
 
     def search(

@@ -3,9 +3,10 @@
 Values are `fractions.Fraction` instances (arbitrary-precision, always in
 lowest terms).  This module adds the pieces the monoid machinery needs on
 top of the stdlib type: validated reduction, p-adic valuations,
-deterministic primality, prime search, factor splitting by integer roots
-and Pollard's rho, partial subtraction on Q>=0, the
-"a/b" text format, and the JSON form built on it (`jsonable`, `Record`).
+primality (deterministic below a bound, refused past it unless composite),
+prime search, factor splitting by integer roots and Pollard's rho, partial
+subtraction on Q>=0, the "a/b" text format, and the JSON form built on it
+(`jsonable`, `Record`).
 
 No floating point is used anywhere in the package.
 """
@@ -16,7 +17,7 @@ import math
 from dataclasses import fields
 from fractions import Fraction
 
-from .errors import InvalidInputError, UndefinedValuationError
+from .errors import InvalidInputError, UndefinedValuationError, UnsupportedAmbientError
 
 
 def reduce(num: int, den: int) -> Fraction:
@@ -58,7 +59,7 @@ def valuation(q: Fraction | int, p: int) -> int:
 # Deterministic Miller-Rabin witnesses: this set decides primality exactly
 # for all n below the limit (Sorenson & Webster).  Above it one strong
 # base-2 round screens out most composites (its "composite" answer is
-# exact), and trial division decides the rest, which stays exact at any size.
+# exact); `is_prime` refuses the rest.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
@@ -88,7 +89,9 @@ def _miller_rabin(n: int, bases) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (exact for every integer handled here)."""
+    """Exact primality below _MR_LIMIT.  Past it a number the strong base-2
+    round rejects is composite; any other raises UnsupportedAmbientError,
+    since nothing here can prove such a number prime."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -100,13 +103,9 @@ def is_prime(n: int) -> bool:
         return _miller_rabin(n, _MR_WITNESSES)
     if not _miller_rabin(n, (2,)):
         return False
-    i = 53
-    while i * i <= n:
-        # wheel over residues coprime to 2 and 3: i = 5 and i + 2 = 1 (mod 6)
-        if n % i == 0 or n % (i + 2) == 0:
-            return False
-        i += 6
-    return True
+    raise UnsupportedAmbientError(
+        f"cannot decide whether {n} is prime: past {_MR_LIMIT} only a composite is recognised"
+    )
 
 
 # Steps of Pollard's rho per attempt: a prime factor p takes about sqrt(p)
@@ -155,21 +154,19 @@ def _rho(n: int, c: int) -> int | None:
 def prime_factors(n: int) -> set[int]:
     """The prime factors of n > 0 that integer roots and Pollard's rho find
     within their budget.  A composite factor that neither splits is left
-    out, and so is a factor at or past _MR_LIMIT that passes the base-2
-    round: it is likely prime, but only trial division could prove it, and
-    that does not finish at such sizes.  So the answer may be partial but
-    never holds a non-prime."""
+    out, and so is a factor whose primality `is_prime` refuses.  So the
+    answer may be partial but never holds a non-prime."""
     primes: set[int] = set()
     pending = [n]
     while pending:
         m = pending.pop()
         if m < 2:
             continue
-        if m < _MR_LIMIT:
+        try:
             if is_prime(m):
                 primes.add(m)
                 continue
-        elif _miller_rabin(m, (2,)):
+        except UnsupportedAmbientError:  # a probable prime past the bound
             continue
         root = _perfect_power_root(m)
         if root is not None:

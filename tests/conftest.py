@@ -8,19 +8,20 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-# Seconds a test that takes the `deadline` fixture may run: each such test
-# takes well under one second, so only a hang reaches this.
+# Seconds any test may run: the slowest takes a few seconds, so only a hang
+# reaches this.
 DEADLINE_S = 10
 
 
-@pytest.fixture
+@pytest.fixture(autouse=True)
 def deadline():
-    """Fail the test with TimeoutError once it has run DEADLINE_S seconds,
+    """Fail each test with TimeoutError once it has run DEADLINE_S seconds,
     so a solver or prime search that regresses into a hang fails in seconds
-    instead of stalling the suite.  Needs SIGALRM (POSIX); skipped where
-    `signal.alarm` is missing."""
+    instead of stalling the suite.  Needs SIGALRM (POSIX); where
+    `signal.alarm` is missing, tests run without a deadline."""
     if not hasattr(signal, "alarm"):
-        pytest.skip("the deadline needs signal.alarm")
+        yield None
+        return
 
     def expire(signum, frame):
         raise TimeoutError(f"test still running after {DEADLINE_S} s")

@@ -161,6 +161,20 @@ def test_domain_error_exit_code_1(capsys):
     assert code == 1
 
 
+def test_a_probable_prime_denominator_is_answered(capsys):
+    """A 2**89 - 1 denominator, whose primality is refused, stays an
+    unknown prime of the solver, which still answers."""
+    argv = ("member", "--monoid", "1/618970019642690137449562111,1/300007", "2/300007")
+    assert run_cli(capsys, *argv) == (0, "true\n", "")
+
+
+@pytest.mark.parametrize("argv", [("family", "example33:4"), ("verify", "example33", "--level", "4")])
+def test_example33_level4_is_refused(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "3317044064679887385961981" in err
+
+
 @pytest.mark.parametrize("item", ["3", "3/2"])
 def test_wrong_kind_corpus_item_is_named_as_typed(capsys, item):
     code, out, err = run_cli(capsys, "verify", "bfm", "--monoid", "1/2,1/3", "{0,1/2,1}", item)

@@ -453,11 +453,11 @@ def _pair_corpus():
 
 
 def _engine_cases(corpus):
-    """(engine, mask, restricted) on one pure-kernel engine per ambient."""
+    """(engine, mask, restricted) on one engine per ambient."""
     engines: dict = {}
     for b, monoid, restricted in corpus:
         if monoid not in engines:
-            engines[monoid] = decompose._Engine(monoid, kernel=masks_py)
+            engines[monoid] = decompose._Engine(monoid)
         eng = engines[monoid]
         yield eng, eng.to_mask(b), restricted
 
@@ -546,22 +546,25 @@ def test_split_pairs_returns_each_pair_once():
 
 
 class CountingKernel:
-    """A stand-in kernel that counts its searches and records their inputs,
-    reduced to what the kernel reads of them."""
+    """A wrapper over the kernel that counts its searches and records their
+    inputs, reduced to what the kernel reads of them.  It installs itself
+    over `masks_py.pair_search`, the attribute the engine calls."""
 
-    def __init__(self):
+    def __init__(self, monkeypatch):
         self.calls = 0
         self.inputs: set = set()
+        self._search = masks_py.pair_search
+        monkeypatch.setattr(masks_py, "pair_search", self.pair_search)
 
     def pair_search(self, b, cand_a, cand_c):
         self.calls += 1
         self.inputs.add((b, b & cand_a, b & cand_c))
-        return masks_py.pair_search(b, cand_a, cand_c)
+        return self._search(b, cand_a, cand_c)
 
 
 def _counting_engine(monkeypatch, monoid):
-    kernel = CountingKernel()
-    eng = decompose._Engine(monoid, kernel=kernel)
+    kernel = CountingKernel(monkeypatch)
+    eng = decompose._Engine(monoid)
     monkeypatch.setattr(decompose, "_ENGINES", {monoid: eng})
     return eng, kernel
 
@@ -613,11 +616,11 @@ def test_length_set_after_is_atom_repeats_no_search(monkeypatch):
     assert atoms == 4
 
 
-def test_translates_share_one_search():
+def test_translates_share_one_search(monkeypatch):
     """Past the conductor of <2,3> every candidate bit is set, so a
     translate of a searched set needs no search of its own."""
-    kernel = CountingKernel()
-    eng = decompose._Engine(M23, kernel=kernel)
+    kernel = CountingKernel(monkeypatch)
+    eng = decompose._Engine(M23)
     witnesses = []
     for b in (fs(20, 21, 23), fs(30, 31, 33), fs(41, 42, 44)):
         bmask = eng.to_mask(b)
@@ -631,7 +634,7 @@ def test_translates_share_one_search():
 
 
 def test_raw_factorizations_are_distinct_and_ascending():
-    eng = decompose._Engine(N0, kernel=masks_py)
+    eng = decompose._Engine(N0)
     for rest in range(1 << 9):
         bmask = (rest << 1) | 1
         eng.ensure(bmask.bit_length())

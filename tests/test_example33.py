@@ -1,6 +1,7 @@
 """The prime-sequence family: construction determinism, exact inequalities,
 valuation-certified atoms, and the membership witnesses for 4/5 and 6/7."""
 
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -8,10 +9,12 @@ import pytest
 from powmon import (
     InvalidInputError,
     PuiseuxMonoid,
+    UnsupportedAmbientError,
     example33,
     verify_atoms_by_valuation,
 )
 from powmon.puiseux import Example33Family
+from powmon.rational import _MR_LIMIT
 from oracles import trial_is_prime
 
 
@@ -56,13 +59,22 @@ def test_partial_sums_stay_below_two_fifteenths():
         assert F(2, 15) < F(1, 7)
 
 
+def test_level4_is_refused_at_once():
+    """Level 4 needs primes past the Miller-Rabin range, which nothing here
+    can prove prime: the construction refuses at once, naming the bound."""
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedAmbientError, match=str(_MR_LIMIT)):
+        example33(4)
+    assert time.perf_counter() - start < 1
+
+
 def test_construction_is_deterministic_and_prefix_stable():
     p1 = example33(1).family.primes
     p2 = example33(2).family.primes
     assert p2[: len(p1)] == p1
 
 
-def test_membership_witnesses(deadline):
+def test_membership_witnesses():
     monoid = example33(1)
     fam = monoid.family
     # 4/5 = p1*b0 + a0 and 6/7 = p2*c0 + a0, exactly
@@ -92,7 +104,7 @@ def test_atom_verification_requires_family():
         verify_atoms_by_valuation(PuiseuxMonoid([F(1, 2)]))
 
 
-def test_factorizations_of_four_fifths(deadline):
+def test_factorizations_of_four_fifths():
     """At level L there are exactly L+1 factorizations of 4/5, one per
     b-index: p(3k+1) copies of b_k plus a_0..a_k."""
     for level in (0, 1, 2, 3):
@@ -105,7 +117,7 @@ def test_factorizations_of_four_fifths(deadline):
         assert enum.lengths() == lengths
 
 
-def test_mcd_is_full_partial_sum(deadline):
+def test_mcd_is_full_partial_sum():
     for level in (0, 1, 2, 3):
         monoid = example33(level)
         assert monoid.mcd([F(4, 5), F(6, 7)]) == (monoid.family.partial_sum(level),)

@@ -297,7 +297,7 @@ def _agreement_solvers():
     return solvers
 
 
-def test_integer_search_matches_the_fraction_search(monkeypatch, deadline):
+def test_integer_search_matches_the_fraction_search(monkeypatch):
     monkeypatch.setattr(rational, "_RHO_STEPS", 0)
     rng = random.Random(47)
     calls = 0
@@ -331,7 +331,7 @@ def test_target_outside_the_lattice_is_exhaustive_under_a_cap():
 
 
 @pytest.mark.parametrize("level", [2, 3])
-def test_prime_discovery_ignores_generator_order(level, deadline):
+def test_prime_discovery_ignores_generator_order(level):
     """Without hints, a cofactor that is a product of two large primes is
     split once another generator gives one of them, whatever the order."""
     m = example33(level)
@@ -343,7 +343,7 @@ def test_prime_discovery_ignores_generator_order(level, deadline):
         assert bare.search(target) == ([(1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0)], True)
 
 
-def test_prime_discovery_retests_a_cofactor_after_a_later_split(monkeypatch, deadline):
+def test_prime_discovery_retests_a_cofactor_after_a_later_split(monkeypatch):
     """100003 * 100019 is tested before the prime c, and splits only after
     c has split 100019 * c: a second pass over the cofactors finds 100003
     (with Pollard's rho given no steps, so that the pass alone must)."""
@@ -354,7 +354,7 @@ def test_prime_discovery_retests_a_cofactor_after_a_later_split(monkeypatch, dea
         assert ReprSolver(order)._primes == (a, b, c)
 
 
-def test_a_prime_square_cofactor_splits_by_its_root(deadline):
+def test_a_prime_square_cofactor_splits_by_its_root():
     """100003**2 is past the trial limit and no other generator yields
     100003, so the search once had no residue class for it and this
     non-member query crawled for seconds; the square root splits it."""
@@ -372,7 +372,7 @@ def test_a_prime_square_cofactor_splits_by_its_root(deadline):
         assert m.contains(target) == hinted.is_member(target), target
 
 
-def test_a_semiprime_cofactor_splits_by_rho(deadline):
+def test_a_semiprime_cofactor_splits_by_rho():
     """p9 * p10 of example33(3) lies past the Miller-Rabin range and no
     other generator yields either prime: Pollard's rho splits it.  So does
     the 100003 * 100019 of the agreement solvers."""
@@ -389,7 +389,7 @@ def test_a_semiprime_cofactor_splits_by_rho(deadline):
     assert solver._primes == (2, 3, 100003, 100019)
 
 
-def test_a_cofactor_with_a_prime_past_the_mr_range_builds_quickly(deadline):
+def test_a_cofactor_with_a_prime_past_the_mr_range_builds_quickly():
     """100003 * (2**89 - 1) fails the base-2 round, so it is split; rho
     finds 100003, and the prime 2**89 - 1 that is left passes that round and
     stays unknown instead of being proved by trial division."""
@@ -402,7 +402,38 @@ def test_a_cofactor_with_a_prime_past_the_mr_range_builds_quickly(deadline):
     assert m.contains(F(5, big)) and not m.contains(F(1, 2 * big))
 
 
-def test_every_solver_query_goes_through_the_class_method(monkeypatch, deadline):
+def test_a_cofactor_rho_cannot_split_is_walked_once(monkeypatch):
+    """The pass that finds 7 and 300007 leads to a second pass, which must
+    not walk rho again over the product of two primes near 10**12."""
+    monkeypatch.setattr(rational, "_RHO_STEPS", 1 << 8)
+    walks = []
+    rho = rational._rho
+
+    def counting(n, c):
+        walks.append(n)
+        return rho(n, c)
+
+    monkeypatch.setattr(rational, "_rho", counting)
+    big = 1000000000039 * 1000000000061
+    assert ReprSolver([F(1, big), F(1, 7), F(1, 300007)])._primes == (7, 300007)
+    assert walks == [big]
+
+
+def test_a_probable_prime_cofactor_stays_an_unknown_prime():
+    """2**89 - 1 is a whole denominator past the Miller-Rabin range: its
+    primality is refused, so the solver keeps it as an unknown prime and
+    still answers exactly, at once."""
+    mersenne = 2**89 - 1
+    start = time.perf_counter()
+    m = PuiseuxMonoid([F(1, mersenne), F(1, 300007)])
+    assert m.contains(F(2, 300007)) is True
+    assert m.contains(F(1, 300007) + F(3, mersenne)) is True
+    assert m.contains(F(1, 2 * 300007)) is False
+    assert time.perf_counter() - start < 1
+    assert ReprSolver(m.generators)._primes == (300007,)
+
+
+def test_every_solver_query_goes_through_the_class_method(monkeypatch):
     """A wrapper bound over `ReprSolver.search` after the handle and its
     solver exist sees every query, so a tracer that rebinds the class
     attribute counts every search.  The handle is a fresh copy of the
@@ -438,7 +469,7 @@ _P, _Q = 300007, 300017
 @pytest.mark.parametrize("build", [lambda: example33(1),
                                    lambda: PuiseuxMonoid([F(2, _P), F(3, _P), F(5, _Q)])],
                          ids=["example33", "two-primes"])
-def test_capped_factorizations_without_an_apery_table(build, deadline):
+def test_capped_factorizations_without_an_apery_table(build):
     m = build()
     assert m.numerical is None
     atoms = m.atoms()
@@ -576,7 +607,7 @@ def _counting_searches(monkeypatch) -> list:
     return calls
 
 
-def test_example33_membership_stays_on_the_solver(monkeypatch, deadline):
+def test_example33_membership_stays_on_the_solver(monkeypatch):
     """example33(0) scales to a tableable multiplicity, but membership and
     atoms go to the solver: no table is built until an enumeration asks for
     one, and the answers agree with that table before and after it exists."""
@@ -612,7 +643,7 @@ def test_example33_membership_stays_on_the_solver(monkeypatch, deadline):
     assert len(searches) == sum(q > 0 for q in queries)  # still the solver
 
 
-def test_a_call_costs_the_same_whatever_ran_before(monkeypatch, deadline):
+def test_a_call_costs_the_same_whatever_ran_before(monkeypatch):
     """The shared handles keep their atoms and solvers, but no answers: once
     the atoms are known, a probe asks the solver the same queries on its
     first call, after the witness it embeds has run, and on a repeat."""

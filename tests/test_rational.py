@@ -7,6 +7,7 @@ import pytest
 from powmon import (
     InvalidInputError,
     UndefinedValuationError,
+    UnsupportedAmbientError,
     checked_sub,
     format_rational,
     is_prime,
@@ -93,39 +94,52 @@ def test_is_prime_matches_trial_division():
         assert is_prime(n) == trial_is_prime(n), n
 
 
-def test_trial_division_fallback_matches_sieve(monkeypatch):
-    """Above the Miller-Rabin range `is_prime` trial-divides; with the range
-    emptied, that fallback alone must agree with a sieve."""
+def test_past_the_mr_range_only_composites_are_decided(monkeypatch):
+    """With the Miller-Rabin range emptied, every number past the
+    small-prime screen is past it: a composite that the screen or the
+    base-2 round rejects is False, and every prime is refused, as is the
+    one strong base-2 pseudoprime that passes the screen."""
     monkeypatch.setattr(rational, "_MR_LIMIT", 0)
-    limit = 20_000
+    limit, screen = 20_000, rational._SMALL_PRIMES[-1]
     sieve = [False, False] + [True] * (limit - 1)
     for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = [False] * len(sieve[p * p :: p])
-    wrong = [n for n in range(limit + 1) if is_prime(n) != sieve[n]]
-    assert wrong == []
+    refused = []
+    for n in range(limit + 1):
+        try:
+            answer = is_prime(n)
+        except UnsupportedAmbientError as exc:
+            assert str(rational._MR_LIMIT) in str(exc)
+            refused.append(n)
+        else:
+            assert answer == sieve[n] and (n <= screen or not answer), n
+    assert refused == sorted([n for n in range(screen + 1, limit + 1) if sieve[n]] + [8321])
 
 
-def test_strong_base2_pseudoprimes_reach_trial_division(monkeypatch):
-    """Above the Miller-Rabin range the strong base-2 round cannot reject a
-    strong base-2 pseudoprime, so trial division must.  2047, 3277, 4033 and
-    4681 have a factor in the small-prime screen; 8321 and the two larger
-    ones pass the screen and the round and are rejected by trial division."""
+def test_strong_base2_pseudoprimes_past_the_screen_are_refused(monkeypatch):
+    """A strong base-2 pseudoprime past the Miller-Rabin range passes the
+    base-2 round like a prime does, so it is refused, never called prime.
+    2047, 3277, 4033 and 4681 have a factor in the small-prime screen."""
     monkeypatch.setattr(rational, "_MR_LIMIT", 0)
-    rounds = []
-    miller_rabin = rational._miller_rabin
+    for n in (2047, 3277, 4033, 4681):
+        assert rational._miller_rabin(n, (2,)) and not is_prime(n)
+    for n in (8321, 3215031751, 3825123056546413051):
+        assert rational._miller_rabin(n, (2,))
+        with pytest.raises(UnsupportedAmbientError, match=f"{n} .*{rational._MR_LIMIT}"):
+            is_prime(n)
 
-    def recording(n, bases):
-        passed = miller_rabin(n, bases)
-        rounds.append((n, tuple(bases), passed))
-        return passed
 
-    monkeypatch.setattr(rational, "_miller_rabin", recording)
-    past_screen = (8321, 3215031751, 3825123056546413051)
-    for n in (2047, 3277, 4033, 4681) + past_screen:
-        assert miller_rabin(n, (2,))
-        assert not is_prime(n)
-    assert [n for n, bases, passed in rounds if bases == (2,) and passed] == list(past_screen)
+def test_a_prime_past_the_mr_range_is_refused_at_once():
+    """Nothing here can prove 2**89 - 1 prime: the prime search and the
+    valuation refuse it at once, naming the bound."""
+    mersenne = 2**89 - 1
+    bound = str(rational._MR_LIMIT)
+    with pytest.raises(UnsupportedAmbientError, match=bound):
+        next_prime_above(10**25)
+    with pytest.raises(UnsupportedAmbientError, match=f"{mersenne} .*{bound}"):
+        valuation(Fraction(1, mersenne), mersenne)
+    assert not is_prime(mersenne + 2)  # composite: the base-2 round rejects it
 
 
 def test_base2_round_rejects_a_large_semiprime_at_once(monkeypatch):
@@ -157,13 +171,13 @@ def _trial_factors(n: int) -> set[int]:
     return out | {n} if n > 1 else out
 
 
-def test_prime_factors_of_small_numbers(deadline):
+def test_prime_factors_of_small_numbers():
     rng = random.Random(12)
     for n in list(range(1, 2000)) + [rng.randrange(2, 10**6) for _ in range(40)]:
         assert rational.prime_factors(n) == _trial_factors(n), n
 
 
-def test_prime_factors_by_roots_and_rho(deadline):
+def test_prime_factors_by_roots_and_rho():
     p9, p10 = 166483969, 27716909059761437
     assert rational.prime_factors(100003**2) == {100003}
     assert rational.prime_factors(2**61 - 1) == {2**61 - 1}
@@ -173,7 +187,7 @@ def test_prime_factors_by_roots_and_rho(deadline):
     assert rational.prime_factors(p9**2 * p10) == {p9, p10}
 
 
-def test_prime_factors_leave_out_what_rho_cannot_split(monkeypatch, deadline):
+def test_prime_factors_leave_out_what_rho_cannot_split(monkeypatch):
     """Past its budget rho gives up: the answer is partial, never wrong."""
     monkeypatch.setattr(rational, "_RHO_STEPS", 1 << 8)
     big = 1000000000039 * 1000000000061
@@ -181,7 +195,7 @@ def test_prime_factors_leave_out_what_rho_cannot_split(monkeypatch, deadline):
     assert rational.prime_factors(7 * big) == {7}
 
 
-def test_prime_factors_leave_out_a_probable_prime_past_the_mr_range(deadline):
+def test_prime_factors_leave_out_a_probable_prime_past_the_mr_range():
     """2**89 - 1 is prime and past _MR_LIMIT, where only trial division
     could prove it, and that does not finish: it passes the base-2 round
     and is left out, while the composite around it still splits."""
