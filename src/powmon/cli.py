@@ -282,6 +282,13 @@ def _cmd_verify(args) -> None:
 # parser
 
 
+def _length_cap(text: str) -> int:
+    """The type of --max-length: a decimal integer of at least 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 0, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # each command accepts only the flags it reads
     output = argparse.ArgumentParser(add_help=False)
@@ -293,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     restricted.add_argument("--restricted", action="store_true",
                             help="work in the restricted power monoid (sets containing 0)")
     capped = argparse.ArgumentParser(add_help=False)
-    capped.add_argument("--max-length", type=int, default=None,
+    capped.add_argument("--max-length", type=_length_cap, default=None,
                         help="cap factorization lengths; results are then flagged partial")
 
     parser = argparse.ArgumentParser(

@@ -11,13 +11,14 @@ its effective input (B - min B and the candidate masks cut to it), so
 `is_atom`, `set_factorizations` and every translate of a shape past the
 conductor share one search.  Factorability, the one question of the
 atomicity sweep (`factorability_sweep`), has a memo of its own: one bool
-per (bmask, restricted), found by walking the pairs lazily until an atom
-meets a factorable cofactor, so it lists no factorization and leaves the
-factorization memo empty.
+per mask, found by walking the pairs lazily until an atom meets a
+factorable cofactor, so it lists no factorization and leaves the
+factorization memo empty.  Divisor splits are listed once per min(B).
 
-Restricted mode works inside the restricted power monoid (every element
-contains 0); unrestricted mode allows singleton factors {a} and handles
-min(B) > 0 via divisor splits of min(B) in M.
+The engine works in P_fin(M) only: P_fin,0(M), the sets containing 0, is
+divisor-closed in it (A + C = B with 0 in B gives min A + min C = 0), so
+a P_fin,0 query is the same query once the API has checked that B
+contains 0.
 
 Pairs are searched in half of the space.  If A + C = B then max A + max C
 = max B, so one side of every pair has max at most max B / 2 (after
@@ -114,7 +115,7 @@ class AtomCheck(Record):
 
 @dataclass(frozen=True)
 class PowerMonoidView:
-    """A handle naming the (restricted) power monoid of an ambient monoid."""
+    """A handle naming P_fin or P_fin,0 of an ambient monoid; both share one engine."""
 
     ambient: PuiseuxMonoid
     restricted: bool = False
@@ -125,7 +126,7 @@ class PowerMonoidView:
 
 
 class _Engine:
-    """Mask machinery and memo tables for one ambient monoid."""
+    """Mask machinery and memo tables for one ambient monoid, in P_fin(M) only."""
 
     def __init__(self, monoid: PuiseuxMonoid):
         if monoid.numerical is None:
@@ -137,15 +138,15 @@ class _Engine:
         self.member_mask = 0
         self.built = 0
         self._values: list[Fraction] = []  # _values[i] == i / scale for i < built
-        self.atom_ints = set(self.numerical.atoms)
         # memo writes are idempotent (pure results), so only the universe
         # extension needs a lock: it read-modify-writes member_mask and
         # appends to _values, which must stay aligned with the bit index
         self._grow_lock = threading.Lock()
         self._factor_memo: dict = {}
         self._atom_memo: dict = {}
-        self._factorable_memo: dict = {}  # factorability by (bmask, restricted)
+        self._factorable_memo: dict = {}  # factorability by mask
         self._pair_memo: dict = {}  # kernel results by effective input
+        self._split_memo: dict = {}  # divisor splits by min B, one per bit
 
     def ensure(self, bits: int) -> None:
         if bits > UNIVERSE_LIMIT:
@@ -189,15 +190,15 @@ class _Engine:
 
     # -- pair decompositions ---------------------------------------------------
 
-    def _splits(self, bmask: int, restricted: bool) -> list[tuple[int, int]]:
+    def _splits(self, bmask: int) -> tuple[tuple[int, int], ...]:
         """The divisor splits (d, low - d) of low = min B with d <= low - d,
-        in ascending d; restricted mode has only (0, 0)."""
+        in ascending d, listed once per low."""
         low = (bmask & -bmask).bit_length() - 1
-        if restricted:
-            if low != 0:
-                raise InvalidInputError("restricted elements must contain 0")
-            return [(0, 0)]
-        return [(d, low - d) for d in self.numerical.divisors(low) if 2 * d <= low]
+        hit = self._split_memo.get(low)
+        if hit is None:
+            hit = self._split_memo[low] = tuple(
+                (d, low - d) for d in self.numerical.divisors(low) if 2 * d <= low)
+        return hit
 
     def _pair_search(self, b0: int, cand_a: int, cand_c: int) -> tuple[tuple[int, int], ...]:
         """The kernel's pairs for (b0, cand_a, cand_c), each distinct
@@ -232,18 +233,18 @@ class _Engine:
                   if a0 > half]
         return found
 
-    def _pairs(self, bmask: int, restricted: bool) -> Iterator[tuple[int, int]]:
+    def _pairs(self, bmask: int) -> Iterator[tuple[int, int]]:
         """The pairs of `pair_decompositions` in no set order, split by
         split, each split searched only when the walk reaches it."""
         b0 = bmask >> ((bmask & -bmask).bit_length() - 1)  # B - min B
-        for da, dc in self._splits(bmask, restricted):
+        for da, dc in self._splits(bmask):
             for a, c in self._split_pairs(b0, da, dc):
                 yield (a, c) if a <= c else (c, a)
 
-    def pair_decompositions(self, bmask: int, restricted: bool) -> list[tuple[int, int]]:
+    def pair_decompositions(self, bmask: int) -> list[tuple[int, int]]:
         """Unordered pairs of true-value masks (canonical: smaller int
         first), each found from the side with the smaller max."""
-        return sorted(self._pairs(bmask, restricted))
+        return sorted(self._pairs(bmask))
 
     @staticmethod
     def _oriented(pairs) -> Iterator[tuple[int, int]]:
@@ -258,7 +259,7 @@ class _Engine:
 
     # -- atomhood ---------------------------------------------------------------
 
-    def atom_witness(self, bmask: int, restricted: bool):
+    def atom_witness(self, bmask: int):
         """None when bmask is an atom; otherwise one nontrivial pair
         (canonical: smaller int first).
 
@@ -271,9 +272,9 @@ class _Engine:
         ({min B}, B - min B), answered without a search."""
         unit = bmask & -bmask  # {min B}
         b0 = bmask >> (unit.bit_length() - 1)
-        if unit != 1 and not restricted and b0 != 1 and not b0 & ~self.member_mask:
+        if unit != 1 and b0 != 1 and not b0 & ~self.member_mask:
             return (b0, unit) if b0 <= unit else (unit, b0)
-        for da, dc in self._splits(bmask, restricted):
+        for da, dc in self._splits(bmask):
             found = [(a, c) for x, y in self._split_pairs(b0, da, dc) if x != 1 and y != 1
                      for a, c in ((x, y), (y, x))]
             if found:
@@ -281,61 +282,51 @@ class _Engine:
                 return (a, c) if a <= c else (c, a)
         return None
 
-    def is_atom(self, bmask: int, restricted: bool) -> bool:
-        key = (bmask, restricted)
-        hit = self._atom_memo.get(key)
+    def is_atom(self, bmask: int) -> bool:
+        hit = self._atom_memo.get(bmask)
         if hit is None:
-            hit = bmask != 1 and self.atom_witness(bmask, restricted) is None
-            self._atom_memo[key] = hit
+            hit = self._atom_memo[bmask] = bmask != 1 and self.atom_witness(bmask) is None
         return hit
 
     # -- factorability ------------------------------------------------------------
 
-    def factorable(self, bmask: int, restricted: bool) -> bool:
+    def factorable(self, bmask: int) -> bool:
         """Whether B has a factorization, found without listing any: {0}
         has the empty one, and B has one when some pair (a, c) of
         `_oriented` (so (B, {0}) when B is an atom) has a an atom and c
         factorable.  The walk stops at the first such pair."""
-        key = (bmask, restricted)
-        hit = self._factorable_memo.get(key)
+        hit = self._factorable_memo.get(bmask)
         if hit is None:
-            hit = bmask == 1 or any(
-                self.is_atom(a, restricted) and self.factorable(c, restricted)
-                for a, c in self._oriented(self._pairs(bmask, restricted))
+            hit = self._factorable_memo[bmask] = bmask == 1 or any(
+                self.is_atom(a) and self.factorable(c)
+                for a, c in self._oriented(self._pairs(bmask))
             )
-            self._factorable_memo[key] = hit
         return hit
 
     # -- factorization enumeration ------------------------------------------------
 
     def factorizations(
-        self, bmask: int, restricted: bool, budget: int | None = None
+        self, bmask: int, budget: int | None = None
     ) -> tuple[tuple[tuple[int, ...], ...], bool]:
         """(distinct ascending atom-mask tuples, exhaustive flag), each
         built once, from its smallest atom (see `_oriented`)."""
-        key = (bmask, restricted, budget)
+        key = (bmask, budget)
         hit = self._factor_memo.get(key)
         if hit is not None:
             return hit
         if bmask == 1:
             result: tuple[tuple[tuple[int, ...], ...], bool] = (((),), True)
-            self._factor_memo[key] = result
-            return result
-        if budget is not None and budget <= 0:
+        elif budget is not None and budget <= 0:
             result = ((), False)
-            self._factor_memo[key] = result
-            return result
-        out: list[tuple[int, ...]] = []
-        exhaustive = True
-        for a, c in self._oriented(self.pair_decompositions(bmask, restricted)):
-            if not self.is_atom(a, restricted):
-                continue
-            inner, inner_ok = self.factorizations(
-                c, restricted, None if budget is None else budget - 1
-            )
-            exhaustive = exhaustive and inner_ok
-            out.extend((a,) + z for z in inner if not z or z[0] >= a)
-        result = (tuple(out), exhaustive)
+        else:
+            out: list[tuple[int, ...]] = []
+            exhaustive = True
+            for a, c in self._oriented(self.pair_decompositions(bmask)):
+                if self.is_atom(a):
+                    inner, inner_ok = self.factorizations(c, None if budget is None else budget - 1)
+                    exhaustive = exhaustive and inner_ok
+                    out.extend((a,) + z for z in inner if not z or z[0] >= a)
+            result = (tuple(out), exhaustive)
         self._factor_memo[key] = result
         return result
 
@@ -361,7 +352,7 @@ def decompositions(b: FinSet, monoid: PuiseuxMonoid) -> tuple[Decomposition, ...
     """Every unordered pair (A, C) of sets over the ambient with A + C = B,
     trivial pairs included."""
     eng, bmask = _prepared(b, monoid, restricted=False)
-    pairs = eng.pair_decompositions(bmask, restricted=False)
+    pairs = eng.pair_decompositions(bmask)
     return tuple(sorted(eng.to_decomposition(a, c) for a, c in pairs))
 
 
@@ -371,7 +362,7 @@ def is_atom(b: FinSet, monoid: PuiseuxMonoid, restricted: bool = False) -> AtomC
     eng, bmask = _prepared(b, monoid, restricted)
     if bmask == 1:
         return AtomCheck(False, None)  # the identity is not an atom
-    witness = eng.atom_witness(bmask, restricted)
+    witness = eng.atom_witness(bmask)
     if witness is None:
         return AtomCheck(True, None)
     return AtomCheck(False, eng.to_decomposition(*witness))
@@ -385,7 +376,7 @@ def set_factorizations(
 ) -> Enumeration:
     """All factorizations of B into atoms of the (restricted) power monoid."""
     eng, bmask = _prepared(b, monoid, restricted)
-    raw, exhaustive = eng.factorizations(bmask, restricted, max_length)
+    raw, exhaustive = eng.factorizations(bmask, max_length)
     # rank the distinct atoms in FinSet order, sort on the integer key (see
     # the module docstring), then build each atom once and each
     # Factorization from counts that are already canonical
@@ -415,7 +406,7 @@ def set_lengths(
     """(lengths, exhaustive) of the factorizations `set_factorizations`
     would return, read off the engine's atom-mask tuples."""
     eng, bmask = _prepared(b, monoid, restricted)
-    raw, exhaustive = eng.factorizations(bmask, restricted, max_length)
+    raw, exhaustive = eng.factorizations(bmask, max_length)
     return frozenset(len(z) for z in raw), exhaustive
 
 
@@ -447,7 +438,7 @@ def factorability_sweep(
         eng.to_finset(bmask)
         for card in range(1, max_card + 1)
         for bmask in map(sum, combinations(bits, card))  # distinct bits: sum is OR
-        if not eng.factorable(bmask, False)
+        if not eng.factorable(bmask)
     )
     return {card: math.comb(len(bits), card) for card in range(1, max_card + 1)}, failures
 

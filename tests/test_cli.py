@@ -504,6 +504,25 @@ def test_max_length_marks_partial(capsys):
     assert payload["lengths"] == [2]
 
 
+@pytest.mark.parametrize("argv", [
+    ("factorize-set", "--monoid", "1", "--restricted", "--max-length", "-1", "{0,1,2}"),
+    ("factorize", "--monoid", "2,3", "--max-length", "-1", "6"),
+    ("lengths-set", "--monoid", "1", "--max-length", "-3", "{0,1,2}"),
+    ("lengths", "--monoid", "2,3", "--max-length", "two", "6"),
+], ids=["factorize-set", "factorize", "lengths-set", "lengths-not-a-number"])
+def test_negative_max_length_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "argument --max-length: expected an integer of at least 0" in err
+
+
+def test_max_length_zero_keeps_the_empty_factorization(capsys):
+    argv = ("factorize-set", "--monoid", "1", "--restricted", "--max-length", "0", "--json")
+    payload = json.loads(run_cli(capsys, *argv, "{0}")[1])
+    assert (payload["factorizations"], payload["partial"]) == ([[]], False)
+    assert run_cli(capsys, *argv[:-1], "{0,1}") == (0, "(partial: length cap hit)\n", "")
+
+
 def test_module_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "powmon", "mcd", "--monoid", "2,3", "4", "6"],

@@ -182,34 +182,39 @@ def test_atom_consistency_with_factorizations():
 
 def test_oracle_equivalence_restricted_upto_9():
     """Production factorizations against the naive multiset search, every
-    0-containing B inside [0, 9]."""
+    0-containing B inside [0, 9].  P_fin,0 is divisor-closed in P_fin, so
+    the unrestricted factorizations of such a B are the same ones."""
     for rest in range(1 << 9):
         bmask = (rest << 1) | 1
         b = FinSet(mask_to_set(bmask))
-        got = {as_mask_tuple(z) for z in set_factorizations(b, N0, restricted=True)}
         expected = oracle_restricted_factorizations(bmask, 9)
-        assert got == expected, bin(bmask)
+        for restricted in (True, False):
+            got = {as_mask_tuple(z) for z in set_factorizations(b, N0, restricted=restricted)}
+            assert got == expected, (bin(bmask), restricted)
 
 
 def test_oracle_atom_agreement_upto_10():
     for rest in range(1 << 10):
         bmask = (rest << 1) | 1
         b = FinSet(mask_to_set(bmask))
-        assert (
-            is_atom(b, N0, restricted=True).is_atom
-            == oracle_is_atom_restricted(bmask, 10)
-        ), bin(bmask)
+        expected = oracle_is_atom_restricted(bmask, 10)
+        for restricted in (True, False):
+            assert is_atom(b, N0, restricted=restricted).is_atom == expected, (
+                bin(bmask), restricted)
 
 
 def test_oracle_equivalence_over_nontrivial_ambient():
-    """Restricted factorizations and pair decompositions over <2,3> against
-    ambient-aware brute force, for every valid B inside [0, 10]."""
+    """Restricted and unrestricted factorizations, and pair decompositions,
+    over <2,3> against ambient-aware brute force, for every valid B inside
+    [0, 10]."""
     from oracles import member_subsets_with_zero
 
     for bmask in member_subsets_with_zero([2, 3], 10):
         b = FinSet(mask_to_set(bmask))
-        got = {as_mask_tuple(z) for z in set_factorizations(b, M23, restricted=True)}
-        assert got == ambient_restricted_factorizations([2, 3], bmask, 10), bin(bmask)
+        expected = ambient_restricted_factorizations([2, 3], bmask, 10)
+        for restricted in (True, False):
+            got = {as_mask_tuple(z) for z in set_factorizations(b, M23, restricted=restricted)}
+            assert got == expected, (bin(bmask), restricted)
         got_pairs = set()
         for d in decompositions(b, M23):
             if d.left.contains_zero and d.right.contains_zero:
@@ -282,7 +287,7 @@ def test_parallel_queries_are_order_independent(monkeypatch):
     assert all(v == F(i) / fresh.scale for i, v in enumerate(eng._values))
     single = decompose._Engine(PuiseuxMonoid([1]))
     for b in corpus:
-        single.factorizations(single.to_mask(b), True)
+        single.factorizations(single.to_mask(b))
     assert eng._pair_memo == single._pair_memo
 
 
@@ -354,7 +359,7 @@ def _expected_items(b, monoid, restricted, max_length=None):
     """The engine's raw atom masks turned into objects by the public
     constructors only, then sorted by Factorization.__lt__."""
     eng = decompose.engine_for(monoid)
-    raw, exhaustive = eng.factorizations(eng.to_mask(b), restricted, max_length)
+    raw, exhaustive = eng.factorizations(eng.to_mask(b), max_length)
     items = sorted(Factorization.from_parts(_public_finset(m, monoid) for m in z) for z in raw)
     return tuple(items), exhaustive
 
@@ -493,7 +498,7 @@ def _full_space_first_witness(eng, bmask, restricted):
 
 def test_half_space_finds_every_pair_once():
     for eng, bmask, restricted in _engine_cases(_pair_corpus()):
-        pairs = eng.pair_decompositions(bmask, restricted)
+        pairs = eng.pair_decompositions(bmask)
         assert pairs == sorted(set(pairs))
         assert set(pairs) == _unmasked_pairs(eng, bmask, restricted), (bin(bmask), restricted)
 
@@ -504,7 +509,7 @@ def test_atom_witness_is_the_full_space_first_witness():
         if bmask == 1:
             continue  # the identity is no atom and has no witness
         want = _full_space_first_witness(eng, bmask, restricted)
-        assert eng.atom_witness(bmask, restricted) == want, (bin(bmask), restricted)
+        assert eng.atom_witness(bmask) == want, (bin(bmask), restricted)
         low = (bmask & -bmask).bit_length() - 1
         if want is not None and low and not restricted:
             if (bmask >> low) & ~eng.member_mask:
@@ -536,10 +541,10 @@ def test_split_pairs_returns_each_pair_once():
     corpus = _interval_corpus() + [(b, N0, False) for b, _, _ in _interval_corpus()]
     for eng, bmask, restricted in _engine_cases(corpus + _positive_minimum_m23_corpus()):
         b0 = bmask >> ((bmask & -bmask).bit_length() - 1)
-        found = [tuple(sorted(p)) for da, dc in eng._splits(bmask, restricted)
+        found = [tuple(sorted(p)) for da, dc in eng._splits(bmask)
                  for p in eng._split_pairs(b0, da, dc)]
         assert len(found) == len(set(found)), (bin(bmask), restricted)
-        assert eng.pair_decompositions(bmask, restricted) == sorted(found)
+        assert eng.pair_decompositions(bmask) == sorted(found)
 
 
 # -- one kernel search per effective input, one build per factorization ------
@@ -616,6 +621,41 @@ def test_length_set_after_is_atom_repeats_no_search(monkeypatch):
     assert atoms == 4
 
 
+def test_both_modes_share_one_factorization_memo(monkeypatch):
+    """A 0-containing set factors the same way in P_fin,0 and P_fin, so
+    after the restricted enumeration the unrestricted enumeration and
+    length set of the same set add no memo entry and search nothing."""
+    for b in (fs(0, 1, 3), fs(*range(9)), fs(0, 2, 3, 5, 7)):
+        eng, kernel = _counting_engine(monkeypatch, N0)
+        restricted = set_factorizations(b, N0, restricted=True)
+        entries, searched = len(eng._factor_memo), kernel.calls
+        assert set_factorizations(b, N0, restricted=False) == restricted
+        assert set_length_set(b, N0, restricted=False) == restricted.lengths()
+        assert (len(eng._factor_memo), kernel.calls) == (entries, searched), b
+
+
+def test_sweep_lists_divisors_once_per_minimum(monkeypatch):
+    """Divisor splits are memoized by min B: the <1/2,1/3> sweep lists the
+    divisors of each scaled minimum it meets once, and no minimum lies
+    past the sweep's bound."""
+    from powmon.laboratory import atomicity_sweep
+    from powmon.numerical import NumericalMonoid
+
+    eng, _ = _counting_engine(monkeypatch, HALF_THIRD)
+    asked = []
+    divisors = NumericalMonoid.divisors
+
+    def counting(self, x):
+        asked.append(x)
+        return divisors(self, x)
+
+    monkeypatch.setattr(NumericalMonoid, "divisors", counting)
+    assert atomicity_sweep(HALF_THIRD, 3, 4).passed
+    assert len(asked) == len(set(asked)), len(asked)
+    assert set(asked) == set(eng._split_memo)
+    assert set(asked) <= set(HALF_THIRD.scaled_members_upto(4))
+
+
 def test_translates_share_one_search(monkeypatch):
     """Past the conductor of <2,3> every candidate bit is set, so a
     translate of a searched set needs no search of its own."""
@@ -624,7 +664,7 @@ def test_translates_share_one_search(monkeypatch):
     witnesses = []
     for b in (fs(20, 21, 23), fs(30, 31, 33), fs(41, 42, 44)):
         bmask = eng.to_mask(b)
-        witnesses.append(eng.atom_witness(bmask, False))
+        witnesses.append(eng.atom_witness(bmask))
         if len(witnesses) == 1:
             searched = kernel.calls
             assert searched
@@ -640,7 +680,7 @@ def test_raw_factorizations_are_distinct_and_ascending():
         eng.ensure(bmask.bit_length())
         expected = oracle_restricted_factorizations(bmask, 9)
         for cap in (None, 1, 2, 3):
-            raw, _ = eng.factorizations(bmask, True, cap)
+            raw, _ = eng.factorizations(bmask, cap)
             assert type(raw) is tuple and len(raw) == len(set(raw)), (bin(bmask), cap)
             assert all(list(z) == sorted(z) for z in raw), (bin(bmask), cap)
             assert set(raw) == {z for z in expected if cap is None or len(z) <= cap}, (
@@ -676,8 +716,8 @@ def test_factorable_agrees_with_enumeration():
         bmask = sum(1 << n for n in map(monoid.to_scaled, b.elems))
         asked.ensure(bmask.bit_length())
         listed.ensure(bmask.bit_length())
-        answer = asked.factorable(bmask, restricted)
-        assert answer == bool(listed.factorizations(bmask, restricted)[0]), (b, restricted)
+        answer = asked.factorable(bmask)
+        assert answer == bool(listed.factorizations(bmask)[0]), (b, restricted)
         if restricted and monoid is N0:
             assert answer == bool(oracle_restricted_factorizations(bmask, 9)), b
         answers.add(answer)

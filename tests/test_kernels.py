@@ -59,5 +59,5 @@ def test_engine_calls_the_kernel_through_its_module(monkeypatch):
         return search(*args)
 
     monkeypatch.setattr(masks_py, "pair_search", counting)
-    assert not eng.is_atom(bmask, restricted=True)
+    assert not eng.is_atom(bmask)
     assert calls

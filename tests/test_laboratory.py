@@ -247,8 +247,8 @@ def test_atomicity_sweep_reports_a_failure_as_its_set(monkeypatch):
     unfactorable = engine.to_mask(FinSet([F(1, 2), 1]))
     factorable = engine.factorable
 
-    def stand_in(bmask, restricted):
-        return bmask != unfactorable and factorable(bmask, restricted)
+    def stand_in(bmask):
+        return bmask != unfactorable and factorable(bmask)
 
     monkeypatch.setattr(engine, "factorable", stand_in)
     monkeypatch.setattr(decompose, "_ENGINES", {half_third: engine})
