@@ -3,17 +3,19 @@
 Everything is reduced to bitmask arithmetic over scaled integers: a FinSet
 whose elements lie in the ambient monoid M becomes a mask (bit i = scaled
 value i), the members of M up to the working bound become the candidate
-mask, and decompositions are found by the kernel's pair search.  Atomhood,
-full factorization enumeration and length sets are built on top, with
-memoization shared per ambient (the corpus sweeps revisit the same
-normalized cofactors constantly).  The kernel's own results are memoized by
-its effective input (B - min B and the candidate masks cut to it), so
-`is_atom`, `set_factorizations` and every translate of a shape past the
-conductor share one search.  Factorability, the one question of the
-atomicity sweep (`factorability_sweep`), has a memo of its own: one bool
-per mask, found by walking the pairs lazily until an atom meets a
-factorable cofactor, so it lists no factorization and leaves the
-factorization memo empty.  Divisor splits are listed once per min(B).
+mask, and decompositions are found by the kernel's pair search.  The
+4096-bit universe bound is checked before any mask or member list is built
+on it.  Atomhood, full factorization enumeration and length sets are built
+on top, with memoization shared per ambient (the corpus sweeps revisit the
+same normalized cofactors constantly).  The kernel's own results are
+memoized by its effective input (B - min B and the candidate masks cut to
+it), so `is_atom`, `set_factorizations` and every translate of a shape past
+the conductor share one search.  Factorization and factorability (the one
+question of the atomicity sweep, `factorability_sweep`) both walk `_pairs`,
+which yields the pairs of B split by split, already oriented as (atom side,
+cofactor).  Factorability keeps one bool per mask and stops at the first
+atom with a factorable cofactor, so it lists no factorization and leaves
+the factorization memo empty.  Divisor splits are listed once per min(B).
 
 The engine works in P_fin(M) only: P_fin,0(M), the sets containing 0, is
 divisor-closed in it (A + C = B with 0 in B gives min A + min C = 0), so
@@ -174,8 +176,9 @@ class _Engine:
             n = self.monoid.to_scaled(e)
             if n is None or not self.numerical.contains(n):
                 raise NotAMemberError(f"{e} is not in the ambient {self.monoid}")
-            mask |= 1 << n
-        self.ensure(mask.bit_length())
+            if n < UNIVERSE_LIMIT:  # else ensure refuses B, with no huge shift
+                mask |= 1 << n
+        self.ensure(n + 1)  # the elements ascend: n is max B
         return mask
 
     def to_finset(self, mask: int) -> FinSet:
@@ -234,28 +237,22 @@ class _Engine:
         return found
 
     def _pairs(self, bmask: int) -> Iterator[tuple[int, int]]:
-        """The pairs of `pair_decompositions` in no set order, split by
-        split, each split searched only when the walk reaches it."""
-        b0 = bmask >> ((bmask & -bmask).bit_length() - 1)  # B - min B
-        for da, dc in self._splits(bmask):
-            for a, c in self._split_pairs(b0, da, dc):
-                yield (a, c) if a <= c else (c, a)
-
-    def pair_decompositions(self, bmask: int) -> list[tuple[int, int]]:
-        """Unordered pairs of true-value masks (canonical: smaller int
-        first), each found from the side with the smaller max."""
-        return sorted(self._pairs(bmask))
-
-    @staticmethod
-    def _oriented(pairs) -> Iterator[tuple[int, int]]:
-        """Each canonical pair x <= y as the (atom side, cofactor) pair
+        """The pairs of B split by split, each split searched only when the
+        walk reaches it, each pair x <= y as the (atom side, cofactor) pair
         (a, c) that factorization extends: (x, y), or (y, {0}) when x is
         {0}.  Each factorization is built once, from its smallest atom a:
         the pair (a, c) extends only the factorizations z of c with
         z[0] >= a, and every atom dividing c has a mask of at most c, so
         (y, x) with x != {0} would keep nothing."""
-        for x, y in pairs:
-            yield (y, x) if x == 1 else (x, y)
+        b0 = bmask >> ((bmask & -bmask).bit_length() - 1)  # B - min B
+        for da, dc in self._splits(bmask):
+            for a, c in self._split_pairs(b0, da, dc):
+                yield (c, a) if c != 1 and (a == 1 or a > c) else (a, c)
+
+    def pair_decompositions(self, bmask: int) -> list[tuple[int, int]]:
+        """Unordered pairs of true-value masks (canonical: smaller int
+        first), each found from the side with the smaller max."""
+        return sorted((a, c) if a <= c else (c, a) for a, c in self._pairs(bmask))
 
     # -- atomhood ---------------------------------------------------------------
 
@@ -292,14 +289,14 @@ class _Engine:
 
     def factorable(self, bmask: int) -> bool:
         """Whether B has a factorization, found without listing any: {0}
-        has the empty one, and B has one when some pair (a, c) of
-        `_oriented` (so (B, {0}) when B is an atom) has a an atom and c
-        factorable.  The walk stops at the first such pair."""
+        has the empty one, and B has one when some pair (a, c) of `_pairs`
+        (so (B, {0}) when B is an atom) has a an atom and c factorable.
+        The walk stops at the first such pair."""
         hit = self._factorable_memo.get(bmask)
         if hit is None:
             hit = self._factorable_memo[bmask] = bmask == 1 or any(
                 self.is_atom(a) and self.factorable(c)
-                for a, c in self._oriented(self._pairs(bmask))
+                for a, c in self._pairs(bmask)
             )
         return hit
 
@@ -308,8 +305,8 @@ class _Engine:
     def factorizations(
         self, bmask: int, budget: int | None = None
     ) -> tuple[tuple[tuple[int, ...], ...], bool]:
-        """(distinct ascending atom-mask tuples, exhaustive flag), each
-        built once, from its smallest atom (see `_oriented`)."""
+        """(distinct ascending atom-mask tuples in no set order, exhaustive
+        flag), each built once, from its smallest atom (see `_pairs`)."""
         key = (bmask, budget)
         hit = self._factor_memo.get(key)
         if hit is not None:
@@ -321,7 +318,7 @@ class _Engine:
         else:
             out: list[tuple[int, ...]] = []
             exhaustive = True
-            for a, c in self._oriented(self.pair_decompositions(bmask)):
+            for a, c in self._pairs(bmask):
                 if self.is_atom(a):
                     inner, inner_ok = self.factorizations(c, None if budget is None else budget - 1)
                     exhaustive = exhaustive and inner_ok
@@ -352,8 +349,7 @@ def decompositions(b: FinSet, monoid: PuiseuxMonoid) -> tuple[Decomposition, ...
     """Every unordered pair (A, C) of sets over the ambient with A + C = B,
     trivial pairs included."""
     eng, bmask = _prepared(b, monoid, restricted=False)
-    pairs = eng.pair_decompositions(bmask)
-    return tuple(sorted(eng.to_decomposition(a, c) for a, c in pairs))
+    return tuple(sorted(eng.to_decomposition(a, c) for a, c in eng.pair_decompositions(bmask)))
 
 
 def is_atom(b: FinSet, monoid: PuiseuxMonoid, restricted: bool = False) -> AtomCheck:
@@ -428,12 +424,15 @@ def factorability_sweep(
     nonempty B with |B| <= max_card and max B <= element_bound, in
     P_fin(M).  Candidates are ORs of member bits in the order of
     `itertools.combinations` over the ascending members; each is only asked
-    whether it factors, and a FinSet is built only for one that does not."""
-    scaled = monoid.scaled_members_upto(element_bound)
+    whether it factors, and a FinSet is built only for one that does not.
+    The largest member passes the universe bound before any is listed."""
+    numerical = monoid._member_table()
+    top = math.floor(Fraction(element_bound) * monoid.scale)
+    while top > 0 and not numerical.contains(top):  # a multiple of m is < m below
+        top -= 1
     eng = engine_for(monoid)
-    if scaled:
-        eng.ensure(scaled[-1] + 1)
-    bits = [1 << n for n in scaled]
+    eng.ensure(top + 1)
+    bits = [1 << n for n in range(top + 1) if eng.member_mask >> n & 1]
     failures = tuple(
         eng.to_finset(bmask)
         for card in range(1, max_card + 1)

@@ -90,13 +90,13 @@ class Factorization:
         inner = ", ".join(f"{atom!r}x{mult}" for atom, mult in self.counts)
         return f"Factorization({inner})"
 
-    def render(self, fmt=str, joiner: str = " + ") -> str:
+    def render(self, fmt=str) -> str:
         """Human-readable form: "2 + 2 + 3", compacting big multiplicities."""
         if not self.counts:
             return "(empty)"
         if self.length <= 32:
-            return joiner.join(fmt(a) for a in self.expand())
-        return joiner.join(f"{m}*{fmt(a)}" for a, m in self.counts)
+            return " + ".join(fmt(a) for a in self.expand())
+        return " + ".join(f"{m}*{fmt(a)}" for a, m in self.counts)
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,8 @@ def _geometric_accp(monoid: PuiseuxMonoid, start, depth: int) -> AccpReport:
         raise InvalidInputError(
             f"the chain for this family starts at {format_rational(x1)}, got {format_rational(start)}"
         )
+    if family.level == 0:
+        raise InvalidInputError(f"truncation level 0 ({family.label()}) is <1>: no chain step")
     used = min(depth, family.level)
     chain = _geometric_chain_in(monoid, used)
     certs = []

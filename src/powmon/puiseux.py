@@ -438,17 +438,13 @@ class PuiseuxMonoid:
         out: set[Fraction] = set()
         budget = _DIVISOR_ENUM_LIMIT
         for z in self.factorizations(q):
-            ranges = [(atom, mult) for atom, mult in z.counts]
-            size = 1
-            for _, mult in ranges:
-                size *= mult + 1
-            budget -= size
+            budget -= math.prod(mult + 1 for _, mult in z.counts)
             if budget < 0:
                 raise UnsupportedAmbientError(
                     f"divisor set of {format_rational(q)} is too large to enumerate"
                 )
-            for combo in itertools.product(*(range(m + 1) for _, m in ranges)):
-                out.add(sum((atom * c for (atom, _), c in zip(ranges, combo)), Fraction(0)))
+            for combo in itertools.product(*(range(m + 1) for _, m in z.counts)):
+                out.add(sum((atom * c for (atom, _), c in zip(z.counts, combo)), Fraction(0)))
         return sorted(out)
 
     def factorizations(self, q, max_length: int | None = None) -> Enumeration:
@@ -509,20 +505,21 @@ class PuiseuxMonoid:
                 maximal.append(d)
         return tuple(sorted(maximal))
 
-    def members_upto(self, bound) -> list[Fraction]:
-        """Ascending list of members q <= bound (needs the Apery backend)."""
-        return [self.from_scaled(n) for n in self.scaled_members_upto(bound)]
-
-    def scaled_members_upto(self, bound) -> list[int]:
-        """lambda*q for each member q <= bound, ascending (needs the Apery
-        backend)."""
+    def _member_table(self) -> NumericalMonoid:
+        """The scaled numerical monoid, which every member enumeration reads."""
         numerical = self.numerical
         if numerical is None:
             raise UnsupportedAmbientError(
                 "member enumeration needs the scaled numerical backend; "
                 "this monoid's denominators are too large"
             )
-        return numerical.members_upto(math.floor(Fraction(bound) * self.scale))
+        return numerical
+
+    def members_upto(self, bound) -> list[Fraction]:
+        """Ascending list of members q <= bound (needs the Apery backend)."""
+        numerical = self._member_table()
+        top = math.floor(Fraction(bound) * self.scale)
+        return [self.from_scaled(n) for n in numerical.members_upto(top)]
 
     # -- presentation -------------------------------------------------------
 
@@ -606,7 +603,8 @@ def geometric(ratio, level: int) -> PuiseuxMonoid:
     r = _validated_ratio(ratio)
     if not isinstance(level, int) or level < 0:
         raise FamilyPreconditionError(f"level must be a nonnegative integer, got {level}")
-    if r.numerator**level > APERY_LIMIT:
+    # the numerator is at least 2: refuse a huge level before its power
+    if level >= APERY_LIMIT.bit_length() or r.numerator**level > APERY_LIMIT:
         raise FamilyPreconditionError(
             f"truncation level {level} of ratio {r} scales to multiplicity "
             f"{r.numerator}**{level} > {APERY_LIMIT}: beyond desk scale"

@@ -175,6 +175,19 @@ def test_example33_level4_is_refused(capsys, argv):
     assert err.startswith("error: ") and "3317044064679887385961981" in err
 
 
+def test_accp_on_a_level_zero_geometric_truncation_names_the_level(capsys):
+    code, out, err = run_cli(capsys, "verify", "accp", "--family", "geometric:2/3:0")
+    assert (code, out) == (1, "")
+    assert err == "error: truncation level 0 (geometric:2/3:0) is <1>: no chain step\n"
+
+
+def test_atomicity_sweep_without_a_member_table_is_refused(capsys):
+    code, out, err = run_cli(capsys, "verify", "atomicity", "--family", "example33:1")
+    assert (code, out) == (1, "")
+    assert err == ("error: member enumeration needs the scaled numerical backend; "
+                   "this monoid's denominators are too large\n")
+
+
 @pytest.mark.parametrize("item", ["3", "3/2"])
 def test_wrong_kind_corpus_item_is_named_as_typed(capsys, item):
     code, out, err = run_cli(capsys, "verify", "bfm", "--monoid", "1/2,1/3", "{0,1/2,1}", item)

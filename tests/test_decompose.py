@@ -547,6 +547,15 @@ def test_split_pairs_returns_each_pair_once():
         assert eng.pair_decompositions(bmask) == sorted(found)
 
 
+def test_pairs_are_oriented_for_the_factorization_walk():
+    """`_pairs` yields each pair of `pair_decompositions` once, as (x, y)
+    with x <= y, or as (y, {0}) when x is {0}."""
+    for eng, bmask, restricted in _engine_cases(_pair_corpus()):
+        walked = list(eng._pairs(bmask))
+        assert all(c == 1 or a != 1 and a <= c for a, c in walked), bin(bmask)
+        assert sorted((min(p), max(p)) for p in walked) == eng.pair_decompositions(bmask)
+
+
 # -- one kernel search per effective input, one build per factorization ------
 
 
@@ -653,7 +662,7 @@ def test_sweep_lists_divisors_once_per_minimum(monkeypatch):
     assert atomicity_sweep(HALF_THIRD, 3, 4).passed
     assert len(asked) == len(set(asked)), len(asked)
     assert set(asked) == set(eng._split_memo)
-    assert set(asked) <= set(HALF_THIRD.scaled_members_upto(4))
+    assert set(asked) <= {HALF_THIRD.to_scaled(q) for q in HALF_THIRD.members_upto(4)}
 
 
 def test_translates_share_one_search(monkeypatch):
@@ -747,3 +756,53 @@ def test_atomicity_sweep_lists_no_factorization(monkeypatch):
     report = atomicity_sweep(HALF_THIRD, 3, 4)
     assert report.passed and report.checked == 2324
     assert built == [] and eng._factor_memo == {} and eng._factorable_memo
+
+
+# -- the universe bound, checked before anything is built --------------------
+
+
+def test_a_set_past_the_universe_is_refused_before_its_mask():
+    """{0, 10^9} over <1> is a 10^9-bit mask: it is refused before one bit
+    past the bound is shifted in, with the bound's message."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnsupportedAmbientError,
+                           match="scaled universe of 1000000001 bits exceeds the 4096-bit"):
+            is_atom(fs(0, 10**9), PuiseuxMonoid([1]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    # a non-member is named first, wherever it stands
+    with pytest.raises(NotAMemberError, match="1/2 is not in the ambient <1>"):
+        is_atom(fs(0, F(1, 2), 10**9), N0)
+    with pytest.raises(NotAMemberError, match="1 is not in the ambient <2, 3>"):
+        decompositions(fs(0, 1, 10**9), M23)
+
+
+def test_the_sweep_refuses_a_large_bound_before_listing_members():
+    import time
+
+    from powmon.laboratory import atomicity_sweep
+
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedAmbientError,
+                       match="scaled universe of 100000001 bits exceeds the 4096-bit"):
+        atomicity_sweep(PuiseuxMonoid([2, 3]), 1, 10**8)
+    assert time.perf_counter() - start < 0.5
+    # the largest member at most the bound sets the universe: over
+    # <100, 101>, 4041..4099 are gaps, so a bound of 4099 stays inside it
+    wide_gaps = PuiseuxMonoid([100, 101])
+    assert atomicity_sweep(wide_gaps, 1, 4099).checked == len(wide_gaps.members_upto(4099))
+    with pytest.raises(UnsupportedAmbientError, match="scaled universe of 4101 bits"):
+        atomicity_sweep(wide_gaps, 1, 4100)
+
+
+def test_a_negative_sweep_bound_gives_the_empty_sweep():
+    from powmon.laboratory import atomicity_sweep
+
+    report = atomicity_sweep(M23, 2, -1)
+    assert (report.checked, report.by_cardinality, report.failures) == (0, {1: 0, 2: 0}, ())
+    assert atomicity_sweep(HALF_THIRD, 1, F(-1, 3)).passed

@@ -531,6 +531,20 @@ def test_geometric_preconditions():
         geometric(F(2, 3), -1)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: geometric(F(2, 3), 10**9),
+    lambda: parse_family("geometric:2/3:1000000000"),
+])
+def test_a_huge_geometric_level_is_refused_before_its_power(build):
+    """The numerator is at least 2, so a level at or past the bit length of
+    APERY_LIMIT is refused without computing 2**level."""
+    start = time.perf_counter()
+    with pytest.raises(FamilyPreconditionError,
+                       match=r"scales to multiplicity 2\*\*1000000000 > 250000: beyond"):
+        build()
+    assert time.perf_counter() - start < 0.5
+
+
 def test_geometric_chain_values():
     report = geometric_chain(F(2, 3), 3)
     assert report.verified
@@ -571,6 +585,35 @@ def test_members_upto_unavailable_without_apery():
     assert solver_only.numerical is None
     with pytest.raises(UnsupportedAmbientError):
         solver_only.members_upto(1)
+
+
+# <1/250007, 1/250013>: two primes past APERY_LIMIT, so no table and every
+# answer below comes from the generator solver
+P, Q = 250007, 250013
+
+
+def test_divisors_without_a_table_are_sub_sums():
+    solver_only = PuiseuxMonoid([F(1, P), F(1, Q)])
+    assert solver_only.numerical is None
+    assert solver_only.divisors(F(2, P) + F(1, Q)) == sorted(
+        F(i, P) + F(j, Q) for i in range(3) for j in range(2))
+    # one factorization, but 501 * 501 sub-sums: past the enumeration limit
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedAmbientError, match="too large to enumerate"):
+        solver_only.divisors(F(500, P) + F(500, Q))
+    assert time.perf_counter() - start < 0.5
+
+
+def test_factorizations_over_atoms_need_a_second_solver():
+    """With the non-atom generator 2/P the atoms differ from the
+    generators, so factorizations run on a solver over the atoms."""
+    monoid = PuiseuxMonoid([F(1, P), F(2, P), F(1, Q)])
+    assert monoid.numerical is None
+    assert monoid.atoms() == (F(1, Q), F(1, P))
+    x = F(3, P) + F(1, Q)
+    assert monoid.factorizations(x).items == (Factorization([(F(1, Q), 1), (F(1, P), 3)]),)
+    assert monoid._solver_over_atoms() is not monoid._solver()
+    assert monoid.length_set(x) == frozenset({4})
 
 
 def test_family_constructors_return_one_shared_handle():
