@@ -18,7 +18,7 @@ from .errors import (
 )
 from .factorization import Enumeration, Factorization
 from .numerical import NumericalMonoid
-from .powerset import FinSet, minkowski_sum, size_bound_check
+from .powerset import FinSet, size_bound_check
 from .puiseux import (
     Example33Family,
     GeometricFamily,
@@ -79,7 +79,6 @@ __all__ = [
     "geometric_chain",
     "is_atom",
     "is_prime",
-    "minkowski_sum",
     "next_prime_above",
     "parse_monoid",
     "parse_rational",

@@ -131,12 +131,8 @@ class _Engine:
     """Mask machinery and memo tables for one ambient monoid, in P_fin(M) only."""
 
     def __init__(self, monoid: PuiseuxMonoid):
-        if monoid.numerical is None:
-            raise UnsupportedAmbientError(
-                f"set-level operations need member enumeration; {monoid} has no Apery backend"
-            )
         self.monoid = monoid
-        self.numerical = monoid.numerical
+        self.numerical = monoid._member_table()
         self.member_mask = 0
         self.built = 0
         self._values: list[Fraction] = []  # _values[i] == i / scale for i < built
@@ -426,11 +422,10 @@ def factorability_sweep(
     `itertools.combinations` over the ascending members; each is only asked
     whether it factors, and a FinSet is built only for one that does not.
     The largest member passes the universe bound before any is listed."""
-    numerical = monoid._member_table()
-    top = math.floor(Fraction(element_bound) * monoid.scale)
-    while top > 0 and not numerical.contains(top):  # a multiple of m is < m below
-        top -= 1
     eng = engine_for(monoid)
+    top = math.floor(Fraction(element_bound) * monoid.scale)
+    while top > 0 and not eng.numerical.contains(top):  # a multiple of m is < m below
+        top -= 1
     eng.ensure(top + 1)
     bits = [1 << n for n in range(top + 1) if eng.member_mask >> n & 1]
     failures = tuple(

@@ -1,8 +1,8 @@
 """Factorizations: multisets of atoms with a length.
 
-The same container serves integer atoms (numerical monoids), rational atoms
-(Puiseux monoids) and set atoms (power monoids): atoms only need ordering,
-hashing, `+` and `* int`.  Multiplicities are kept as counts so that
+The same container serves rational atoms (Puiseux monoids, numerical ones
+included) and set atoms (power monoids): atoms only need ordering, hashing,
+`+` and `* int`.  Multiplicities are kept as counts so that
 factorizations with huge repeat counts (they do occur) stay cheap.
 """
 

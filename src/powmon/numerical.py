@@ -5,8 +5,10 @@ smallest generator, so queries stay cheap for arbitrarily large elements.
 The table is computed once, by Boecker and Liptak's round-robin algorithm
 ("A fast and simple algorithm for the money changing problem", Algorithmica
 48, 2007), walking each generator only over the residues it can reach.
-Atoms, divisor sets, factorizations and length sets are exact enumerations.
-Finitely generated Puiseux monoids reduce to these by clearing denominators.
+Atoms, divisor sets, gaps and member lists are exact enumerations.
+Finitely generated Puiseux monoids reduce to these by clearing denominators;
+factorizations are asked of `PuiseuxMonoid(gens)`, whose solver enumerates
+them for every monoid.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import math
 from typing import Iterable, Sequence
 
 from .errors import InvalidInputError, NotAMemberError, NotCofiniteError
-from .factorization import Enumeration, Factorization
 
 
 def _residue_table(gens: Sequence[int], modulus: int) -> list[int]:
@@ -134,59 +135,6 @@ class NumericalMonoid:
         ]
         found.sort()
         return found
-
-    def factorizations(self, x: int, max_length: int | None = None) -> Enumeration:
-        """Every multiset of atoms summing to x, canonically sorted."""
-        vectors, exhaustive = self.factorization_vectors(x, max_length)
-        return Enumeration(
-            tuple(sorted(Factorization.from_vector(self.atoms, v) for v in vectors)),
-            exhaustive=exhaustive,
-        )
-
-    def factorization_vectors(
-        self, x: int, max_length: int | None = None
-    ) -> tuple[list[tuple[int, ...]], bool]:
-        """The count vectors over the ascending atoms of every factorization
-        of x, lexicographic, and whether no `max_length` cap cut the search."""
-        self._require_member(x)
-        atoms = self.atoms
-        last = len(atoms) - 1
-        found: list[tuple[int, ...]] = []
-        counts = [0] * len(atoms)  # counts[j] is 0 for every j >= the depth
-        pruned = False
-
-        def rec(i: int, remaining: int, count: int) -> None:
-            nonlocal pruned
-            if remaining == 0:
-                found.append(tuple(counts))
-                return
-            if not self.contains(remaining):
-                return
-            g = atoms[i]
-            if i == last:
-                q, r = divmod(remaining, g)
-                if r == 0:
-                    if max_length is not None and count + q > max_length:
-                        pruned = True
-                        return
-                    counts[i] = q
-                    found.append(tuple(counts))
-                    counts[i] = 0
-                return
-            for c in range(remaining // g + 1):
-                if max_length is not None and count + c > max_length:
-                    pruned = True
-                    break
-                counts[i] = c
-                rec(i + 1, remaining - c * g, count + c)
-            counts[i] = 0
-
-        rec(0, x, 0)
-        return found, not pruned
-
-    def length_set(self, x: int) -> frozenset[int]:
-        """Factorization lengths of x; finite and nonempty for every member."""
-        return self.factorizations(x).lengths()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, NumericalMonoid) and self.atoms == other.atoms

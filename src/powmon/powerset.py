@@ -78,13 +78,6 @@ class FinSet:
             )
         return FinSet(e + d for e in self.elems)
 
-    def normalize(self) -> tuple["FinSet", Fraction]:
-        """(self - min, min): the translate containing 0, plus the offset."""
-        low = self.elems[0]
-        if low == 0:
-            return self, Fraction(0)
-        return FinSet(e - low for e in self.elems), low
-
     # -- queries -------------------------------------------------------------
 
     @property
@@ -132,10 +125,6 @@ class FinSet:
 
     def to_json(self) -> list[str]:
         return [format_rational(e) for e in self.elems]
-
-
-def minkowski_sum(s: FinSet, t: FinSet) -> FinSet:
-    return s + t
 
 
 def size_bound_check(b: FinSet, c: FinSet) -> bool:

@@ -1,20 +1,22 @@
 """Finitely generated Puiseux monoids (additive submonoids of Q>=0).
 
-A monoid given by rational generators is handled through one of two exact
-backends:
+A monoid given by rational generators is handled through two exact
+structures:
 
-* scale isomorphism: multiplying by lambda = lcm(denominators)/gcd(scaled
-  numerators) maps the monoid onto a numerical monoid, where membership is
-  O(1) via the Apery set.  Used whenever the resulting multiplicity is small
-  enough to table, except that `example33` truncations answer membership
-  with the solver and build their table only when an enumeration needs it.
 * generator solver: a bounded-knapsack search over the generators scaled by
   L = lcm(denominators), so every remainder it meets is an integer, pruned
   by p-adic valuation constraints.  When a generator is the only remaining
   one with negative valuation at a prime p, its coefficient is forced into
   a single residue class mod a power of p, which collapses the search.
-  This is what makes the huge-denominator families below tractable; the
-  two backends are cross-checked in the tests.
+  This is what makes the huge-denominator families below tractable.  Every
+  factorization enumeration runs on it, over the atoms.
+* scale isomorphism: multiplying by lambda = lcm(denominators)/gcd(scaled
+  numerators) maps the monoid onto a numerical monoid, whose Apery table
+  answers membership in O(1) and serves atoms, divisor sets and member
+  lists.  Used whenever the resulting multiplicity is small enough to
+  table, except that `example33` truncations answer membership and atoms
+  with the solver and build their table only when a divisor set or member
+  list needs it.  The tests cross-check membership and atoms of the two.
 
 The module also hosts the named families: `geometric(r, level)` (truncations
 of the monoid generated by the powers of a ratio r in (0,1)) and
@@ -345,8 +347,8 @@ class PuiseuxMonoid:
         # private prime per generator, so each coefficient is forced and a
         # membership query is a short walk: cheaper than a table of the
         # multiplicity (57,771 residues at example33(0)).  The table is then
-        # built on first use by an enumeration, and membership and atoms
-        # stay on the solver whether it exists or not.
+        # built on first use by a divisor set or member list, and membership
+        # and atoms stay on the solver whether it exists or not.
         self._table_members = self._tabled and not self._hint_primes()
         self._numerical: NumericalMonoid | None = (
             NumericalMonoid(self.scaled_generators) if self._table_members else None
@@ -450,21 +452,9 @@ class PuiseuxMonoid:
     def factorizations(self, q, max_length: int | None = None) -> Enumeration:
         """Every factorization of q into atoms (exact, canonically sorted)."""
         q = self._require_member(q)
-        if q == 0:
-            return Enumeration((Factorization([]),))
-        numerical = self.numerical
-        if numerical is not None:
-            # the scaled atoms ascend with the rational ones, so a count
-            # vector over one is the same factorization over the other
-            atoms = self.atoms()
-            vectors, exhaustive = numerical.factorization_vectors(
-                self.to_scaled(q), max_length
-            )
-        else:
-            solver = self._solver_over_atoms()
-            atoms = solver.gens
-            vectors, exhaustive = solver.search(q, max_total=max_length)
-        items = tuple(sorted(Factorization.from_vector(atoms, v) for v in vectors))
+        solver = self._solver_over_atoms()
+        vectors, exhaustive = solver.search(q, max_total=max_length)
+        items = tuple(sorted(Factorization.from_vector(solver.gens, v) for v in vectors))
         return Enumeration(items, exhaustive=exhaustive)
 
     def length_set(self, q) -> frozenset[int]:

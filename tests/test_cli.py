@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from powmon import PuiseuxMonoid
+from powmon import FinSet, PuiseuxMonoid, UnsupportedAmbientError, is_atom
 from powmon.cli import _build_parser, main
 from powmon.laboratory import atomicity_sweep
 from powmon.puiseux import example33, geometric_chain, verify_atoms_by_valuation
@@ -181,11 +181,25 @@ def test_accp_on_a_level_zero_geometric_truncation_names_the_level(capsys):
     assert err == "error: truncation level 0 (geometric:2/3:0) is <1>: no chain step\n"
 
 
+NO_MEMBER_TABLE = ("member enumeration needs the scaled numerical backend; "
+                   "this monoid's denominators are too large")
+
+
 def test_atomicity_sweep_without_a_member_table_is_refused(capsys):
     code, out, err = run_cli(capsys, "verify", "atomicity", "--family", "example33:1")
     assert (code, out) == (1, "")
-    assert err == ("error: member enumeration needs the scaled numerical backend; "
-                   "this monoid's denominators are too large\n")
+    assert err == f"error: {NO_MEMBER_TABLE}\n"
+
+
+def test_set_level_work_without_a_member_table_is_refused(capsys):
+    """The set-level engine takes its table from the monoid, so the library
+    and the CLI refuse with the one message the atomicity sweep gives."""
+    with pytest.raises(UnsupportedAmbientError) as refused:
+        is_atom(FinSet([0, Fraction(4, 5)]), example33(1), restricted=True)
+    assert str(refused.value) == NO_MEMBER_TABLE
+    code, out, err = run_cli(capsys, "is-atom", "--family", "example33:1", "--restricted",
+                             "{0, 4/5}")
+    assert (code, out, err) == (1, "", f"error: {NO_MEMBER_TABLE}\n")
 
 
 @pytest.mark.parametrize("item", ["3", "3/2"])
@@ -536,13 +550,29 @@ def test_max_length_zero_keeps_the_empty_factorization(capsys):
     assert run_cli(capsys, *argv[:-1], "{0,1}") == (0, "(partial: length cap hit)\n", "")
 
 
-def test_module_entry_point_subprocess():
-    proc = subprocess.run(
-        [sys.executable, "-m", "powmon", "mcd", "--monoid", "2,3", "4", "6"],
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
-        timeout=60,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == "4\n"
+def test_module_entry_point_subprocess(capsys):
+    """`python -m powmon` exits 0 and writes byte for byte what `cli.main`
+    writes."""
+    stdout = []
+    for argv in (["mcd", "--monoid", "2,3", "4", "6"],
+                 ["factorize", "--monoid", "2,3", "6", "--json"]):
+        proc = subprocess.run(
+            [sys.executable, "-B", "-m", "powmon", *argv],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+        assert proc.stdout == run_cli(capsys, *argv)[1], argv
+        stdout.append(proc.stdout)
+    assert stdout[0] == "4\n"
+    assert json.loads(stdout[1])["lengths"] == [2, 3]
+
+
+@pytest.mark.parametrize("argv, text", [
+    (("--monoid", "1", "40"), "40*1\n"),  # past 32 atoms, counts are compacted
+    (("--monoid", "2,3", "0"), "(empty)\n"),
+], ids=["compact", "empty"])
+def test_factorize_renders_compact_and_empty_factorizations(capsys, argv, text):
+    assert run_cli(capsys, "factorize", *argv) == (0, text, "")

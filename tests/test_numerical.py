@@ -10,6 +10,7 @@ from powmon import (
     NotAMemberError,
     NotCofiniteError,
     NumericalMonoid,
+    PuiseuxMonoid,
     example33,
     geometric,
 )
@@ -164,36 +165,42 @@ def test_cofiniteness_past_frobenius():
             assert monoid.contains(monoid.frobenius + 1 + k)
 
 
+def _scaled_factorizations(monoid, x):
+    """The factorizations of x, each as the ascending tuple of its scaled atoms."""
+    return {tuple(monoid.to_scaled(a) for a in z.expand()) for z in monoid.factorizations(x)}
+
+
 def test_factorizations_examples():
-    n23 = NumericalMonoid([2, 3])
-    zs = {tuple(sorted(z.expand())) for z in n23.factorizations(6)}
-    assert zs == {(2, 2, 2), (3, 3)} == naive_factorizations([2, 3], 6)
+    """A numerical monoid's factorizations are asked of PuiseuxMonoid(gens)."""
+    n23 = PuiseuxMonoid([2, 3])
+    assert _scaled_factorizations(n23, 6) == {(2, 2, 2), (3, 3)} == naive_factorizations([2, 3], 6)
     assert [z.counts for z in n23.factorizations(2).items] == [((2, 1),)]
-    n35 = NumericalMonoid([3, 5])
-    assert {tuple(sorted(z.expand())) for z in n35.factorizations(8)} == {(3, 5)}
+    n35 = PuiseuxMonoid([3, 5])
+    assert _scaled_factorizations(n35, 8) == {(3, 5)} == naive_factorizations([3, 5], 8)
 
 
 def test_factorizations_map_back():
-    n = NumericalMonoid([3, 5, 7])
+    n = PuiseuxMonoid([3, 5, 7])
     for x in [0, 3, 10, 12, 15, 24, 37]:
         for z in n.factorizations(x):
             total = sum(a * m for a, m in z.counts)
             assert total == x
+        assert _scaled_factorizations(n, x) == naive_factorizations([3, 5, 7], x), x
 
 
 def test_factorizations_reject_nonmembers():
-    n35 = NumericalMonoid([3, 5])
     with pytest.raises(NotAMemberError):
-        n35.factorizations(7)
+        PuiseuxMonoid([3, 5]).factorizations(7)
     with pytest.raises(NotAMemberError):
-        n35.divisors(4)
+        NumericalMonoid([3, 5]).divisors(4)
 
 
 def test_length_sets():
-    n23 = NumericalMonoid([2, 3])
-    assert n23.length_set(6) == {2, 3}
-    assert n23.length_set(3) == {1}
-    assert NumericalMonoid([3, 5, 7]).length_set(10) == {2}
+    n23 = PuiseuxMonoid([2, 3])
+    assert n23.length_set(6) == {2, 3} == {len(z) for z in naive_factorizations([2, 3], 6)}
+    assert n23.length_set(3) == {1} == {len(z) for z in naive_factorizations([2, 3], 3)}
+    n357 = PuiseuxMonoid([3, 5, 7])
+    assert n357.length_set(10) == {2} == {len(z) for z in naive_factorizations([3, 5, 7], 10)}
 
 
 def test_divisors_examples():
@@ -242,9 +249,11 @@ def test_random_monoids_against_oracles():
         for x in range(0, 201, 7):
             assert monoid.contains(x) == (x in members), (gens, x)
         assert monoid.frobenius == brute_frobenius(gens)
+        puiseux = PuiseuxMonoid(gens)
+        assert [puiseux.to_scaled(a) for a in puiseux.atoms()] == list(monoid.atoms)
         xs = sorted(members)[:6] + [max(members)]
         for x in xs:
-            got = {tuple(sorted(z.expand())) for z in monoid.factorizations(x)}
+            got = _scaled_factorizations(puiseux, x)
             assert got == naive_factorizations(monoid.atoms, x), (gens, x)
             assert monoid.divisors(x) == brute_divisors(gens, x), (gens, x)
 
@@ -261,9 +270,14 @@ def test_text_and_json_forms():
 
 
 def test_capped_enumeration_flags_partial():
-    n23 = NumericalMonoid([2, 3])
+    n23 = PuiseuxMonoid([2, 3])
     capped = n23.factorizations(12, max_length=2)
-    assert not capped.exhaustive
+    assert not capped.exhaustive and not capped.items  # 3 + 3 + 3 + 3 is the shortest
     full = n23.factorizations(12)
     assert full.exhaustive
-    assert {z.length for z in capped.items} <= full.lengths()
+    assert _scaled_factorizations(n23, 12) == naive_factorizations([2, 3], 12)
+    capped = n23.factorizations(12, max_length=5)
+    assert not capped.exhaustive
+    assert {tuple(n23.to_scaled(a) for a in z.expand()) for z in capped} == {
+        z for z in naive_factorizations([2, 3], 12) if len(z) <= 5
+    }

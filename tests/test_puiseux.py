@@ -19,7 +19,7 @@ from powmon import puiseux, rational
 from powmon.factorization import Factorization
 from powmon.puiseux import FAMILY_HANDLES, ReprSolver, example33, parse_family
 from powmon.rational import int_valuation
-from oracles import brute_mcds, chain_value, reachable_upto
+from oracles import brute_mcds, chain_value, naive_factorizations, reachable_upto
 
 
 def test_scale_isomorphism_examples():
@@ -130,9 +130,11 @@ def test_membership_scale_soundness_random():
 
 
 def test_solver_agrees_with_apery_backend():
-    """The valuation-guided solver and the Apery table answer identically
-    on monoids small enough to run both (prime-power denominators included,
-    so residue strides mod p**e with e > 1 get exercised)."""
+    """The valuation-guided solver answers membership and atoms as the Apery
+    table does on monoids small enough to run both, and its factorizations
+    (the monoid's own, and a fresh solver's over the atoms) are the
+    unpruned recursion's over the scaled atoms (prime-power denominators
+    included, so residue strides mod p**e with e > 1 get exercised)."""
     rng = random.Random(31)
     for _ in range(30):
         dens = rng.sample([2, 3, 4, 5, 7, 8, 9, 25, 27], 3)
@@ -145,15 +147,19 @@ def test_solver_agrees_with_apery_backend():
         for _ in range(25):
             q = F(rng.randrange(0, 40), rng.randrange(1, 10))
             assert solver.is_member(q) == monoid.contains(q), (gens, q)
+        scaled_atoms = [monoid.to_scaled(a) for a in atoms]
         for _ in range(5):
             q = sum(rng.choice(atoms) for _ in range(rng.randrange(0, 5)))
+            expected = naive_factorizations(scaled_atoms, monoid.to_scaled(F(q)))
             vectors, exhaustive = atom_solver.search(F(q))
             assert exhaustive
             got = {
-                tuple(sorted(sum(([a] * c for a, c in zip(atom_solver.gens, vec)), [])))
+                tuple(sorted(monoid.to_scaled(a) for a, c in zip(atom_solver.gens, vec)
+                             for _ in range(c)))
                 for vec in vectors
             }
-            expected = {tuple(sorted(z.expand())) for z in monoid.factorizations(F(q))}
+            assert got == expected, (gens, q)
+            got = {tuple(map(monoid.to_scaled, z.expand())) for z in monoid.factorizations(F(q))}
             assert got == expected, (gens, q)
 
 
@@ -650,10 +656,7 @@ def _counting_searches(monkeypatch) -> list:
     return calls
 
 
-def test_example33_membership_stays_on_the_solver(monkeypatch):
-    """example33(0) scales to a tableable multiplicity, but membership and
-    atoms go to the solver: no table is built until an enumeration asks for
-    one, and the answers agree with that table before and after it exists."""
+def _counting_apery_builds(monkeypatch) -> list:
     from powmon.numerical import NumericalMonoid
 
     builds = []
@@ -664,6 +667,15 @@ def test_example33_membership_stays_on_the_solver(monkeypatch):
         return build(gens)
 
     monkeypatch.setattr(NumericalMonoid, "_compute_apery", staticmethod(counting))
+    return builds
+
+
+def test_example33_membership_stays_on_the_solver(monkeypatch):
+    """example33(0) scales to a tableable multiplicity, but membership and
+    atoms go to the solver: no table is built until a member enumeration
+    asks for one, and the answers agree with that table before and after it
+    exists."""
+    builds = _counting_apery_builds(monkeypatch)
     shared = example33(0)
     m = PuiseuxMonoid(shared.generators, family=shared.family)
     rng = random.Random(33)
@@ -684,6 +696,31 @@ def test_example33_membership_stays_on_the_solver(monkeypatch):
     searches.clear()
     assert [m.contains(q) for q in queries] == want
     assert len(searches) == sum(q > 0 for q in queries)  # still the solver
+
+
+def test_example33_factorizations_build_no_table(monkeypatch):
+    """Factorizations run on the solver, so example33(0) enumerates those
+    of 4/5 without its 57,771-residue table."""
+    builds = _counting_apery_builds(monkeypatch)
+    shared = example33(0)
+    m = PuiseuxMonoid(shared.generators, family=shared.family)
+    family = shared.family
+    enum = m.factorizations(F(4, 5))  # 4/5 = a_0 + p(1) * b_0
+    assert enum.exhaustive
+    assert enum.items == (Factorization([(family.a(0), 1), (family.b(0), family.prime(1))]),)
+    assert m.length_set(F(4, 5)) == enum.lengths()
+    assert builds == [] and m._numerical is None
+
+
+def test_a_length_cap_is_flagged_only_when_it_cuts_a_feasible_count():
+    """Over <5/7, 3> the coefficient of 5/7 is forced to 2 mod 7 at 31/7,
+    so a cap of 3 cuts nothing: the only factorization is found and the
+    enumeration is exhaustive."""
+    m = PuiseuxMonoid([F(5, 7), F(3)])
+    enum = m.factorizations(F(31, 7), max_length=3)
+    assert enum.exhaustive
+    assert enum.items == (Factorization([(F(5, 7), 2), (F(3), 1)]),)
+    assert not m.factorizations(F(31, 7), max_length=2).exhaustive
 
 
 def test_a_call_costs_the_same_whatever_ran_before(monkeypatch):
@@ -707,14 +744,15 @@ def test_a_call_costs_the_same_whatever_ran_before(monkeypatch):
 
 
 def test_apery_factorizations_build_each_factorization_once(monkeypatch):
-    """On the Apery path each factorization is built once, straight from its
-    scaled count vector, with the items and order the mapped numerical
-    factorizations give."""
+    """On a monoid with an Apery table each factorization is built once,
+    straight from the solver's count vector, with the items the unpruned
+    recursion finds over the scaled atoms, in canonical order."""
     m = PuiseuxMonoid([F(1, 2), F(1, 3), F(5, 4)])
     q = F(29, 4)
+    scaled_atoms = [m.to_scaled(a) for a in m.atoms()]
     want = tuple(sorted(
-        Factorization((m.from_scaled(a), c) for a, c in z.counts)
-        for z in m.numerical.factorizations(m.to_scaled(q)).items
+        Factorization.from_parts(map(m.from_scaled, z))
+        for z in naive_factorizations(scaled_atoms, m.to_scaled(q))
     ))
     built = []
     canonical = Factorization._canonical.__func__
