@@ -75,16 +75,17 @@ def _geometric_accp(monoid: PuiseuxMonoid, start, depth: int) -> AccpReport:
     ok = chain.verified
     values = [e.value for e in chain.entries]
     for e in chain.entries:
+        step_ok = monoid.contains(e.step)
         lift_prev = FinSet([e.value])
         lift_next = FinSet([e.value - e.step])
         lift_ok = lift_next + FinSet([e.step]) == lift_prev
-        ok = ok and lift_ok
+        ok = ok and step_ok and lift_ok
         certs.append(
             {
                 "n": e.index,
                 "x": format_rational(e.value),
                 "step": format_rational(e.step),
-                "step_in_monoid": True,
+                "step_in_monoid": step_ok,
                 "singleton_lift_recombines": lift_ok,
             }
         )

@@ -13,10 +13,10 @@ structures:
 * scale isomorphism: multiplying by lambda = lcm(denominators)/gcd(scaled
   numerators) maps the monoid onto a numerical monoid, whose Apery table
   answers membership in O(1) and serves atoms, divisor sets and member
-  lists.  Used whenever the resulting multiplicity is small enough to
-  table, except that `example33` truncations answer membership and atoms
-  with the solver and build their table only when a divisor set or member
-  list needs it.  The tests cross-check membership and atoms of the two.
+  lists when the multiplicity is small enough to table.  Membership and
+  atoms run on the table unless the family hands the solver its primes
+  (`example33`).  Each backend is built on first use.  The tests
+  cross-check membership and atoms of the two.
 
 The module also hosts the named families: `geometric(r, level)` (truncations
 of the monoid generated by the powers of a ratio r in (0,1)) and
@@ -59,8 +59,8 @@ from .rational import (
     prime_factors,
 )
 
-# Largest multiplicity for which the Apery table is built eagerly; beyond
-# this the generator solver answers membership instead.
+# Largest multiplicity for which the Apery table is built; beyond this the
+# generator solver answers membership instead.
 APERY_LIMIT = 250_000
 
 _TRIAL_LIMIT = 100_000
@@ -300,8 +300,14 @@ class ReprSolver:
                 counts[i] = c
                 rec(i + 1, t - c * g, total + c)
                 c += modulus
-            if c <= max_c:  # candidates cut by the length cap, not the target
-                state["pruned"] = True
+            # a count cut by the length cap, not the target, flags the search
+            # when its remainder passes the first checks of the next depth
+            if c <= max_c and not state["pruned"]:
+                g1, m1, last = gens[i + 1], moduli[i + 1], i + 2 == n
+                state["pruned"] = any(
+                    r == 0 or (r >= g1 and r % m1 == 0 and not (last and r % g1))
+                    for r in range(t - c * g, -1, -modulus * g)
+                )
             counts[i] = 0
 
         try:
@@ -311,8 +317,6 @@ class ReprSolver:
         return solutions, not state["pruned"]
 
     def is_member(self, q: Fraction) -> bool:
-        if q == 0:
-            return True
         found, _ = self.search(q, limit=1)
         return bool(found)
 
@@ -342,49 +346,38 @@ class PuiseuxMonoid:
         g0 = math.gcd(*nums)
         self.scale: Fraction = Fraction(lcm_den, g0)
         self.scaled_generators: tuple[int, ...] = tuple(n // g0 for n in nums)
-        self._tabled = min(self.scaled_generators) <= APERY_LIMIT
-        # The family hands the solver every prime of the denominators, one
-        # private prime per generator, so each coefficient is forced and a
-        # membership query is a short walk: cheaper than a table of the
-        # multiplicity (57,771 residues at example33(0)).  The table is then
-        # built on first use by a divisor set or member list, and membership
-        # and atoms stay on the solver whether it exists or not.
-        self._table_members = self._tabled and not self._hint_primes()
-        self._numerical: NumericalMonoid | None = (
-            NumericalMonoid(self.scaled_generators) if self._table_members else None
-        )
-        self._member_solver: ReprSolver | None = None
-        self._atom_solver: ReprSolver | None = None
-        self._atoms: tuple[Fraction, ...] | None = None
+        # Given the family's primes, the solver forces every coefficient, so
+        # a membership query is a short walk: cheaper than a table of the
+        # multiplicity (57,771 residues at example33(0)).
+        self._family_primes = family.primes if isinstance(family, Example33Family) else ()
+        self._table_members = (min(self.scaled_generators) <= APERY_LIMIT
+                               and not self._family_primes)
 
-    # -- backends ----------------------------------------------------------
+    # -- backends: each is built on first use --------------------------------
 
-    @property
+    @functools.cached_property
     def numerical(self) -> NumericalMonoid | None:
-        """The scaled numerical monoid, when small enough to table (built
-        here on first use when membership runs on the solver)."""
-        if self._numerical is None and self._tabled:
-            self._numerical = NumericalMonoid(self.scaled_generators)
-        return self._numerical
+        """The scaled numerical monoid, or None when its multiplicity is
+        past APERY_LIMIT."""
+        if min(self.scaled_generators) > APERY_LIMIT:
+            return None
+        return NumericalMonoid(self.scaled_generators)
 
-    def _hint_primes(self) -> tuple[int, ...]:
-        if isinstance(self.family, Example33Family):
-            return self.family.primes
-        return ()
-
+    @functools.cached_property
     def _solver(self) -> ReprSolver:
-        if self._member_solver is None:
-            self._member_solver = ReprSolver(self.generators, self._hint_primes())
-        return self._member_solver
+        return ReprSolver(self.generators, self._family_primes)
 
-    def _solver_over_atoms(self) -> ReprSolver:
-        if self._atom_solver is None:
-            atoms = self.atoms()
-            if atoms == self.generators:
-                self._atom_solver = self._solver()
-            else:
-                self._atom_solver = ReprSolver(atoms, self._hint_primes())
-        return self._atom_solver
+    @functools.cached_property
+    def _atom_solver(self) -> ReprSolver:
+        atoms = self.atoms()
+        return self._solver if atoms == self.generators else ReprSolver(atoms, self._family_primes)
+
+    @functools.cached_property
+    def _atoms(self) -> tuple[Fraction, ...]:
+        if self._table_members:
+            return tuple(self.from_scaled(a) for a in self.numerical.atoms)
+        solver = self._solver
+        return tuple(g for g in self.generators if solver.is_atom_generator(g))
 
     # -- scaling helpers ----------------------------------------------------
 
@@ -402,14 +395,12 @@ class PuiseuxMonoid:
 
     def contains(self, q) -> bool:
         q = Fraction(q)
-        if q < 0:
-            return False
-        if q == 0:
-            return True
+        if q <= 0:
+            return q == 0
         if self._table_members:
             n = self.to_scaled(q)
-            return n is not None and self._numerical.contains(n)
-        return self._solver().is_member(q)
+            return n is not None and self.numerical.contains(n)
+        return self._solver.is_member(q)
 
     def _require_member(self, q) -> Fraction:
         q = Fraction(q)
@@ -419,23 +410,13 @@ class PuiseuxMonoid:
 
     def atoms(self) -> tuple[Fraction, ...]:
         """The atoms: exactly the minimal generators."""
-        if self._atoms is None:
-            if self._table_members:
-                self._atoms = tuple(self.from_scaled(a) for a in self._numerical.atoms)
-            else:
-                solver = self._solver()
-                self._atoms = tuple(
-                    g for g in self.generators if solver.is_atom_generator(g)
-                )
         return self._atoms
 
     def divisors(self, q) -> list[Fraction]:
         """All d in the monoid with q - d also in the monoid, ascending."""
         q = self._require_member(q)
-        numerical = self.numerical
-        if numerical is not None:
-            n = self.to_scaled(q)
-            return [self.from_scaled(d) for d in numerical.divisors(n)]
+        if self.numerical is not None:
+            return [self.from_scaled(d) for d in self.numerical.divisors(self.to_scaled(q))]
         # no Apery table: divisors are the sub-sums of the factorizations
         out: set[Fraction] = set()
         budget = _DIVISOR_ENUM_LIMIT
@@ -452,7 +433,7 @@ class PuiseuxMonoid:
     def factorizations(self, q, max_length: int | None = None) -> Enumeration:
         """Every factorization of q into atoms (exact, canonically sorted)."""
         q = self._require_member(q)
-        solver = self._solver_over_atoms()
+        solver = self._atom_solver
         vectors, exhaustive = solver.search(q, max_total=max_length)
         items = tuple(sorted(Factorization.from_vector(solver.gens, v) for v in vectors))
         return Enumeration(items, exhaustive=exhaustive)
@@ -497,13 +478,12 @@ class PuiseuxMonoid:
 
     def _member_table(self) -> NumericalMonoid:
         """The scaled numerical monoid, which every member enumeration reads."""
-        numerical = self.numerical
-        if numerical is None:
+        if self.numerical is None:
             raise UnsupportedAmbientError(
                 "member enumeration needs the scaled numerical backend; "
                 "this monoid's denominators are too large"
             )
-        return numerical
+        return self.numerical
 
     def members_upto(self, bound) -> list[Fraction]:
         """Ascending list of members q <= bound (needs the Apery backend)."""
@@ -531,7 +511,7 @@ class PuiseuxMonoid:
             "scale": format_rational(self.scale),
             "numerical_generators": [str(n) for n in self.scaled_generators],
         }
-        if self._tabled:
+        if self.numerical is not None:
             data["frobenius"] = self.numerical.frobenius
         if self.family is not None:
             data["family"] = self.family.to_json()

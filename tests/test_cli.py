@@ -513,6 +513,16 @@ def test_malformed_family_specs_are_domain_errors(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "accp", "--monoid", "2,3", "--start", "6", "--depth", "0"),
+     "depth must be positive"),
+    (("verify", "bfm", "--monoid", "2,3", "--cap", "0", "6"), "length cap must be positive"),
+    (("verify", "atomicity", "--monoid", "2,3", "--max-card", "0"), "max_card must be positive"),
+], ids=["accp-depth", "bfm-cap", "atomicity-max-card"])
+def test_nonpositive_bounds_are_domain_errors(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 def test_json_byte_identical_across_invocations(capsys):
     argv = ("lengths-set", "--monoid", "1", "--restricted", "--json", "{0,1,2,3,4,5}")
     _, first, _ = run_cli(capsys, *argv)
@@ -573,6 +583,7 @@ def test_module_entry_point_subprocess(capsys):
 @pytest.mark.parametrize("argv, text", [
     (("--monoid", "1", "40"), "40*1\n"),  # past 32 atoms, counts are compacted
     (("--monoid", "2,3", "0"), "(empty)\n"),
-], ids=["compact", "empty"])
+    (("--monoid", "3,10", "--max-length", "1", "10"), "10\n"),  # the cap cuts nothing
+], ids=["compact", "empty", "cap-cuts-nothing"])
 def test_factorize_renders_compact_and_empty_factorizations(capsys, argv, text):
     assert run_cli(capsys, "factorize", *argv) == (0, text, "")

@@ -70,6 +70,20 @@ def test_accp_on_a_built_geometric_handle_builds_no_table(monkeypatch):
     assert builds == []
 
 
+def test_accp_step_certificate_is_computed(monkeypatch):
+    """Each step's membership is checked, not assumed: a monoid that
+    rejects one step gets a false certificate and a failed report."""
+    shared = geometric(F(2, 3), 4)
+    monoid = PuiseuxMonoid(shared.generators, family=shared.family)
+    rejected = F(4, 9)  # the step of n = 2: x_2 - x_3 = 4/3 - 8/9
+    contains = monoid.contains
+    monkeypatch.setattr(monoid, "contains", lambda q: q != rejected and contains(q))
+    report = lab.accp_chain_search(monoid, None, 4)
+    steps = {c["step"]: c["step_in_monoid"] for c in report.certificates}
+    assert steps == {"2/3": True, "4/9": False, "8/27": True, "16/81": True}
+    assert not report.passed
+
+
 def test_accp_start_defaults_only_on_geometric_handles():
     report = lab.accp_chain_search(geometric(F(2, 3), 5), None, 4)
     assert report.passed and report.chain == ("2", "4/3", "8/9", "16/27")

@@ -104,6 +104,8 @@ def test_mcd_examples_and_oracle():
     assert m23.mcd([F(2), F(3)]) == (0,)
     with pytest.raises(NotAMemberError):
         m23.mcd([F(1), F(2)])
+    with pytest.raises(InvalidInputError):
+        m23.mcd([])
     # against the brute divisor-lattice scan
     for x in range(0, 15):
         for y in range(x, 15):
@@ -314,8 +316,15 @@ def test_integer_search_matches_the_fraction_search(monkeypatch):
         for target in targets:
             for limit in (None, 1, 2):
                 for max_total in (None, 1, 2, 3):
-                    want = _fraction_search(solver, target, limit, max_total)
-                    assert solver.search(target, limit, max_total) == want, (gens, target)
+                    want, want_exhaustive = _fraction_search(solver, target, limit, max_total)
+                    got, exhaustive = solver.search(target, limit, max_total)
+                    assert got == want, (gens, target)
+                    # the flag is never looser than the reference's, and is
+                    # tighter only where no factorization is longer than the cap
+                    assert exhaustive >= want_exhaustive, (gens, target)
+                    if exhaustive > want_exhaustive:
+                        full, _ = solver.search(target)
+                        assert all(sum(v) <= max_total for v in full), (gens, target)
                     calls += 1
     unfactored = [s for s in _agreement_solvers() if s.gens[-1].denominator == _UNFACTORED]
     assert unfactored and all(100003 not in s._primes for s in unfactored)
@@ -447,7 +456,7 @@ def test_every_solver_query_goes_through_the_class_method(monkeypatch):
     shared = example33(1)
     m = PuiseuxMonoid(shared.generators, family=shared.family)
     assert m.numerical is None
-    m._solver()
+    m._solver
     calls = []
     search = ReprSolver.search
 
@@ -618,7 +627,7 @@ def test_factorizations_over_atoms_need_a_second_solver():
     assert monoid.atoms() == (F(1, Q), F(1, P))
     x = F(3, P) + F(1, Q)
     assert monoid.factorizations(x).items == (Factorization([(F(1, Q), 1), (F(1, P), 3)]),)
-    assert monoid._solver_over_atoms() is not monoid._solver()
+    assert monoid._atom_solver is not monoid._solver
     assert monoid.length_set(x) == frozenset({4})
 
 
@@ -670,6 +679,18 @@ def _counting_apery_builds(monkeypatch) -> list:
     return builds
 
 
+def test_a_table_is_built_on_first_use(monkeypatch):
+    """An ordinary monoid builds its Apery table on the first query that
+    reads it, and only once."""
+    builds = _counting_apery_builds(monkeypatch)
+    m = PuiseuxMonoid([2, 3])
+    assert builds == []
+    assert m.contains(5)
+    assert builds == [2]
+    assert not m.contains(1) and m.atoms() == (2, 3)
+    assert builds == [2]
+
+
 def test_example33_membership_stays_on_the_solver(monkeypatch):
     """example33(0) scales to a tableable multiplicity, but membership and
     atoms go to the solver: no table is built until a member enumeration
@@ -709,7 +730,7 @@ def test_example33_factorizations_build_no_table(monkeypatch):
     assert enum.exhaustive
     assert enum.items == (Factorization([(family.a(0), 1), (family.b(0), family.prime(1))]),)
     assert m.length_set(F(4, 5)) == enum.lengths()
-    assert builds == [] and m._numerical is None
+    assert builds == [] and "numerical" not in vars(m)
 
 
 def test_a_length_cap_is_flagged_only_when_it_cuts_a_feasible_count():
@@ -721,6 +742,13 @@ def test_a_length_cap_is_flagged_only_when_it_cuts_a_feasible_count():
     assert enum.exhaustive
     assert enum.items == (Factorization([(F(5, 7), 2), (F(3), 1)]),)
     assert not m.factorizations(F(31, 7), max_length=2).exhaustive
+    # over <3, 10> the counts of 3 that the cap cuts leave remainders 10 does
+    # not divide: 4 and 1 from 10 under a cap of 1; 11, 8, 5 and 2 from 20
+    # under a cap of 2
+    m = PuiseuxMonoid([3, 10])
+    for q, cap in ((10, 1), (20, 2)):
+        enum = m.factorizations(q, max_length=cap)
+        assert enum.exhaustive and enum.items == (Factorization([(F(10), cap)]),)
 
 
 def test_a_call_costs_the_same_whatever_ran_before(monkeypatch):
