@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable
+from collections.abc import Callable
 
 from . import laboratory
 from .decompose import (

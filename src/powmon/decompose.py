@@ -61,7 +61,6 @@ from __future__ import annotations
 import math
 import threading
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -86,7 +85,6 @@ def _bit_positions(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class Decomposition(Record):
     """An unordered two-summand decomposition; left <= right canonically."""
 
@@ -109,14 +107,12 @@ class Decomposition(Record):
         return {**super().to_json(), "trivial": self.trivial}
 
 
-@dataclass(frozen=True)
 class AtomCheck(Record):
     is_atom: bool
     witness: Decomposition | None
 
 
-@dataclass(frozen=True)
-class PowerMonoidView:
+class PowerMonoidView(Record):
     """A handle naming P_fin or P_fin,0 of an ambient monoid; both share one engine."""
 
     ambient: PuiseuxMonoid

@@ -8,8 +8,9 @@ factorizations with huge repeat counts (they do occur) stay cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
+
+from .rational import Record
 
 _EXPAND_LIMIT = 10_000
 
@@ -99,8 +100,7 @@ class Factorization:
         return " + ".join(f"{m}*{fmt(a)}" for a, m in self.counts)
 
 
-@dataclass(frozen=True)
-class Enumeration:
+class Enumeration(Record):
     """Result of a factorization enumeration.
 
     `exhaustive` is False when a length cap truncated the search; callers

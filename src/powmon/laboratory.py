@@ -10,7 +10,6 @@ divisors), never the infinite conclusion itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .decompose import PowerMonoidView, factorability_sweep, set_factorizations
@@ -26,7 +25,7 @@ from .puiseux import (
     example33,
     verify_atoms_by_valuation,
 )
-from .rational import Record, format_rational, is_prime
+from .rational import Record, field, format_rational, is_prime
 
 
 def _fmt(value) -> str:
@@ -37,7 +36,6 @@ def _fmt(value) -> str:
 # ascending chains of principal ideals
 
 
-@dataclass(frozen=True)
 class AccpReport(Record):
     suite = "accp"
     subject: str
@@ -215,7 +213,6 @@ def _enumerate(handle, element, cap: int | None) -> Enumeration:
     return handle.factorizations(element, max_length=cap)
 
 
-@dataclass(frozen=True)
 class BfmRow(Record):
     element: str
     lengths: tuple[int, ...]
@@ -223,12 +220,11 @@ class BfmRow(Record):
     cap_hit: bool
 
 
-@dataclass(frozen=True)
 class BfmReport(Record):
     suite = "bfm"
     subject: str
     length_cap: int
-    rows: tuple[BfmRow, ...] = field(metadata={"json": "certificates"})
+    rows: tuple[BfmRow, ...] = field(json="certificates")
     failure_candidates: tuple[str, ...]
     passed: bool
 
@@ -264,19 +260,17 @@ def bfm_check(handle, corpus, length_cap: int) -> BfmReport:
     )
 
 
-@dataclass(frozen=True)
 class FfmRow(Record):
     element: str
-    count: int = field(metadata={"json": "factorizations"})
+    count: int = field(json="factorizations")
     by_length: dict
     all_recombine: bool
 
 
-@dataclass(frozen=True)
 class FfmReport(Record):
     suite = "ffm"
     subject: str
-    rows: tuple[FfmRow, ...] = field(metadata={"json": "certificates"})
+    rows: tuple[FfmRow, ...] = field(json="certificates")
     passed: bool
 
     def summary(self) -> list[str]:
@@ -314,14 +308,13 @@ def ffm_check(handle, corpus) -> FfmReport:
 # maximal common divisors
 
 
-@dataclass(frozen=True)
 class McdReport(Record):
     suite = "mcd"
     subject: str
     elements: tuple[str, ...]
     mcds: tuple[str, ...]
     certificates: tuple[dict, ...]
-    witness: "Non2McdReport | None" = field(metadata={"json": "non_2mcd_witness"})
+    witness: "Non2McdReport | None" = field(json="non_2mcd_witness")
     passed: bool
 
     def to_json(self) -> dict:
@@ -375,11 +368,10 @@ def mcd_probe(monoid: PuiseuxMonoid, pair) -> McdReport:
     )
 
 
-@dataclass(frozen=True)
 class WitnessLink(Record):
     level: int
-    divisor: Fraction = field(metadata={"json": "common_divisor"})
-    residual_checks: dict = field(metadata={"json": None})
+    divisor: Fraction = field(json="common_divisor")
+    residual_checks: dict = field(json=None)
     is_mcd_at_level: bool
     extending_atoms: tuple[str, ...]
 
@@ -388,13 +380,12 @@ class WitnessLink(Record):
         return {**super().to_json(), **self.residual_checks}
 
 
-@dataclass(frozen=True)
 class Non2McdReport(Record):
     suite = "non_2mcd_witness"
     levels: tuple[int, ...]
     targets: tuple[str, str]
     identity_checks: tuple[dict, ...]
-    links: tuple[WitnessLink, ...] = field(metadata={"json": "certificates"})
+    links: tuple[WitnessLink, ...] = field(json="certificates")
     strictly_increasing: bool
     passed: bool
     note: str = (
@@ -495,14 +486,13 @@ def non_2mcd_witness(levels) -> Non2McdReport:
 # full example33 suite
 
 
-@dataclass(frozen=True)
 class Example33Report(Record):
     suite = "example33"
     level: int
     primes: tuple[str, ...]
-    construction_checks: tuple[dict, ...] = field(metadata={"json": None})
+    construction_checks: tuple[dict, ...] = field(json=None)
     partial_sum_below_2_15: bool
-    identity_checks: tuple[dict, ...] = field(metadata={"json": None})
+    identity_checks: tuple[dict, ...] = field(json=None)
     members: dict
     atom_report: AtomValuationReport
     passed: bool
@@ -595,7 +585,6 @@ def example33_suite(level: int) -> Example33Report:
 # atomicity sweep
 
 
-@dataclass(frozen=True)
 class SweepReport(Record):
     suite = "atomicity"
     subject: str
@@ -603,7 +592,7 @@ class SweepReport(Record):
     element_bound: str
     checked: int
     by_cardinality: dict
-    failures: tuple[str, ...] = field(metadata={"json": None})
+    failures: tuple[str, ...] = field(json=None)
     passed: bool
 
     def to_json(self) -> dict:

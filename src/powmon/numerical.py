@@ -14,7 +14,7 @@ them for every monoid.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import InvalidInputError, NotAMemberError, NotCofiniteError
 

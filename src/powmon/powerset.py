@@ -9,7 +9,7 @@ restricted power monoid: contains 0) is checked on demand.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .errors import InvalidInputError, WouldGoNegativeError
 from .rational import format_rational, parse_rational

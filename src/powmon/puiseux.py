@@ -36,9 +36,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .errors import (
     FamilyPreconditionError,
@@ -51,6 +50,7 @@ from .factorization import Enumeration, Factorization
 from .numerical import NumericalMonoid
 from .rational import (
     Record,
+    field,
     format_rational,
     int_valuation,
     is_prime,
@@ -74,8 +74,7 @@ FAMILY_HANDLES = 8
 # family tags
 
 
-@dataclass(frozen=True)
-class GeometricFamily:
+class GeometricFamily(Record):
     """Truncation of <r**n : n >= 0> at a given level."""
 
     ratio: Fraction
@@ -88,8 +87,7 @@ class GeometricFamily:
         return {"kind": "geometric", "ratio": format_rational(self.ratio), "level": self.level}
 
 
-@dataclass(frozen=True)
-class Example33Family:
+class Example33Family(Record):
     """Truncation of the prime-sequence monoid; carries the constructed primes.
 
     The generators come in triples indexed by n <= level:
@@ -593,21 +591,19 @@ def _geometric(r: Fraction, level: int) -> PuiseuxMonoid:
     return monoid
 
 
-@dataclass(frozen=True)
 class GeometricChainEntry(Record):
-    index: int = field(metadata={"json": "n"})
-    value: Fraction = field(metadata={"json": "x"})  # x_n = n(r)**n / d(r)**(n-1)
+    index: int = field(json="n")
+    value: Fraction = field(json="x")  # x_n = n(r)**n / d(r)**(n-1)
     step: Fraction  # x_n - x_{n+1} = (d(r) - n(r)) * r**n
 
 
-@dataclass(frozen=True)
 class GeometricChainReport(Record):
     ratio: Fraction
     depth: int
     entries: tuple[GeometricChainEntry, ...]
     verified: bool
     sign_note: str
-    monoid: PuiseuxMonoid = field(metadata={"json": None})
+    monoid: PuiseuxMonoid = field(json=None)
 
 
 _SIGN_NOTE = (
@@ -700,9 +696,8 @@ def _example33(level: int) -> PuiseuxMonoid:
     return PuiseuxMonoid(gens, family=family)
 
 
-@dataclass(frozen=True)
 class AtomValuationRow(Record):
-    label: str = field(metadata={"json": "generator"})
+    label: str = field(json="generator")
     value: Fraction
     prime: int
     valuation: int
@@ -715,7 +710,6 @@ class AtomValuationRow(Record):
         return {**super().to_json(), "prime": str(self.prime)}
 
 
-@dataclass(frozen=True)
 class AtomValuationReport(Record):
     level: int
     rows: tuple[AtomValuationRow, ...]

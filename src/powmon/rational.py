@@ -14,7 +14,6 @@ No floating point is used anywhere in the package.
 from __future__ import annotations
 
 import math
-from dataclasses import fields
 from fractions import Fraction
 
 from .errors import InvalidInputError, UndefinedValuationError, UnsupportedAmbientError
@@ -246,22 +245,111 @@ def jsonable(value):
     return value
 
 
+class _Field:
+    """What `field(json=key)` leaves as a field's class attribute."""
+
+    __slots__ = ("json",)
+
+    def __init__(self, json: str | None):
+        self.json = json
+
+
+def field(*, json: str | None) -> _Field:
+    """A field that `Record.to_json` writes under `json`; None leaves it out."""
+    return _Field(json)
+
+
 class Record:
-    """Base of the frozen report dataclasses, whose JSON is their fields.
+    """Base of the frozen records (reports, checks, enumerations, families).
+
+    A subclass declares its fields as annotations, which are never
+    evaluated: base fields come first, and a field with a default
+    (`name: T = value`) may be followed only by fields with one.
+    `__init_subclass__` reads them once and generates no code.  The shared
+    `__init__` takes the fields by position or keyword; a missing, unknown
+    or repeated field raises TypeError.  Two records are equal when they are
+    of the same class with equal fields, `hash` and `repr` follow the
+    fields, and assigning or deleting an attribute raises AttributeError.
 
     `to_json` emits the class attribute `suite` when a subclass sets one,
     then each field through `jsonable`, under the field's name or under the
-    key given by `field(metadata={"json": key})`; the key None leaves the
-    field out.  A report whose JSON is not just its fields adds to this
-    result in its own `to_json`.
+    key given by `name: T = field(json=key)`; the key None leaves the field
+    out.  A record whose JSON is not just its fields adds to this result in
+    its own `to_json`.
     """
 
     suite: str | None = None
+    _fields: tuple[str, ...] = ()
+    _keys: tuple[str | None, ...] = ()  # the JSON key of each field
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        keys = dict(zip(cls._fields, cls._keys))
+        defaults = dict(cls._defaults)
+        for name in cls.__annotations__:  # this class's own, in order
+            keys[name] = name
+            defaults.pop(name, None)
+            if name in cls.__dict__:
+                value = cls.__dict__[name]
+                if isinstance(value, _Field):
+                    keys[name] = value.json
+                    delattr(cls, name)
+                else:
+                    defaults[name] = value
+        fields = tuple(keys)
+        for before, after in zip(fields, fields[1:]):
+            if before in defaults and after not in defaults:
+                raise TypeError(f"{cls.__name__}: field {after!r} without a default "
+                                f"follows field {before!r} with one")
+        cls._fields, cls._keys, cls._defaults = fields, tuple(keys.values()), defaults
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if not kwargs and len(args) == len(fields):  # the common call, kept fast
+            self.__dict__.update(zip(fields, args))
+            return
+        name = type(self).__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} fields but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for key in kwargs:
+            if key in values:
+                raise TypeError(f"{name}() got field {key!r} twice")
+            if key not in fields:
+                raise TypeError(f"{name}() got an unknown field {key!r}")
+        values.update(kwargs)
+        if len(values) < len(fields):
+            values = {**self._defaults, **values}
+            missing = [f for f in fields if f not in values]
+            if missing:
+                raise TypeError(f"{name}() is missing field(s) {', '.join(map(repr, missing))}")
+        self.__dict__.update(values)
+
+    def _field_values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._field_values() == other._field_values()
+
+    def __hash__(self) -> int:
+        return hash(self._field_values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot delete {name!r}")
 
     def to_json(self) -> dict:
         data = {} if self.suite is None else {"suite": self.suite}
-        for f in fields(self):
-            key = f.metadata.get("json", f.name)
+        for f, key in zip(self._fields, self._keys):
             if key is not None:
-                data[key] = jsonable(getattr(self, f.name))
+                data[key] = jsonable(getattr(self, f))
         return data

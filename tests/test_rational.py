@@ -1,6 +1,9 @@
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +20,10 @@ from powmon import (
     reduce,
     valuation,
 )
+from powmon.decompose import AtomCheck
+from powmon.factorization import Enumeration
+from powmon.laboratory import Non2McdReport
+from powmon.rational import Record, field
 from oracles import brute_reduce, power_valuation, trial_is_prime
 
 
@@ -238,3 +245,115 @@ def test_parse_and_format_roundtrip():
 def test_parse_rejects(bad):
     with pytest.raises(InvalidInputError):
         parse_rational(bad)
+
+
+# ---------------------------------------------------------------------------
+# Record: frozen fields, equality, hash, construction and JSON keys
+
+
+class _Point(Record):
+    x: int
+    y: int
+
+
+class _Twin(Record):  # the same fields as _Point, another class
+    x: int
+    y: int
+
+
+class _Labelled(Record):
+    suite = "labelled"
+    value: int = field(json="v")
+    hidden: str = field(json=None)
+    note: str = "default note"
+
+
+def test_record_is_frozen():
+    for record in (_Point(1, 2), AtomCheck(False, None)):
+        with pytest.raises(AttributeError):
+            record.x = 3
+        with pytest.raises(AttributeError):
+            record.is_atom = True
+        with pytest.raises(AttributeError):
+            del record.x
+    p = _Point(1, 2)
+    with pytest.raises(AttributeError):
+        del p.y
+    assert (p.x, p.y) == (1, 2)
+
+
+def test_record_equality_needs_same_class_and_values():
+    assert _Point(1, 2) == _Point(1, 2)
+    assert _Point(1, 2) != _Point(1, 3)
+    assert _Point(1, 2) != _Twin(1, 2)
+    assert _Point(1, 2) != (1, 2)
+    assert AtomCheck(False, None) == AtomCheck(False, None) != AtomCheck(True, None)
+
+
+def test_record_hash_agrees_with_eq():
+    assert hash(_Point(1, 2)) == hash(_Point(1, 2))
+    assert len({_Point(1, 2), _Point(1, 2), _Point(2, 1)}) == 2
+    assert {AtomCheck(True, None): 1}[AtomCheck(True, None)] == 1
+
+
+def test_record_positional_and_keyword_construction():
+    assert _Point(1, 2) == _Point(1, y=2) == _Point(y=2, x=1)
+    assert repr(_Point(1, y=2)) == "_Point(x=1, y=2)"
+    assert Enumeration((), exhaustive=False).exhaustive is False
+
+
+def test_record_defaults_hold():
+    assert Enumeration(()).exhaustive is True
+    report = Non2McdReport((1, 2), ("1", "2"), (), (), True, True)
+    assert report.note == Non2McdReport.note
+    assert report.note.startswith("each truncation is finitely generated")
+    assert _Labelled(1, "h").note == "default note"
+    assert _Labelled(1, "h", "other").note == "other"
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((1,), {}),  # y missing
+    ((), {}),  # both missing
+    ((1, 2, 3), {}),  # one too many
+    ((1, 2), {"z": 3}),  # unknown
+    ((1, 2), {"x": 3}),  # repeated
+])
+def test_record_refuses_a_missing_unknown_or_repeated_field(args, kwargs):
+    with pytest.raises(TypeError):
+        _Point(*args, **kwargs)
+
+
+def test_required_field_after_a_default_is_refused_at_class_creation():
+    with pytest.raises(TypeError):
+        class _Bad(Record):
+            a: int = 0
+            b: int
+
+    with pytest.raises(TypeError):
+        class _BadChild(_Labelled):  # after the inherited default `note`
+            extra: int
+
+
+def test_record_to_json_puts_suite_first_and_follows_the_json_keys():
+    record = _Labelled(1, "h")
+    assert record.to_json() == {"suite": "labelled", "v": 1, "note": "default note"}
+    assert list(record.to_json()) == ["suite", "v", "note"]
+    assert record.hidden == "h" and not hasattr(_Labelled, "hidden")
+    assert _Point(Fraction(1, 2), 3).to_json() == {"x": "1/2", "y": 3}
+    report = Non2McdReport((1, 2), ("1", "2"), (), (), True, True)
+    assert list(report.to_json()) == [
+        "suite", "levels", "targets", "identity_checks", "certificates",
+        "strictly_increasing", "passed", "note",
+    ]
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    # a fresh interpreter without `site`: pytest has imported all three here
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import powmon, powmon.cli, powmon.laboratory; "
+            "print([m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules])")
+    run = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
+                         capture_output=True, text=True, timeout=30)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
