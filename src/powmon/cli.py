@@ -48,7 +48,8 @@ def _ambient(args, required: bool = True) -> PuiseuxMonoid | None:
 
 
 def _emit(args, payload, text_lines: Callable[[], list[str]]) -> None:
-    """Print the payload as JSON under --json, else the text lines.
+    """Print the payload as JSON under --json, else the text lines, and a
+    last line marking a result the payload flags "partial".
 
     The payload holds values (monoids, sets, Fractions, reports), encoded
     by `jsonable` only under --json; the lines are a callable so that
@@ -56,7 +57,8 @@ def _emit(args, payload, text_lines: Callable[[], list[str]]) -> None:
     if args.json:
         print(json.dumps(jsonable(payload), sort_keys=True, indent=2))
     else:
-        for line in text_lines():
+        partial = isinstance(payload, dict) and payload.get("partial")
+        for line in text_lines() + (["(partial: length cap hit)"] if partial else []):
             print(line)
 
 
@@ -109,8 +111,7 @@ def _cmd_factorize(args) -> None:
         {"command": "factorize", "monoid": monoid, "element": q,
          "factorizations": [z.counts for z in enum.items],
          "lengths": sorted(enum.lengths()), "partial": not enum.exhaustive},
-        lambda: [z.render(format_rational) for z in enum.items]
-        + (["(partial: length cap hit)"] if not enum.exhaustive else []),
+        lambda: [z.render(format_rational) for z in enum.items],
     )
 
 
@@ -189,8 +190,7 @@ def _cmd_factorize_set(args) -> None:
          "restricted": args.restricted,
          "factorizations": [tuple(z.expand()) for z in enum.items],
          "lengths": sorted(enum.lengths()), "partial": not enum.exhaustive},
-        lambda: [z.render() for z in enum.items]
-        + (["(partial: length cap hit)"] if not enum.exhaustive else []),
+        lambda: [z.render() for z in enum.items],
     )
 
 
@@ -283,8 +283,8 @@ def _cmd_verify(args) -> None:
 
 
 def _length_cap(text: str) -> int:
-    """The type of --max-length: a decimal integer of at least 0."""
-    if not text.isdecimal():
+    """The type of --max-length: ASCII digits, an integer of at least 0."""
+    if not (text.isascii() and text.isdecimal()):
         raise argparse.ArgumentTypeError(f"expected an integer of at least 0, got {text!r}")
     return int(text)
 

@@ -8,8 +8,10 @@ structures:
   by p-adic valuation constraints.  When a generator is the only remaining
   one with negative valuation at a prime p, its coefficient is forced into
   a single residue class mod a power of p, which collapses the search.
-  This is what makes the huge-denominator families below tractable.  Every
-  factorization enumeration runs on it, over the atoms.
+  This is what makes the huge-denominator families below tractable.  Its
+  count vectors over the atoms give the length sets (their sums), the
+  divisors without a table (their integer sub-sums) and the factorizations,
+  the only result built as `Factorization` objects.
 * scale isomorphism: multiplying by lambda = lcm(denominators)/gcd(scaled
   numerators) maps the monoid onto a numerical monoid, whose Apery table
   answers membership in O(1) and serves atoms, divisor sets and member
@@ -34,8 +36,8 @@ call builds it, so the cost of a call does not depend on what ran before.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
+import re
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
@@ -134,20 +136,12 @@ class Example33Family(Record):
 # generator solver
 
 
-def _modinv(a: int, m: int) -> int:
-    return pow(a % m, -1, m)
-
-
 def _strip(n: int, primes: Iterable[int]) -> int:
     """n with every factor from `primes` divided out."""
     for p in primes:
         while n % p == 0:
             n //= p
     return n
-
-
-class _StopSearch(Exception):
-    pass
 
 
 class ReprSolver:
@@ -189,7 +183,7 @@ class ReprSolver:
             moduli[i] *= ps
             for j in range(i + 1, n):
                 moduli[j] *= ps * m
-            residues[i].append((ps, m, _modinv(scaled[i] // ps, m)))
+            residues[i].append((ps, m, pow(scaled[i] // ps, -1, m)))
         self._moduli = tuple(moduli)
         # the classes of one depth, combined once by the CRT: the coefficient
         # is sum((T // ps) * coef) mod the product of their p**e
@@ -197,7 +191,7 @@ class ReprSolver:
         for terms in residues:
             modulus = math.prod(m for _, m, _ in terms)
             self._residues.append((modulus, tuple(
-                (ps, inv * (modulus // m) * _modinv(modulus // m, m) % modulus)
+                (ps, inv * (modulus // m) * pow(modulus // m, -1, m) % modulus)
                 for ps, m, inv in terms
             )))
 
@@ -247,9 +241,9 @@ class ReprSolver:
         """All coefficient vectors summing to target.
 
         Returns (solutions, exhaustive); `limit` stops after that many
-        solutions, `max_total` caps the coefficient sum (either makes the
-        result potentially non-exhaustive).  A target outside (1/L)*Z has no
-        representation, which is exhaustive under any cap.
+        solutions (0 after the first), `max_total` caps the coefficient sum
+        (either makes the result potentially non-exhaustive).  A target
+        outside (1/L)*Z has no representation, exhaustive under any cap.
         """
         target = Fraction(target)
         if target < 0:
@@ -260,59 +254,55 @@ class ReprSolver:
         gens, moduli, residues = self._scaled, self._moduli, self._residues
         n = len(gens)
         solutions: list[tuple[int, ...]] = []
-        state = {"pruned": False}
         counts = [0] * n
+        pruned = False
 
-        def record() -> None:
-            solutions.append(tuple(counts))
-            if limit is not None and len(solutions) >= limit:
-                raise _StopSearch
-
-        def rec(i: int, t: int, total: int) -> None:
+        # True once `limit` solutions are found, and every caller returns at
+        # once; otherwise each walk resets its count, so counts[i:] starts at 0
+        def rec(i: int, t: int, total: int) -> bool:
+            nonlocal pruned
             if t == 0:
-                for j in range(i, n):
-                    counts[j] = 0
-                record()
-                return
+                solutions.append(tuple(counts))
+                return limit is not None and len(solutions) >= limit
             if i == n or t < gens[i]:
-                return
+                return False
             # a prime no generator from i on can clear is fatal
             if t % moduli[i]:
-                return
+                return False
             g = gens[i]
             if i == n - 1:
                 c, r = divmod(t, g)
-                if r == 0:
-                    if max_total is not None and total + c > max_total:
-                        state["pruned"] = True
-                        return
-                    counts[i] = c
-                    record()
-                    counts[i] = 0
-                return
+                if r:
+                    return False
+                if max_total is not None and total + c > max_total:
+                    pruned = True
+                    return False
+                counts[i] = c
+                stop = rec(n, 0, total + c)
+                counts[i] = 0
+                return stop
             modulus, terms = residues[i]
             c = sum(t // ps * coef for ps, coef in terms) % modulus
             max_c = t // g
             cap_c = max_c if max_total is None else min(max_c, max_total - total)
             while c <= cap_c:
                 counts[i] = c
-                rec(i + 1, t - c * g, total + c)
+                if rec(i + 1, t - c * g, total + c):
+                    return True
                 c += modulus
             # a count cut by the length cap, not the target, flags the search
             # when its remainder passes the first checks of the next depth
-            if c <= max_c and not state["pruned"]:
+            if c <= max_c and not pruned:
                 g1, m1, last = gens[i + 1], moduli[i + 1], i + 2 == n
-                state["pruned"] = any(
+                pruned = any(
                     r == 0 or (r >= g1 and r % m1 == 0 and not (last and r % g1))
                     for r in range(t - c * g, -1, -modulus * g)
                 )
             counts[i] = 0
+            return False
 
-        try:
-            rec(0, start, 0)
-        except _StopSearch:
-            return solutions, False
-        return solutions, not state["pruned"]
+        stopped = rec(0, start, 0)
+        return solutions, not (stopped or pruned)
 
     def is_member(self, q: Fraction) -> bool:
         found, _ = self.search(q, limit=1)
@@ -415,18 +405,21 @@ class PuiseuxMonoid:
         q = self._require_member(q)
         if self.numerical is not None:
             return [self.from_scaled(d) for d in self.numerical.divisors(self.to_scaled(q))]
-        # no Apery table: divisors are the sub-sums of the factorizations
-        out: set[Fraction] = set()
+        # no Apery table: the integer sub-sums of the solver's vectors
+        solver = self._atom_solver
+        sums: set[int] = set()
         budget = _DIVISOR_ENUM_LIMIT
-        for z in self.factorizations(q):
-            budget -= math.prod(mult + 1 for _, mult in z.counts)
+        for vector in solver.search(q)[0]:
+            budget -= math.prod(c + 1 for c in vector)
             if budget < 0:
                 raise UnsupportedAmbientError(
                     f"divisor set of {format_rational(q)} is too large to enumerate"
                 )
-            for combo in itertools.product(*(range(m + 1) for _, m in z.counts)):
-                out.add(sum((atom * c for (atom, _), c in zip(z.counts, combo)), Fraction(0)))
-        return sorted(out)
+            partial = {0}
+            for g, c in zip(solver._scaled, vector):
+                partial = {s + k * g for s in partial for k in range(c + 1)}
+            sums |= partial
+        return [Fraction(s, solver._lcm) for s in sorted(sums)]
 
     def factorizations(self, q, max_length: int | None = None) -> Enumeration:
         """Every factorization of q into atoms (exact, canonically sorted)."""
@@ -437,7 +430,8 @@ class PuiseuxMonoid:
         return Enumeration(items, exhaustive=exhaustive)
 
     def length_set(self, q) -> frozenset[int]:
-        return self.factorizations(q).lengths()
+        vectors, _ = self._atom_solver.search(self._require_member(q))
+        return frozenset(sum(v) for v in vectors)
 
     def mcd(self, elements: Iterable) -> tuple[Fraction, ...]:
         """All maximal common divisors of a nonempty finite set of members.
@@ -535,7 +529,7 @@ def parse_family(spec: str) -> PuiseuxMonoid:
         raise InvalidInputError(
             f"a family is geometric:RATIO:LEVEL or example33:LEVEL, got {spec!r}"
         )
-    if not fields[-1].isdecimal():
+    if not re.fullmatch(r"0|[1-9][0-9]*", fields[-1]):  # as `label()` writes a level
         raise InvalidInputError(f"a family level is a nonnegative integer, got {spec!r}")
     level = int(fields[-1])
     if kind == "geometric":

@@ -14,6 +14,7 @@ No floating point is used anywhere in the package.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 from .errors import InvalidInputError, UndefinedValuationError, UnsupportedAmbientError
@@ -211,6 +212,10 @@ def parse_rational(text: str) -> Fraction:
     s = text.strip()
     num_s, sep, den_s = s.partition("/")
     try:
+        # ASCII digits only: int() alone also reads "1_0", "+3" and other
+        # scripts' digits.  A "-" passes, for `reduce` to refuse by its sign.
+        if not re.fullmatch(r"-?[0-9]+\s*(/\s*-?[0-9]+)?", s):
+            raise ValueError(s)
         num = int(num_s)
         den = int(den_s) if sep else 1
     except ValueError:

@@ -506,7 +506,13 @@ def test_each_command_accepts_exactly_its_flags():
     ("atoms", "--family", "example33:two"),
     ("family", "example33"),
     ("family", "geometric:2/3"),
-], ids=["geometric-level", "example33-level", "example33-no-level", "geometric-no-level"])
+    # a level the label would not write back: not ASCII, or a leading zero
+    ("family", "geometric:2/3:\u0663"),
+    ("family", "geometric:2/3:01"),
+    ("atoms", "--family", "example33:01"),
+], ids=["geometric-level", "example33-level", "example33-no-level", "geometric-no-level",
+        "geometric-level-not-ascii", "geometric-level-leading-zero",
+        "example33-level-leading-zero"])
 def test_malformed_family_specs_are_domain_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
@@ -521,6 +527,12 @@ def test_malformed_family_specs_are_domain_errors(capsys, argv):
 ], ids=["accp-depth", "bfm-cap", "atomicity-max-card"])
 def test_nonpositive_bounds_are_domain_errors(capsys, argv, message):
     assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("element", ["1_0", "+3", "\u0663"])
+def test_non_ascii_digit_numbers_are_domain_errors(capsys, element):
+    assert run_cli(capsys, "member", "--monoid", "1/2", element) == (
+        1, "", f"error: not a rational: {element!r}\n")
 
 
 def test_json_byte_identical_across_invocations(capsys):
@@ -546,7 +558,9 @@ def test_max_length_marks_partial(capsys):
     ("factorize", "--monoid", "2,3", "--max-length", "-1", "6"),
     ("lengths-set", "--monoid", "1", "--max-length", "-3", "{0,1,2}"),
     ("lengths", "--monoid", "2,3", "--max-length", "two", "6"),
-], ids=["factorize-set", "factorize", "lengths-set", "lengths-not-a-number"])
+    ("lengths", "--monoid", "2,3", "--max-length", "\u0663", "6"),  # Arabic-Indic three
+], ids=["factorize-set", "factorize", "lengths-set", "lengths-not-a-number",
+        "lengths-not-ascii"])
 def test_negative_max_length_is_a_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
@@ -558,6 +572,16 @@ def test_max_length_zero_keeps_the_empty_factorization(capsys):
     payload = json.loads(run_cli(capsys, *argv, "{0}")[1])
     assert (payload["factorizations"], payload["partial"]) == ([[]], False)
     assert run_cli(capsys, *argv[:-1], "{0,1}") == (0, "(partial: length cap hit)\n", "")
+
+
+@pytest.mark.parametrize("argv, text", [
+    (("lengths", "--monoid", "2,3", "--max-length", "1", "6"), "{}\n(partial: length cap hit)\n"),
+    (("lengths-set", "--monoid", "1", "--restricted", "--max-length", "2", "{0,1,2,3,4,5}"),
+     "{2}\n(partial: length cap hit)\n"),
+    (("lengths", "--monoid", "3,10", "--max-length", "1", "10"), "{1}\n"),  # cuts nothing
+], ids=["lengths-cut", "lengths-set-cut", "lengths-cap-cuts-nothing"])
+def test_capped_length_sets_mark_the_cut_in_text(capsys, argv, text):
+    assert run_cli(capsys, *argv) == (0, text, "")
 
 
 def test_module_entry_point_subprocess(capsys):

@@ -331,6 +331,28 @@ def test_integer_search_matches_the_fraction_search(monkeypatch):
     assert calls > 1000
 
 
+def test_a_limited_search_is_a_prefix_of_the_full_one(monkeypatch):
+    """`limit=k` returns the first k vectors of the search without a limit,
+    in its order, and reads non-exhaustive once it stops, even when exactly
+    k vectors exist; alone and under a cap.  `limit=0` stops after the
+    first vector, as `limit=1` does."""
+    monkeypatch.setattr(rational, "_RHO_STEPS", 0)
+    rng = random.Random(53)
+    stopped_at_the_last = 0
+    for solver in _agreement_solvers():
+        gens = solver.gens
+        targets = [sum(rng.choices(gens, k=rng.randrange(0, 6)), F(0)) for _ in range(8)]
+        for target in targets:
+            for max_total in (None, 1, 2, 3, 4):
+                full, full_exhaustive = solver.search(target, max_total=max_total)
+                for limit in range(len(full) + 2):
+                    stop = max(limit, 1)
+                    want = (full[:stop], False) if len(full) >= stop else (full, full_exhaustive)
+                    assert solver.search(target, limit, max_total) == want, (gens, target)
+                    stopped_at_the_last += limit == len(full) > 0
+    assert stopped_at_the_last > 100
+
+
 def test_target_outside_the_lattice_is_exhaustive_under_a_cap():
     """The one intended difference from the Fraction search: a target with
     t * lcm not integral has no representation, and the integer search says
@@ -617,6 +639,48 @@ def test_divisors_without_a_table_are_sub_sums():
     with pytest.raises(UnsupportedAmbientError, match="too large to enumerate"):
         solver_only.divisors(F(500, P) + F(500, Q))
     assert time.perf_counter() - start < 0.5
+
+
+def test_divisors_without_a_table_match_the_table(monkeypatch):
+    """The sub-sums of the solver's vectors are the table's divisors, on
+    random monoids rebuilt with APERY_LIMIT at 0 so that they have no table."""
+    rng = random.Random(59)
+    pairs = []
+    for _ in range(40):
+        gens = sorted({F(rng.randrange(1, 13), rng.choice([1, 2, 3, 5, 9])) for _ in range(3)})
+        with_table = PuiseuxMonoid(gens)
+        for _ in range(4):
+            q = sum((g * rng.randrange(0, 4) for g in gens), F(0))
+            pairs.append((gens, q, with_table.divisors(q)))
+    monkeypatch.setattr(puiseux, "APERY_LIMIT", 0)
+    for gens, q, want in pairs:
+        without = PuiseuxMonoid(gens)
+        assert without.numerical is None
+        assert without.divisors(q) == want, (gens, q)
+
+
+def test_length_set_is_the_lengths_of_the_factorizations():
+    rng = random.Random(61)
+    monoids = [example33(1), PuiseuxMonoid([F(1, P), F(2, P), F(1, Q)])]
+    for _ in range(20):
+        gens = {F(rng.randrange(1, 13), rng.choice([1, 2, 3, 5])) for _ in range(3)}
+        monoids.append(PuiseuxMonoid(gens))
+    for m in monoids:
+        targets = [sum((a * rng.randrange(0, 4) for a in m.atoms()), F(0)) for _ in range(3)]
+        for q in targets + ([F(4, 5), F(6, 7)] if m.family else []):
+            assert m.length_set(q) == m.factorizations(q).lengths(), (m, q)
+
+
+def test_example33_divisors_read_the_solver_vectors_quickly():
+    """example33(1) has no table, so the 51,852 divisors of 4/5 are the
+    integer sub-sums of the solver's vectors: about 0.04 s on a 2-vCPU VM,
+    where summing Fractions over Factorization objects took 0.46 s."""
+    m = example33(1)
+    start = time.perf_counter()
+    divisors = m.divisors(F(4, 5))
+    assert time.perf_counter() - start < 0.25
+    assert len(divisors) == 51_852
+    assert divisors[0] == 0 and divisors[-1] == F(4, 5)
 
 
 def test_factorizations_over_atoms_need_a_second_solver():

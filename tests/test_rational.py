@@ -235,15 +235,28 @@ def test_checked_sub_is_partial():
 def test_parse_and_format_roundtrip():
     assert parse_rational("3/2") == Fraction(3, 2)
     assert parse_rational(" 45/60 ") == Fraction(3, 4)  # unreduced accepted
+    assert parse_rational("1 / 2") == Fraction(1, 2)
     assert parse_rational("7") == 7
     assert format_rational(Fraction(3, 4)) == "3/4"
     assert format_rational(Fraction(5)) == "5"
     assert parse_rational(format_rational(Fraction(123, 456))) == Fraction(123, 456)
 
 
-@pytest.mark.parametrize("bad", ["", "x", "1/0", "-1/2", "1/-2", "1/2/3", "0.5"])
+# int() alone reads "1_0" as 10, "+3" as 3 and "\u0663" (Arabic-Indic three) as 3
+@pytest.mark.parametrize("bad", ["", "x", "1/0", "-1/2", "1/-2", "1/2/3", "0.5",
+                                 "1_0", "+3", "\u0663", "1/\u0663", "1/+2", "1/2_0"])
 def test_parse_rejects(bad):
     with pytest.raises(InvalidInputError):
+        parse_rational(bad)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("-1/2", "numerator must be nonnegative, got -1"),
+    (" -3 ", "numerator must be nonnegative, got -3"),
+    ("1/-2", "denominator must be positive, got -2"),
+])
+def test_parse_refuses_a_negative_part_by_its_sign(bad, message):
+    with pytest.raises(InvalidInputError, match=message):
         parse_rational(bad)
 
 
