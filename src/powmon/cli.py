@@ -282,8 +282,9 @@ def _cmd_verify(args) -> None:
 # parser
 
 
-def _length_cap(text: str) -> int:
-    """The type of --max-length: ASCII digits, an integer of at least 0."""
+def _natural(text: str) -> int:
+    """The type of every integer option: ASCII digits, an integer of at
+    least 0.  The library refuses what is out of its own range."""
     if not (text.isascii() and text.isdecimal()):
         raise argparse.ArgumentTypeError(f"expected an integer of at least 0, got {text!r}")
     return int(text)
@@ -300,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     restricted.add_argument("--restricted", action="store_true",
                             help="work in the restricted power monoid (sets containing 0)")
     capped = argparse.ArgumentParser(add_help=False)
-    capped.add_argument("--max-length", type=_length_cap, default=None,
+    capped.add_argument("--max-length", type=_natural, default=None,
                         help="cap factorization lengths; results are then flagged partial")
 
     parser = argparse.ArgumentParser(
@@ -344,17 +345,17 @@ def _build_parser() -> argparse.ArgumentParser:
     vsub = verify.add_subparsers(dest="suite", required=True)
     add(vsub, "accp", _cmd_verify, "descending divisibility chains / stabilization certificate",
         ambient, restricted,
-        **{"--start": {"default": None}, "--depth": {"type": int, "default": 5}})
+        **{"--start": {"default": None}, "--depth": {"type": _natural, "default": 5}})
     add(vsub, "bfm", _cmd_verify, "bounded-factorization check over a corpus", ambient,
-        restricted, corpus={"nargs": "+"}, **{"--cap": {"type": int, "default": 24}})
+        restricted, corpus={"nargs": "+"}, **{"--cap": {"type": _natural, "default": 24}})
     add(vsub, "ffm", _cmd_verify, "finite-factorization counts over a corpus", ambient,
         restricted, corpus={"nargs": "+"})
     add(vsub, "mcd", _cmd_verify, "maximal-common-divisor probe of a pair", ambient,
         a={}, b={})
     add(vsub, "atomicity", _cmd_verify, "power-monoid atomicity sweep", ambient,
-        **{"--max-card": {"type": int, "default": 3}, "--bound": {"default": "8"}})
+        **{"--max-card": {"type": _natural, "default": 3}, "--bound": {"default": "8"}})
     add(vsub, "example33", _cmd_verify, "construction, valuation and witness checks",
-        **{"--level": {"type": int, "default": 2, "help": "truncation level"}})
+        **{"--level": {"type": _natural, "default": 2, "help": "truncation level"}})
 
     return parser
 

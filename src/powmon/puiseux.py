@@ -5,9 +5,9 @@ structures:
 
 * generator solver: a bounded-knapsack search over the generators scaled by
   L = lcm(denominators), so every remainder it meets is an integer, pruned
-  by p-adic valuation constraints.  When a generator is the only remaining
-  one with negative valuation at a prime p, its coefficient is forced into
-  a single residue class mod a power of p, which collapses the search.
+  by suffix gcds.  A remainder must be divisible by the gcd of the
+  generators still to come, which forces each coefficient into a single
+  residue class and collapses the search without factoring anything.
   This is what makes the huge-denominator families below tractable.  Its
   count vectors over the atoms give the length sets (their sums), the
   divisors without a table (their integer sub-sums) and the factorizations,
@@ -16,9 +16,9 @@ structures:
   numerators) maps the monoid onto a numerical monoid, whose Apery table
   answers membership in O(1) and serves atoms, divisor sets and member
   lists when the multiplicity is small enough to table.  Membership and
-  atoms run on the table unless the family hands the solver its primes
-  (`example33`).  Each backend is built on first use.  The tests
-  cross-check membership and atoms of the two.
+  atoms run on the table, except on `example33`, where the solver's forced
+  classes make a query a short walk.  Each backend is built on first use.
+  The tests cross-check membership and atoms of the two.
 
 The module also hosts the named families: `geometric(r, level)` (truncations
 of the monoid generated by the powers of a ratio r in (0,1)) and
@@ -36,6 +36,7 @@ call builds it, so the cost of a call does not depend on what ran before.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 from collections.abc import Iterable, Sequence
@@ -55,17 +56,14 @@ from .rational import (
     field,
     format_rational,
     int_valuation,
-    is_prime,
     next_prime_above,
     parse_rational,
-    prime_factors,
 )
 
 # Largest multiplicity for which the Apery table is built; beyond this the
 # generator solver answers membership instead.
 APERY_LIMIT = 250_000
 
-_TRIAL_LIMIT = 100_000
 _DIVISOR_ENUM_LIMIT = 200_000
 
 # Handles kept per family constructor.
@@ -136,101 +134,35 @@ class Example33Family(Record):
 # generator solver
 
 
-def _strip(n: int, primes: Iterable[int]) -> int:
-    """n with every factor from `primes` divided out."""
-    for p in primes:
-        while n % p == 0:
-            n //= p
-    return n
-
-
 class ReprSolver:
     """Enumerates representations of a target as N0-combinations of generators.
 
     Exhaustive within the stated caps.  The search runs on integers: with L
     the lcm of the generators' denominators, a target t and each generator
     g_i become T = t*L and G_i = g_i*L, and every remainder the search meets
-    stays an integer.  Valuation constraints are only ever used to
-    *restrict* coefficient ranges to provably necessary residue classes, so
-    pruning never loses solutions.  For a known prime p of L, a remainder
-    past the last generator with p in its denominator must be divisible by
-    p**v_p(L); at that last generator the coefficient is forced into one
-    residue class mod p**e, e its exponent of p.  Both are precomputed per
-    depth, so each test is one integer operation.
+    stays an integer.  It prunes by suffix gcds, as the round-robin residue
+    tables do (Boecker & Liptak 2007): a remainder at depth i is a sum of
+    G_i, ..., G_{n-1}, so it is divisible by their gcd d_i, and the count c
+    of G_i must leave a remainder divisible by d_{i+1}, which forces c into
+    one residue class mod d_{i+1} / d_i.  Both are necessary conditions, so
+    pruning never loses a solution and needs no factoring.  The target is
+    tested against d_0 once; every count is then taken from its class, so
+    each remainder is divisible by the next d_i without a test, and the
+    last count is exact.
     """
 
-    def __init__(self, generators: Sequence[Fraction], hint_primes: Iterable[int] = ()):
+    def __init__(self, generators: Sequence[Fraction]):
         self.gens: tuple[Fraction, ...] = tuple(sorted(generators))
         self._lcm = lcm = math.lcm(*(g.denominator for g in self.gens))
         self._scaled = scaled = tuple(g.numerator * (lcm // g.denominator) for g in self.gens)
-        last: dict[int, int] = {}  # each prime's last generator with it in the denominator
-        for p in self._discover_primes(hint_primes):
-            for i, g in enumerate(self.gens):
-                if g.denominator % p == 0:
-                    last[p] = i
-        self._primes = tuple(sorted(last))
-        n = len(self.gens)
-        # moduli[i] divides every remainder worth searching at depth i: it has
-        # p**v_p(L) for each prime whose last carrier is before i, and
-        # ps = p**(v_p(L) - e), the power of p in G_i, for each whose last
-        # carrier is i.  Such a p forces the coefficient of G_i into the class
-        # (T // ps) * (G_i // ps)**-1 mod p**e.
-        moduli = [1] * n
-        residues: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-        for p, i in last.items():
-            v, e = int_valuation(lcm, p), int_valuation(self.gens[i].denominator, p)
-            ps, m = p ** (v - e), p**e
-            moduli[i] *= ps
-            for j in range(i + 1, n):
-                moduli[j] *= ps * m
-            residues[i].append((ps, m, pow(scaled[i] // ps, -1, m)))
-        self._moduli = tuple(moduli)
-        # the classes of one depth, combined once by the CRT: the coefficient
-        # is sum((T // ps) * coef) mod the product of their p**e
-        self._residues = []
-        for terms in residues:
-            modulus = math.prod(m for _, m, _ in terms)
-            self._residues.append((modulus, tuple(
-                (ps, inv * (modulus // m) * pow(modulus // m, -1, m) % modulus)
-                for ps, m, inv in terms
-            )))
-
-    def _discover_primes(self, hints: Iterable[int]) -> set[int]:
-        """The primes of the denominators found by trial division up to
-        _TRIAL_LIMIT, among the hints, or in a cofactor left once the primes
-        found so far are divided out, by `prime_factors` (a prime, or a
-        composite split by integer roots and Pollard's rho).  A cofactor
-        part it leaves out (a prime whose primality is refused, or a product
-        rho cannot split) stays an unknown prime: that only weakens the
-        pruning."""
-        primes: set[int] = {p for p in hints if is_prime(p)}
-        rests = []
-        for g in self.gens:
-            rest = _strip(g.denominator, primes)
-            d = 2
-            while d <= _TRIAL_LIMIT and d * d <= rest:
-                if rest % d == 0:
-                    primes.add(d)
-                    while rest % d == 0:
-                        rest //= d
-                d += 1 if d == 2 else 2
-            rests.append(rest)
-        # smallest first, and again after a pass that found a prime: a product
-        # of two large primes splits once another cofactor yields one of them.
-        # What prime_factors leaves of a cofactor is not sent to it again, so
-        # a product rho cannot split costs its budget once.
-        left = {1}
-        found = True
-        while found:
-            found = False
-            for rest in sorted(rests):
-                rest = _strip(rest, primes)
-                if rest not in left:
-                    new = prime_factors(rest)
-                    left.add(_strip(rest, new))
-                    found = found or bool(new)
-                    primes |= new
-        return primes
+        # suffix[i] = gcd(G_i, ..., G_{n-1}); with d = suffix[i] and
+        # h = suffix[i+1], the count of G_i is (T // d) * (G_i // d)**-1 mod h // d
+        suffix = list(itertools.accumulate(reversed(scaled), math.gcd))[::-1]
+        self._gcd = suffix[0] if suffix else 1
+        self._residues = tuple(
+            (d, h // d, pow(g // d, -1, h // d))
+            for g, d, h in zip(scaled, suffix, suffix[1:])
+        )
 
     def search(
         self,
@@ -249,9 +181,9 @@ class ReprSolver:
         if target < 0:
             return [], True
         start, r = divmod(target.numerator * self._lcm, target.denominator)
-        if r:
+        if r or start % self._gcd:
             return [], True
-        gens, moduli, residues = self._scaled, self._moduli, self._residues
+        gens, residues = self._scaled, self._residues
         n = len(gens)
         solutions: list[tuple[int, ...]] = []
         counts = [0] * n
@@ -266,14 +198,9 @@ class ReprSolver:
                 return limit is not None and len(solutions) >= limit
             if i == n or t < gens[i]:
                 return False
-            # a prime no generator from i on can clear is fatal
-            if t % moduli[i]:
-                return False
             g = gens[i]
             if i == n - 1:
-                c, r = divmod(t, g)
-                if r:
-                    return False
+                c = t // g
                 if max_total is not None and total + c > max_total:
                     pruned = True
                     return False
@@ -281,8 +208,8 @@ class ReprSolver:
                 stop = rec(n, 0, total + c)
                 counts[i] = 0
                 return stop
-            modulus, terms = residues[i]
-            c = sum(t // ps * coef for ps, coef in terms) % modulus
+            d, modulus, inv = residues[i]
+            c = t // d * inv % modulus
             max_c = t // g
             cap_c = max_c if max_total is None else min(max_c, max_total - total)
             while c <= cap_c:
@@ -291,13 +218,11 @@ class ReprSolver:
                     return True
                 c += modulus
             # a count cut by the length cap, not the target, flags the search
-            # when its remainder passes the first checks of the next depth
-            if c <= max_c and not pruned:
-                g1, m1, last = gens[i + 1], moduli[i + 1], i + 2 == n
-                pruned = any(
-                    r == 0 or (r >= g1 and r % m1 == 0 and not (last and r % g1))
-                    for r in range(t - c * g, -1, -modulus * g)
-                )
+            # when a remainder it leaves is 0 or could hold the next generator:
+            # the remainders fall by modulus * g from the first, r
+            if c <= max_c:
+                r = t - c * g
+                pruned = pruned or r >= gens[i + 1] or r % (modulus * g) == 0
             counts[i] = 0
             return False
 
@@ -334,12 +259,11 @@ class PuiseuxMonoid:
         g0 = math.gcd(*nums)
         self.scale: Fraction = Fraction(lcm_den, g0)
         self.scaled_generators: tuple[int, ...] = tuple(n // g0 for n in nums)
-        # Given the family's primes, the solver forces every coefficient, so
-        # a membership query is a short walk: cheaper than a table of the
+        # On example33 the suffix gcds force every coefficient, so a
+        # membership query is a short walk: cheaper than a table of the
         # multiplicity (57,771 residues at example33(0)).
-        self._family_primes = family.primes if isinstance(family, Example33Family) else ()
         self._table_members = (min(self.scaled_generators) <= APERY_LIMIT
-                               and not self._family_primes)
+                               and not isinstance(family, Example33Family))
 
     # -- backends: each is built on first use --------------------------------
 
@@ -353,12 +277,12 @@ class PuiseuxMonoid:
 
     @functools.cached_property
     def _solver(self) -> ReprSolver:
-        return ReprSolver(self.generators, self._family_primes)
+        return ReprSolver(self.generators)
 
     @functools.cached_property
     def _atom_solver(self) -> ReprSolver:
         atoms = self.atoms()
-        return self._solver if atoms == self.generators else ReprSolver(atoms, self._family_primes)
+        return self._solver if atoms == self.generators else ReprSolver(atoms)
 
     @functools.cached_property
     def _atoms(self) -> tuple[Fraction, ...]:
@@ -531,7 +455,10 @@ def parse_family(spec: str) -> PuiseuxMonoid:
         )
     if not re.fullmatch(r"0|[1-9][0-9]*", fields[-1]):  # as `label()` writes a level
         raise InvalidInputError(f"a family level is a nonnegative integer, got {spec!r}")
-    level = int(fields[-1])
+    try:
+        level = int(fields[-1])
+    except ValueError:  # past the interpreter's limit on the digits of an int
+        raise InvalidInputError(f"a family level of {len(fields[-1])} digits is too large") from None
     if kind == "geometric":
         return geometric(parse_rational(fields[0]), level)
     return example33(level)
@@ -557,8 +484,8 @@ def geometric(ratio, level: int) -> PuiseuxMonoid:
 
     The truncation is operated through its scaled numerical monoid, whose
     multiplicity is n(r)**level; levels pushing that beyond the Apery bound
-    are refused outright (every prime divides many generators here, so the
-    valuation-guided solver has no leverage and would crawl instead).
+    are refused outright (the suffix gcds here force each count of the
+    solver only mod d(r), so it would crawl instead).
     Equal arguments return the same shared handle while it stays among the
     last `FAMILY_HANDLES` built.
     """

@@ -4,9 +4,8 @@ Values are `fractions.Fraction` instances (arbitrary-precision, always in
 lowest terms).  This module adds the pieces the monoid machinery needs on
 top of the stdlib type: validated reduction, p-adic valuations,
 primality (deterministic below a bound, refused past it unless composite),
-prime search, factor splitting by integer roots and Pollard's rho, partial
-subtraction on Q>=0, the "a/b" text format, and the JSON form built on it
-(`jsonable`, `Record`).
+prime search, partial subtraction on Q>=0, the "a/b" text format, and the
+JSON form built on it (`jsonable`, `Record`).
 
 No floating point is used anywhere in the package.
 """
@@ -106,79 +105,6 @@ def is_prime(n: int) -> bool:
     raise UnsupportedAmbientError(
         f"cannot decide whether {n} is prime: past {_MR_LIMIT} only a composite is recognised"
     )
-
-
-# Steps of Pollard's rho per attempt: a prime factor p takes about sqrt(p)
-# steps, so this splits off one up to about 10^9 with high probability and
-# gives up after about 45 ms on a cofactor whose prime factors are all
-# larger (measured on a product of two primes near 10^12).
-_RHO_STEPS = 1 << 16
-
-
-def _integer_root(n: int, k: int) -> int:
-    """floor(n ** (1/k)) for n >= 1, by integer Newton steps from above."""
-    if k == 2:
-        return math.isqrt(n)
-    x = 1 << -(-n.bit_length() // k)  # 2**ceil(bits / k) > the root
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
-
-
-def _perfect_power_root(n: int) -> int | None:
-    """The smallest r with r**k == n for some k >= 2, or None."""
-    for k in range(n.bit_length(), 1, -1):
-        r = _integer_root(n, k)
-        if r > 1 and r**k == n:
-            return r
-    return None
-
-
-def _rho(n: int, c: int) -> int | None:
-    """A divisor d of the composite n with 1 < d <= n, by Pollard's rho on
-    x -> x*x + c with Floyd's cycle search, or None after _RHO_STEPS
-    steps.  d == n means this c failed and another may not."""
-    x = y = 2
-    for _ in range(_RHO_STEPS):
-        x = (x * x + c) % n
-        y = (y * y + c) % n
-        y = (y * y + c) % n
-        g = math.gcd(x - y, n)
-        if g != 1:
-            return g
-    return None
-
-
-def prime_factors(n: int) -> set[int]:
-    """The prime factors of n > 0 that integer roots and Pollard's rho find
-    within their budget.  A composite factor that neither splits is left
-    out, and so is a factor whose primality `is_prime` refuses.  So the
-    answer may be partial but never holds a non-prime."""
-    primes: set[int] = set()
-    pending = [n]
-    while pending:
-        m = pending.pop()
-        if m < 2:
-            continue
-        try:
-            if is_prime(m):
-                primes.add(m)
-                continue
-        except UnsupportedAmbientError:  # a probable prime past the bound
-            continue
-        root = _perfect_power_root(m)
-        if root is not None:
-            pending.append(root)
-            continue
-        for c in range(1, 9):  # a walk that closes on m itself is retried
-            d = _rho(m, c)
-            if d != m:
-                break
-        if d is not None and d != m:
-            pending += [d, m // d]
-    return primes
 
 
 def next_prime_above(bound: Fraction | int) -> int:

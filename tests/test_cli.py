@@ -510,9 +510,11 @@ def test_each_command_accepts_exactly_its_flags():
     ("family", "geometric:2/3:\u0663"),
     ("family", "geometric:2/3:01"),
     ("atoms", "--family", "example33:01"),
+    # past the interpreter's limit on the digits int() reads
+    ("family", "example33:" + "1" * 5000),
 ], ids=["geometric-level", "example33-level", "example33-no-level", "geometric-no-level",
         "geometric-level-not-ascii", "geometric-level-leading-zero",
-        "example33-level-leading-zero"])
+        "example33-level-leading-zero", "example33-level-too-long"])
 def test_malformed_family_specs_are_domain_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
@@ -527,6 +529,21 @@ def test_malformed_family_specs_are_domain_errors(capsys, argv):
 ], ids=["accp-depth", "bfm-cap", "atomicity-max-card"])
 def test_nonpositive_bounds_are_domain_errors(capsys, argv, message):
     assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("value", ["\u0663", "1_0"])  # Arabic-Indic three; 10 with a "_"
+@pytest.mark.parametrize("argv", [
+    ("verify", "example33", "--level"),
+    ("verify", "accp", "--monoid", "2,3", "--start", "6", "--depth"),
+    ("verify", "bfm", "--monoid", "2,3", "6", "--cap"),
+    ("verify", "atomicity", "--monoid", "2,3", "--max-card"),
+], ids=["example33-level", "accp-depth", "bfm-cap", "atomicity-max-card"])
+def test_integer_options_take_ascii_digits_only(capsys, argv, value):
+    """int() also reads other scripts' digits and "_" separators; every
+    integer option takes the ASCII digits of --max-length."""
+    code, out, err = run_cli(capsys, *argv, value)
+    assert (code, out) == (2, "")
+    assert f"argument {argv[-1]}: expected an integer of at least 0, got {value!r}" in err
 
 
 @pytest.mark.parametrize("element", ["1_0", "+3", "\u0663"])

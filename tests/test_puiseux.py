@@ -1,4 +1,3 @@
-import itertools
 import random
 import time
 from fractions import Fraction as F
@@ -15,7 +14,7 @@ from powmon import (
     geometric_chain,
     parse_monoid,
 )
-from powmon import puiseux, rational
+from powmon import puiseux
 from powmon.factorization import Factorization
 from powmon.puiseux import FAMILY_HANDLES, ReprSolver, example33, parse_family
 from powmon.rational import int_valuation
@@ -132,11 +131,11 @@ def test_membership_scale_soundness_random():
 
 
 def test_solver_agrees_with_apery_backend():
-    """The valuation-guided solver answers membership and atoms as the Apery
+    """The generator solver answers membership and atoms as the Apery
     table does on monoids small enough to run both, and its factorizations
     (the monoid's own, and a fresh solver's over the atoms) are the
     unpruned recursion's over the scaled atoms (prime-power denominators
-    included, so residue strides mod p**e with e > 1 get exercised)."""
+    included, so residue strides that are prime powers get exercised)."""
     rng = random.Random(31)
     for _ in range(30):
         dens = rng.sample([2, 3, 4, 5, 7, 8, 9, 25, 27], 3)
@@ -182,16 +181,18 @@ def test_solver_combined_residue_constraints():
     assert totals == {F(25, 6) + 8}
 
 
-def _fraction_search(solver, target, limit=None, max_total=None):
-    """`ReprSolver.search` as it ran on Fractions before it ran on t * lcm:
-    the reference the integer search must match call for call.  It reads
-    only the solver's generators and known primes."""
+def _fraction_search(solver, target, primes, limit=None, max_total=None):
+    """`ReprSolver.search` as it ran on Fractions, pruned by the p-adic
+    valuations of `primes`: the reference the integer search must match
+    call for call.  It reads only the solver's generators and `primes`,
+    primes of their denominators; a denominator that `primes` does not
+    factor fully only weakens its pruning."""
     gens = solver.gens
     n = len(gens)
     neg, max_neg_idx = [], {}
     for i, g in enumerate(gens):
         neg.append({})
-        for p in solver._primes:
+        for p in primes:
             e = int_valuation(g.denominator, p) - int_valuation(g.numerator, p)
             if e > 0:
                 neg[i][p] = e
@@ -199,7 +200,7 @@ def _fraction_search(solver, target, limit=None, max_total=None):
     fully_factored = True
     for g in gens:
         rest = g.denominator
-        for p in solver._primes:
+        for p in primes:
             while rest % p == 0:
                 rest //= p
         fully_factored = fully_factored and rest == 1
@@ -234,7 +235,7 @@ def _fraction_search(solver, target, limit=None, max_total=None):
         if i == n or t < gens[i]:
             return
         rest = t.denominator
-        for p in solver._primes:
+        for p in primes:
             if max_neg_idx[p] >= i:
                 while rest % p == 0:
                     rest //= p
@@ -242,7 +243,7 @@ def _fraction_search(solver, target, limit=None, max_total=None):
             if rest > 1:
                 return
         else:
-            for p in solver._primes:
+            for p in primes:
                 if max_neg_idx[p] < i and t.denominator % p == 0:
                     return
         g = gens[i]
@@ -284,39 +285,63 @@ def _fraction_search(solver, target, limit=None, max_total=None):
     return solutions, not state["pruned"]
 
 
-# 100003 * 100019: past the trial-division limit and composite, so with
-# Pollard's rho given no steps these solvers keep an unknown cofactor and
-# prune on their known primes only
+# Trial division for the reference primes stops here, so a cofactor such as
+# 100003 * 100019 stays unfactored and the reference prunes on the rest only
+_TRIAL = 100_000
 _UNFACTORED = 100003 * 100019
 
 
+def _reference_primes(gens, known=()):
+    """The primes of the denominators of `gens` that the reference search
+    prunes by: those in `known` (a family's), and those trial division up to
+    _TRIAL finds once `known` is divided out."""
+    primes = set(known)
+    for g in gens:
+        rest = g.denominator
+        for p in known:
+            while rest % p == 0:
+                rest //= p
+        d = 2
+        while d <= _TRIAL and d * d <= rest:
+            if rest % d == 0:
+                primes.add(d)
+                while rest % d == 0:
+                    rest //= d
+            d += 1 if d == 2 else 2
+        if rest > 1 and d * d > rest:  # no factor up to its root: a prime
+            primes.add(rest)
+    return tuple(sorted(primes))
+
+
 def _agreement_solvers():
-    solvers = []
+    """Solvers, each with the primes the reference search prunes it by."""
+    pairs = []
     for level in range(4):
         m = example33(level)
-        solvers.append(ReprSolver(m.generators, m.family.primes))
-    solvers += [
-        ReprSolver([F(1, 4), F(3, 8), F(5, 9), F(7, 27)]),  # prime powers
-        ReprSolver([F(5, 6), F(4)]),  # one generator carries 2 and 3
-        ReprSolver([F(7, 12), F(5, 18), F(11, 10)]),  # composite denominators
-        ReprSolver([F(1, 3), F(1, 2), F(_UNFACTORED + 1, _UNFACTORED)]),
-        ReprSolver([F(2, 5), F(_UNFACTORED + 2, 3 * _UNFACTORED), F(_UNFACTORED + 1, _UNFACTORED)]),
-    ]
-    return solvers
+        pairs.append((ReprSolver(m.generators), _reference_primes(m.generators, m.family.primes)))
+    for gens in (
+        [F(1, 4), F(3, 8), F(5, 9), F(7, 27)],  # prime powers
+        [F(5, 6), F(4)],  # one generator carries 2 and 3
+        [F(7, 12), F(5, 18), F(11, 10)],  # composite denominators
+        [F(1, 3), F(1, 2), F(_UNFACTORED + 1, _UNFACTORED)],
+        [F(2, 5), F(_UNFACTORED + 2, 3 * _UNFACTORED), F(_UNFACTORED + 1, _UNFACTORED)],
+    ):
+        pairs.append((ReprSolver(gens), _reference_primes(gens)))
+    return pairs
 
 
-def test_integer_search_matches_the_fraction_search(monkeypatch):
-    monkeypatch.setattr(rational, "_RHO_STEPS", 0)
+def test_integer_search_matches_the_fraction_search():
     rng = random.Random(47)
     calls = 0
-    for solver in _agreement_solvers():
+    for solver, primes in _agreement_solvers():
         gens = solver.gens
         targets = [F(4, 5), F(6, 7), F(4, 5) + F(6, 7)] if len(gens) > 3 else []
         targets += [sum(rng.choices(gens, k=rng.randrange(0, 5)), F(0)) for _ in range(12)]
         for target in targets:
             for limit in (None, 1, 2):
                 for max_total in (None, 1, 2, 3):
-                    want, want_exhaustive = _fraction_search(solver, target, limit, max_total)
+                    want, want_exhaustive = _fraction_search(solver, target, primes, limit,
+                                                             max_total)
                     got, exhaustive = solver.search(target, limit, max_total)
                     assert got == want, (gens, target)
                     # the flag is never looser than the reference's, and is
@@ -326,20 +351,21 @@ def test_integer_search_matches_the_fraction_search(monkeypatch):
                         full, _ = solver.search(target)
                         assert all(sum(v) <= max_total for v in full), (gens, target)
                     calls += 1
-    unfactored = [s for s in _agreement_solvers() if s.gens[-1].denominator == _UNFACTORED]
-    assert unfactored and all(100003 not in s._primes for s in unfactored)
+    # the reference leaves 100003 * 100019 unfactored, the solver needs no primes
+    unfactored = [primes for solver, primes in _agreement_solvers()
+                  if solver.gens[-1].denominator == _UNFACTORED]
+    assert unfactored and all(100003 not in primes for primes in unfactored)
     assert calls > 1000
 
 
-def test_a_limited_search_is_a_prefix_of_the_full_one(monkeypatch):
+def test_a_limited_search_is_a_prefix_of_the_full_one():
     """`limit=k` returns the first k vectors of the search without a limit,
     in its order, and reads non-exhaustive once it stops, even when exactly
     k vectors exist; alone and under a cap.  `limit=0` stops after the
     first vector, as `limit=1` does."""
-    monkeypatch.setattr(rational, "_RHO_STEPS", 0)
     rng = random.Random(53)
     stopped_at_the_last = 0
-    for solver in _agreement_solvers():
+    for solver, _ in _agreement_solvers():
         gens = solver.gens
         targets = [sum(rng.choices(gens, k=rng.randrange(0, 6)), F(0)) for _ in range(8)]
         for target in targets:
@@ -360,106 +386,86 @@ def test_target_outside_the_lattice_is_exhaustive_under_a_cap():
     candidates it never tried.  `factorizations`, the only caller with a
     cap, refuses such a target as a non-member first."""
     solver = ReprSolver([F(1, 2), F(1, 3)])
-    assert _fraction_search(solver, F(5, 4), max_total=1) == ([], False)
+    assert _fraction_search(solver, F(5, 4), (2, 3), max_total=1) == ([], False)
     assert solver.search(F(5, 4), max_total=1) == ([], True)
-    assert solver.search(F(5, 4)) == _fraction_search(solver, F(5, 4)) == ([], True)
+    assert solver.search(F(5, 4)) == _fraction_search(solver, F(5, 4), (2, 3)) == ([], True)
     with pytest.raises(NotAMemberError):
         PuiseuxMonoid([F(1, 2), F(1, 3)]).factorizations(F(5, 4), max_length=1)
 
 
 @pytest.mark.parametrize("level", [2, 3])
 def test_prime_discovery_ignores_generator_order(level):
-    """Without hints, a cofactor that is a product of two large primes is
-    split once another generator gives one of them, whatever the order."""
+    """example33's denominators are products of primes past the
+    Miller-Rabin range, which the solver never looks for: its suffix gcds
+    prune as the family's primes do, whatever order the generators come
+    in."""
     m = example33(level)
-    bare, hinted = ReprSolver(m.generators), ReprSolver(m.generators, m.family.primes)
-    assert bare._primes == hinted._primes
-    assert set(m.family.primes) <= set(bare._primes)
+    solver = ReprSolver(m.generators)
+    target = solver.gens[0] + solver.gens[1] + solver.gens[5]
+    primes = _reference_primes(m.generators, m.family.primes)
+    assert ReprSolver(m.generators[::-1]).search(target) == solver.search(target) == (
+        _fraction_search(solver, target, primes))
     if level == 3:
-        target = bare.gens[0] + bare.gens[1] + bare.gens[5]
-        assert bare.search(target) == ([(1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0)], True)
-
-
-def test_prime_discovery_retests_a_cofactor_after_a_later_split(monkeypatch):
-    """100003 * 100019 is tested before the prime c, and splits only after
-    c has split 100019 * c: a second pass over the cofactors finds 100003
-    (with Pollard's rho given no steps, so that the pass alone must)."""
-    monkeypatch.setattr(rational, "_RHO_STEPS", 0)
-    a, b, c = 100003, 100019, 100000000003
-    gens = [F(1, a * b), F(1, c), F(1, b * c)]
-    for order in itertools.permutations(gens):
-        assert ReprSolver(order)._primes == (a, b, c)
+        assert solver.search(target) == ([(1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0)], True)
 
 
 def test_a_prime_square_cofactor_splits_by_its_root():
-    """100003**2 is past the trial limit and no other generator yields
-    100003, so the search once had no residue class for it and this
-    non-member query crawled for seconds; the square root splits it."""
+    """Without a residue class for 100003**2, which trial division up to
+    100,000 does not split, this non-member query once crawled for seconds;
+    the suffix gcds force the count of 1/p**2 at once."""
     p, q = 100003, 300007
     gens = [F(1, p * p), F(1, q)]
     query = F(p * p * q - p * p - q, p * p * q)
     start = time.perf_counter()
     answer = PuiseuxMonoid(gens).contains(query)
     assert time.perf_counter() - start < 0.5
-    assert ReprSolver(gens)._primes == (p, q)
-    hinted = ReprSolver(gens, [p])
-    assert answer == hinted.is_member(query) is False
+    assert answer is False
     m = PuiseuxMonoid(gens)
+    # query scales to the Frobenius number of <q, p**2>: past it, all members
     for target in (F(1, p), F(3, p * p) + F(5, q), query + F(1, p * p), query + F(1, q)):
-        assert m.contains(target) == hinted.is_member(target), target
+        assert m.contains(target), target
 
 
 def test_a_semiprime_cofactor_splits_by_rho():
     """p9 * p10 of example33(3) lies past the Miller-Rabin range and no
-    other generator yields either prime: Pollard's rho splits it.  So does
-    the 100003 * 100019 of the agreement solvers."""
+    other generator yields either prime: the solver, which factors nothing,
+    finds what the reference search pruned by all three primes finds."""
     fam = example33(3).family
     p9, p10, p11 = fam.prime(9), fam.prime(10), fam.prime(11)
     gens = [F(1, p9 * p10), F(1, p11)]
-    bare = ReprSolver(gens)
-    assert bare._primes == (p9, p10, p11)
-    hinted = ReprSolver(gens, [p9, p10])
+    solver = ReprSolver(gens)
     for target in (F(2, p11), F(1, p9 * p10) + F(3, p11), F(1, p9), F(1, p9 * p11)):
-        assert bare.search(target) == hinted.search(target), target
+        assert solver.search(target) == _fraction_search(solver, target, (p9, p10, p11)), target
     assert PuiseuxMonoid(gens).contains(F(2, p11))
-    solver = ReprSolver([F(1, 3), F(1, 2), F(_UNFACTORED + 1, _UNFACTORED)])
-    assert solver._primes == (2, 3, 100003, 100019)
 
 
 def test_a_cofactor_with_a_prime_past_the_mr_range_builds_quickly():
-    """100003 * (2**89 - 1) fails the base-2 round, so it is split; rho
-    finds 100003, and the prime 2**89 - 1 that is left passes that round and
-    stays unknown instead of being proved by trial division."""
+    """100003 * (2**89 - 1), whose large prime nothing here can prove, costs
+    the solver nothing to build."""
     big = 100003 * (2**89 - 1)
     start = time.perf_counter()
-    solver = ReprSolver([F(1, big), F(1, 7)])
+    ReprSolver([F(1, big), F(1, 7)])
     assert time.perf_counter() - start < 0.5
-    assert solver._primes == (7, 100003)
     m = PuiseuxMonoid([F(1, big)])
     assert m.contains(F(5, big)) and not m.contains(F(1, 2 * big))
 
 
-def test_a_cofactor_rho_cannot_split_is_walked_once(monkeypatch):
-    """The pass that finds 7 and 300007 leads to a second pass, which must
-    not walk rho again over the product of two primes near 10**12."""
-    monkeypatch.setattr(rational, "_RHO_STEPS", 1 << 8)
-    walks = []
-    rho = rational._rho
-
-    def counting(n, c):
-        walks.append(n)
-        return rho(n, c)
-
-    monkeypatch.setattr(rational, "_rho", counting)
+def test_a_cofactor_rho_cannot_split_is_walked_once():
+    """A product of two primes near 10**12, past what Pollard's rho split
+    within its budget, is never factored: the solver over it builds at once,
+    and one walk finds the three representations of 1."""
     big = 1000000000039 * 1000000000061
-    assert ReprSolver([F(1, big), F(1, 7), F(1, 300007)])._primes == (7, 300007)
-    assert walks == [big]
+    start = time.perf_counter()
+    solver = ReprSolver([F(1, big), F(1, 7), F(1, 300007)])
+    vectors, exhaustive = solver.search(F(1))
+    assert time.perf_counter() - start < 0.5
+    assert exhaustive and sorted(vectors) == [(0, 0, 7), (0, 300007, 0), (big, 0, 0)]
 
 
 def test_a_probable_prime_cofactor_stays_an_unknown_prime():
-    """2**89 - 1 is a whole denominator past the Miller-Rabin range: its
-    primality is refused, so the solver keeps it as an unknown prime and
-    still answers exactly, at once."""
+    """2**89 - 1 is a whole denominator past the Miller-Rabin range, whose
+    primality is refused; the solver never asks, and answers exactly, at
+    once."""
     mersenne = 2**89 - 1
     start = time.perf_counter()
     m = PuiseuxMonoid([F(1, mersenne), F(1, 300007)])
@@ -467,7 +473,32 @@ def test_a_probable_prime_cofactor_stays_an_unknown_prime():
     assert m.contains(F(1, 300007) + F(3, mersenne)) is True
     assert m.contains(F(1, 2 * 300007)) is False
     assert time.perf_counter() - start < 1
-    assert ReprSolver(m.generators)._primes == (300007,)
+
+
+# a = 300007 puts the multiplicity past APERY_LIMIT; 2**89 - 1 is a prime
+# past the Miller-Rabin range, and p * q a product of two primes near 10**12
+_A, _MERSENNE = 300007, 2**89 - 1
+_SEMIPRIME = 1000000000039 * 1000000000061
+
+
+@pytest.mark.parametrize("gens", [[F(1, _MERSENNE), F(1, _A)], [F(1, _SEMIPRIME), F(1, 7)]],
+                         ids=["mersenne", "semiprime"])
+def test_large_prime_denominators_are_answered_at_once(gens):
+    """With these primes unknown, pruning by prime powers left the count of
+    the smallest generator unconstrained, and each query below walked about
+    one count per unit of the other denominator.  The suffix gcds answer in
+    microseconds."""
+    start = time.perf_counter()
+    m = PuiseuxMonoid(gens)
+    a, b = gens[1].denominator, gens[0].denominator
+    assert m.factorizations(1).items == (
+        Factorization([(gens[1], a)]), Factorization([(gens[0], b)]))
+    if a == _A:
+        # the Frobenius number of <a, b>, scaled by 1/(a*b): not a member
+        assert m.contains(F(a * b - a - b, a * b)) is False
+        with pytest.raises(UnsupportedAmbientError, match="too large to enumerate"):
+            m.divisors(1)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_every_solver_query_goes_through_the_class_method(monkeypatch):
