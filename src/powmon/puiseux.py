@@ -5,20 +5,23 @@ structures:
 
 * generator solver: a bounded-knapsack search over the generators scaled by
   L = lcm(denominators), so every remainder it meets is an integer, pruned
-  by suffix gcds.  A remainder must be divisible by the gcd of the
-  generators still to come, which forces each coefficient into a single
-  residue class and collapses the search without factoring anything.
-  This is what makes the huge-denominator families below tractable.  Its
-  count vectors over the atoms give the length sets (their sums), the
-  divisors without a table (their integer sub-sums) and the factorizations,
-  the only result built as `Factorization` objects.
+  by suffix gcds and bounded by trades.  A remainder must be divisible by
+  the gcd of the generators still to come, which forces each coefficient
+  into a single residue class without factoring anything; and once the
+  first few counts of a class hold no representation, no larger count
+  does, since the surplus trades for later generators.  This is what makes
+  the huge-denominator families below tractable.  It answers membership
+  and atoms, unless one of its depths has no trade bound and a table
+  exists.  Its count vectors over the atoms give the length sets (their
+  sums), the divisors without a table (their integer sub-sums) and the
+  factorizations, the only result built as `Factorization` objects.
 * scale isomorphism: multiplying by lambda = lcm(denominators)/gcd(scaled
   numerators) maps the monoid onto a numerical monoid, whose Apery table
-  answers membership in O(1) and serves atoms, divisor sets and member
-  lists when the multiplicity is small enough to table.  Membership and
-  atoms run on the table, except on `example33`, where the solver's forced
-  classes make a query a short walk.  Each backend is built on first use.
-  The tests cross-check membership and atoms of the two.
+  enumerates members: it serves divisor sets, member lists and the
+  set-level engine when the multiplicity is small enough to table, and
+  membership and atoms where the solver has a depth without a trade bound.
+  Each backend is built on first use.  The tests cross-check the solver's
+  membership and atoms against the table.
 
 The module also hosts the named families: `geometric(r, level)` (truncations
 of the monoid generated by the powers of a ratio r in (0,1)) and
@@ -60,9 +63,14 @@ from .rational import (
     parse_rational,
 )
 
-# Largest multiplicity for which the Apery table is built; beyond this the
-# generator solver answers membership instead.
+# Largest multiplicity for which the Apery table is built.  Member
+# enumeration reads it (members_upto, the set-level engine, divisors and the
+# Frobenius number in the JSON), and so do membership and atoms where a depth
+# of the solver has no trade bound; elsewhere they run on the solver.
 APERY_LIMIT = 250_000
+
+# Largest trade bound k a solver looks for at each depth (see ReprSolver).
+_TRADE_CAP = 64
 
 _DIVISOR_ENUM_LIMIT = 200_000
 
@@ -149,6 +157,23 @@ class ReprSolver:
     tested against d_0 once; every count is then taken from its class, so
     each remainder is divisible by the next d_i without a test, and the
     last count is exact.
+
+    Trades bound the counts a node tries.  With h_i = d_{i+1} / d_i, let k_i
+    be the least k <= _TRADE_CAP with k*h_i*G_i in <G_{i+1}, ..., G_{n-1}>,
+    or None past the cap.  A representation whose count of G_i is
+    c + j*h_i, c the least count of its class and j >= k_i, can trade k_i*h_i
+    copies of G_i for later generators, each at least G_i and so no more of
+    them: it keeps a representation with count c + (j - k_i)*h_i and no
+    greater length.  Trading again and again, a solution past the first
+    b*k_i counts of a node leaves b solutions among them.  So a node whose
+    first b*k_i counts give fewer than b solutions, under `max_total` or
+    not, has no others and returns: with b = 1, a node without a solution
+    among its first k_i counts has none, and with b = 2, the search for a
+    second representation of an atom stops.  When every k_i = 1 the monoid
+    is free for this order (telescopic: Kirfel and Pellikaan, IEEE Trans.
+    Inf. Theory 41, 1995), as every geometric truncation is (Chapman, Gotti
+    and Gotti, Comm. Algebra 48, 2020), and a membership query is one walk
+    of n steps.  A depth with k_i None scans every count of its class.
     """
 
     def __init__(self, generators: Sequence[Fraction]):
@@ -159,10 +184,18 @@ class ReprSolver:
         # h = suffix[i+1], the count of G_i is (T // d) * (G_i // d)**-1 mod h // d
         suffix = list(itertools.accumulate(reversed(scaled), math.gcd))[::-1]
         self._gcd = suffix[0] if suffix else 1
-        self._residues = tuple(
-            (d, h // d, pow(g // d, -1, h // d))
-            for g, d, h in zip(scaled, suffix, suffix[1:])
-        )
+        residues = [(d, h // d, pow(g // d, -1, h // d))
+                     for g, d, h in zip(scaled, suffix, suffix[1:])]
+        if residues:
+            # k_0 from the solver over G_1, ..., G_{n-1}, whose trades are the rest
+            rest = ReprSolver(self.gens[1:])
+            trade = residues[0][1] * self.gens[0]
+            k0 = next((k for k in range(1, _TRADE_CAP + 1) if rest.is_member(k * trade)), None)
+            trades = (k0, *(k for *_, k in rest._residues))
+            residues = [(*r, k) for r, k in zip(residues, trades)]
+        self._residues = tuple(residues)
+        # False when a depth has no trade bound and scans its whole class
+        self.bounded = all(k for *_, k in residues)
 
     def search(
         self,
@@ -208,15 +241,25 @@ class ReprSolver:
                 stop = rec(n, 0, total + c)
                 counts[i] = 0
                 return stop
-            d, modulus, inv = residues[i]
+            d, modulus, inv, trades = residues[i]
             c = t // d * inv % modulus
             max_c = t // g
             cap_c = max_c if max_total is None else min(max_c, max_total - total)
+            # a node whose first b blocks of `trades` counts hold fewer than b
+            # solutions holds no others
+            step = trades * modulus if trades else 0
+            bound = c + step if step else -1
+            need = len(solutions) + 1
             while c <= cap_c:
                 counts[i] = c
                 if rec(i + 1, t - c * g, total + c):
                     return True
                 c += modulus
+                if c == bound:
+                    if len(solutions) < need:
+                        counts[i] = 0
+                        return False
+                    bound, need = bound + step, need + 1
             # a count cut by the length cap, not the target, flags the search
             # when a remainder it leaves is 0 or could hold the next generator:
             # the remainders fall by modulus * g from the first, r
@@ -259,11 +302,6 @@ class PuiseuxMonoid:
         g0 = math.gcd(*nums)
         self.scale: Fraction = Fraction(lcm_den, g0)
         self.scaled_generators: tuple[int, ...] = tuple(n // g0 for n in nums)
-        # On example33 the suffix gcds force every coefficient, so a
-        # membership query is a short walk: cheaper than a table of the
-        # multiplicity (57,771 residues at example33(0)).
-        self._table_members = (min(self.scaled_generators) <= APERY_LIMIT
-                               and not isinstance(family, Example33Family))
 
     # -- backends: each is built on first use --------------------------------
 
@@ -285,9 +323,17 @@ class PuiseuxMonoid:
         return self._solver if atoms == self.generators else ReprSolver(atoms)
 
     @functools.cached_property
+    def _membership_table(self) -> NumericalMonoid | None:
+        """The Apery table where membership and atoms read it: only when a
+        depth of the solver has no trade bound, so that a query could scan
+        every count of its class (10**12 of them for 10**12 - 1 over
+        <1, 10**12, 10**12 + 1>), and a table exists."""
+        return None if self._solver.bounded else self.numerical
+
+    @functools.cached_property
     def _atoms(self) -> tuple[Fraction, ...]:
-        if self._table_members:
-            return tuple(self.from_scaled(a) for a in self.numerical.atoms)
+        if self._membership_table is not None:
+            return tuple(map(self.from_scaled, self._membership_table.atoms))
         solver = self._solver
         return tuple(g for g in self.generators if solver.is_atom_generator(g))
 
@@ -306,13 +352,10 @@ class PuiseuxMonoid:
     # -- membership and friends ---------------------------------------------
 
     def contains(self, q) -> bool:
-        q = Fraction(q)
-        if q <= 0:
-            return q == 0
-        if self._table_members:
-            n = self.to_scaled(q)
-            return n is not None and self.numerical.contains(n)
-        return self._solver.is_member(q)
+        if self._membership_table is None:
+            return self._solver.is_member(q)
+        n = self.to_scaled(Fraction(q))
+        return n is not None and self._membership_table.contains(n)
 
     def _require_member(self, q) -> Fraction:
         q = Fraction(q)
@@ -329,11 +372,13 @@ class PuiseuxMonoid:
         q = self._require_member(q)
         if self.numerical is not None:
             return [self.from_scaled(d) for d in self.numerical.divisors(self.to_scaled(q))]
-        # no Apery table: the integer sub-sums of the solver's vectors
+        # no Apery table: the integer sub-sums of the solver's vectors.  Each
+        # vector of q > 0 costs at least 2, so more than half the budget of
+        # them is refused whichever they are.
         solver = self._atom_solver
         sums: set[int] = set()
         budget = _DIVISOR_ENUM_LIMIT
-        for vector in solver.search(q)[0]:
+        for vector in solver.search(q, limit=_DIVISOR_ENUM_LIMIT // 2 + 1)[0]:
             budget -= math.prod(c + 1 for c in vector)
             if budget < 0:
                 raise UnsupportedAmbientError(
@@ -482,10 +527,10 @@ def _validated_ratio(ratio) -> Fraction:
 def geometric(ratio, level: int) -> PuiseuxMonoid:
     """Truncation <r**0, ..., r**level> of the powers-of-r monoid.
 
-    The truncation is operated through its scaled numerical monoid, whose
-    multiplicity is n(r)**level; levels pushing that beyond the Apery bound
-    are refused outright (the suffix gcds here force each count of the
-    solver only mod d(r), so it would crawl instead).
+    Membership and atoms run on the solver, whose trade bounds are all 1
+    here.  Levels pushing the multiplicity n(r)**level beyond the Apery
+    bound are refused outright, so that every truncation keeps the table
+    that its divisor sets and set-level queries read.
     Equal arguments return the same shared handle while it stays among the
     last `FAMILY_HANDLES` built.
     """

@@ -33,3 +33,8 @@ def test_a_traced_worker_op_passes_its_checks(workload, op, searches):
     assert record["failed"] == [] and record["oracle_ok"], done.stderr
     if searches:
         assert record["counts"]["kernels.pair_search_calls"] > 0
+    else:
+        # membership and atoms run on the solver, which the tracer sees, and
+        # the families build no Apery table
+        assert record["counts"]["puiseux.repr_search_calls"] > 0
+        assert "numerical.apery_builds" not in record["counts"]

@@ -5,6 +5,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from powmon import FinSet, PuiseuxMonoid, UnsupportedAmbientError, is_atom
 from powmon.cli import _build_parser, main
 from powmon.laboratory import atomicity_sweep
 from powmon.puiseux import example33, geometric_chain, verify_atoms_by_valuation
+from powmon.rational import format_rational, parse_rational
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -166,6 +168,33 @@ def test_a_probable_prime_denominator_is_answered(capsys):
     unknown prime of the solver, which still answers."""
     argv = ("member", "--monoid", "1/618970019642690137449562111,1/300007", "2/300007")
     assert run_cli(capsys, *argv) == (0, "true\n", "")
+
+
+# (2/3)**0, ..., (2/3)**18: the multiplicity 2**18 is past APERY_LIMIT, so
+# the monoid has no table and every answer below comes from the solver
+POWERS = [Fraction(2, 3) ** k for k in range(19)]
+
+
+@pytest.mark.parametrize("argv", [("atoms",), ("factorize", "2"), ("divisors", "1")],
+                         ids=["atoms", "factorize", "divisors"])
+def test_geometric_powers_past_the_table_are_answered_at_once(capsys, argv):
+    """Without trade bounds the solver ran past 30 s on each of these
+    commands; the atom check of (2/3)**0, ..., (2/3)**17 that `geometric`
+    makes, which once read the table, runs on the solver too."""
+    start = time.perf_counter()
+    monoid = ",".join(map(format_rational, POWERS))
+    code, out, err = run_cli(capsys, argv[0], "--monoid", monoid, *argv[1:])
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    if argv[0] == "atoms":
+        assert lines == [", ".join(map(format_rational, sorted(POWERS)))]
+    elif argv[0] == "factorize":
+        assert len(lines) == 19 and lines[0] == "1 + 1"
+        assert all(sum(map(parse_rational, line.split(" + "))) == 2 for line in lines)
+    else:
+        assert lines == ["0, 1"]
+    assert PuiseuxMonoid(POWERS[:18]).atoms() == tuple(sorted(POWERS[:18]))
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("argv", [("family", "example33:4"), ("verify", "example33", "--level", "4")])

@@ -130,24 +130,47 @@ def test_membership_scale_soundness_random():
             assert monoid.contains(q) == expected, (gens, q)
 
 
+def _table_contains(monoid, q) -> bool:
+    n = monoid.to_scaled(F(q))
+    return n is not None and monoid.numerical.contains(n)
+
+
+# <1, 100, 101>: 100 copies of 1 are the least multiple in <100, 101>, past
+# _TRADE_CAP, so the solver scans every count of 1; its other depth is bounded
+PAST_THE_CAP = [F(1), F(100), F(101)]
+
+
 def test_solver_agrees_with_apery_backend():
     """The generator solver answers membership and atoms as the Apery
     table does on monoids small enough to run both, and its factorizations
     (the monoid's own, and a fresh solver's over the atoms) are the
     unpruned recursion's over the scaled atoms (prime-power denominators
-    included, so residue strides that are prime powers get exercised)."""
+    included, so residue strides that are prime powers get exercised).
+    Geometric powers bound every depth's trades at 1; PAST_THE_CAP leaves
+    one depth unbounded."""
     rng = random.Random(31)
-    for _ in range(30):
-        dens = rng.sample([2, 3, 4, 5, 7, 8, 9, 25, 27], 3)
-        gens = sorted({F(rng.randrange(1, 8), d) for d in dens})
+    powers = [[r**k for k in range(level + 1)] for r, level in ((F(2, 3), 6), (F(3, 5), 4))]
+    assert all(k == 1 for gens in powers for *_, k in ReprSolver(gens)._residues)
+    assert ReprSolver(PAST_THE_CAP)._residues[0][3] is None
+
+    def generator_lists():
+        for _ in range(30):
+            dens = rng.sample([2, 3, 4, 5, 7, 8, 9, 25, 27], 3)
+            yield sorted({F(rng.randrange(1, 8), d) for d in dens})
+        yield from powers
+        yield PAST_THE_CAP
+
+    for gens in generator_lists():
         monoid = PuiseuxMonoid(gens)
         solver = ReprSolver(monoid.generators)
         atoms = monoid.atoms()
+        assert atoms == tuple(map(monoid.from_scaled, monoid.numerical.atoms))
         assert tuple(g for g in monoid.generators if solver.is_atom_generator(g)) == atoms
         atom_solver = ReprSolver(atoms)
         for _ in range(25):
             q = F(rng.randrange(0, 40), rng.randrange(1, 10))
-            assert solver.is_member(q) == monoid.contains(q), (gens, q)
+            assert solver.is_member(q) == monoid.contains(q) == _table_contains(monoid, q), (
+                gens, q)
         scaled_atoms = [monoid.to_scaled(a) for a in atoms]
         for _ in range(5):
             q = sum(rng.choice(atoms) for _ in range(rng.randrange(0, 5)))
@@ -174,7 +197,7 @@ def test_solver_combined_residue_constraints():
     for num in range(0, 121):
         for den in (1, 2, 3, 6):
             q = F(num, den)
-            assert solver.is_member(q) == monoid.contains(q), q
+            assert solver.is_member(q) == _table_contains(monoid, q), q
     vectors, exhaustive = solver.search(F(25, 6) + 8)
     assert exhaustive
     totals = {sum(c * g for g, c in zip(solver.gens, vec)) for vec in vectors}
@@ -325,6 +348,8 @@ def _agreement_solvers():
         [F(7, 12), F(5, 18), F(11, 10)],  # composite denominators
         [F(1, 3), F(1, 2), F(_UNFACTORED + 1, _UNFACTORED)],
         [F(2, 5), F(_UNFACTORED + 2, 3 * _UNFACTORED), F(_UNFACTORED + 1, _UNFACTORED)],
+        [F(2, 3) ** k for k in range(6)],  # every trade bound is 1
+        PAST_THE_CAP,
     ):
         pairs.append((ReprSolver(gens), _reference_primes(gens)))
     return pairs
@@ -407,6 +432,33 @@ def test_prime_discovery_ignores_generator_order(level):
         _fraction_search(solver, target, primes))
     if level == 3:
         assert solver.search(target) == ([(1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0)], True)
+
+
+def test_an_atom_is_not_scanned_for_a_second_representation():
+    """Over these generators the counts of 19/N, N = 100003 * 100019, that a
+    search for 28/25 walks run to about 6*10**8.  Once it has found 28/25
+    itself, a scan for a second representation would walk them all; two
+    blocks of trades that hold one solution end it."""
+    gens = [F(19, _UNFACTORED), F(25, _UNFACTORED), F(2, 100019), F(1, 7), F(28, 25)]
+    start = time.perf_counter()
+    m = PuiseuxMonoid(gens)
+    atoms = m.atoms()
+    assert time.perf_counter() - start < 0.5
+    assert atoms == tuple(map(m.from_scaled, m.numerical.atoms)) and F(28, 25) in atoms
+
+
+def test_a_depth_without_a_trade_bound_leaves_membership_to_the_table():
+    """Over <1, 10**12, 10**12 + 1> no multiple of 1 below 10**12 is a sum of
+    the later generators, so the solver's first depth has no trade bound,
+    and its search for 10**12 - 1 would walk 10**12 counts of 1.  That
+    monoid has a table, which answers membership and atoms instead."""
+    m = PuiseuxMonoid([1, 10**12, 10**12 + 1])
+    start = time.perf_counter()
+    assert m.contains(10**12 - 1) and not m.contains(F(1, 2))
+    assert m.atoms() == (1,)
+    assert time.perf_counter() - start < 0.5
+    assert not m._solver.bounded and m._membership_table is m.numerical
+    assert not ReprSolver(PAST_THE_CAP).bounded and ReprSolver([F(1, 2), F(1, 3)]).bounded
 
 
 def test_a_prime_square_cofactor_splits_by_its_root():
@@ -672,6 +724,30 @@ def test_divisors_without_a_table_are_sub_sums():
     assert time.perf_counter() - start < 0.5
 
 
+def test_divisors_without_a_table_stop_the_search_at_the_budget(monkeypatch):
+    """Every vector of a positive member costs at least 2 sub-sums, so the
+    search stops once it holds more vectors than half the budget: the
+    10**6 + 1 factorizations of 300007 * 300011 * 10**6 over <300007, 300011>
+    are never all listed, and the refusal reads as before."""
+    m = PuiseuxMonoid([300007, 300011])
+    assert m.numerical is None and len(m.atoms()) == 2
+    calls = []
+    search = ReprSolver.search
+
+    def counting(self, *args, **kwargs):
+        calls.append(kwargs)
+        return search(self, *args, **kwargs)
+
+    monkeypatch.setattr(ReprSolver, "search", counting)
+    q = 300007 * 300011 * 10**6
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedAmbientError) as refused:
+        m.divisors(q)
+    assert time.perf_counter() - start < 0.5
+    assert str(refused.value) == f"divisor set of {q} is too large to enumerate"
+    assert calls == [{"limit": 1}, {"limit": puiseux._DIVISOR_ENUM_LIMIT // 2 + 1}]
+
+
 def test_divisors_without_a_table_match_the_table(monkeypatch):
     """The sub-sums of the solver's vectors are the table's divisors, on
     random monoids rebuilt with APERY_LIMIT at 0 so that they have no table."""
@@ -775,43 +851,51 @@ def _counting_apery_builds(monkeypatch) -> list:
 
 
 def test_a_table_is_built_on_first_use(monkeypatch):
-    """An ordinary monoid builds its Apery table on the first query that
-    reads it, and only once."""
+    """Membership and atoms build no Apery table; the first member
+    enumeration or divisor set builds it, and only once."""
     builds = _counting_apery_builds(monkeypatch)
     m = PuiseuxMonoid([2, 3])
+    assert m.contains(5) and not m.contains(1) and m.atoms() == (2, 3)
     assert builds == []
-    assert m.contains(5)
+    assert m.members_upto(5) == [0, 2, 3, 4, 5]
     assert builds == [2]
-    assert not m.contains(1) and m.atoms() == (2, 3)
+    assert m.divisors(5) == [0, 2, 3, 5]
     assert builds == [2]
+    m = PuiseuxMonoid([2, 3])
+    assert m.divisors(5) == [0, 2, 3, 5] and m.members_upto(5) == [0, 2, 3, 4, 5]
+    assert builds == [2, 2]
 
 
 def test_example33_membership_stays_on_the_solver(monkeypatch):
-    """example33(0) scales to a tableable multiplicity, but membership and
-    atoms go to the solver: no table is built until a member enumeration
-    asks for one, and the answers agree with that table before and after it
-    exists."""
+    """example33(0) and <1/3, 1/2, 5/6> scale to tableable multiplicities,
+    but membership and atoms go to the solver: no table is built until a
+    member enumeration asks for one, and the answers agree with that table
+    before and after it exists."""
     builds = _counting_apery_builds(monkeypatch)
-    shared = example33(0)
-    m = PuiseuxMonoid(shared.generators, family=shared.family)
-    rng = random.Random(33)
-    queries = []
-    for _ in range(60):
-        q = sum((rng.randrange(3) * g for g in m.generators), F(0))
-        queries.append(q)
-        queries.append(q + rng.choice(m.generators) - rng.choice(m.generators))
-    before = [m.contains(q) for q in queries]
-    assert m.atoms() == m.generators
-    assert m.mcd([F(4, 5), F(6, 7)]) == (F(1, 17),)
-    assert builds == [] and set(before) == {True, False}
     searches = _counting_searches(monkeypatch)
-    table = m.numerical
-    assert builds == [3] and m.numerical is table  # built once, on demand
-    want = [n is not None and table.contains(n) for n in map(m.to_scaled, queries)]
-    assert before == want
-    searches.clear()
-    assert [m.contains(q) for q in queries] == want
-    assert len(searches) == sum(q > 0 for q in queries)  # still the solver
+    shared = example33(0)
+    for m in (PuiseuxMonoid(shared.generators, family=shared.family),
+              PuiseuxMonoid([F(1, 2), F(1, 3), F(5, 6)])):
+        rng = random.Random(33)
+        queries = []
+        for _ in range(60):
+            q = sum((rng.randrange(3) * g for g in m.generators), F(0))
+            queries.append(q)
+            queries.append(q + rng.choice(m.generators) - rng.choice(m.generators))
+        before = [m.contains(q) for q in queries]
+        atoms = m.atoms()
+        if m.family:
+            assert atoms == m.generators
+            assert m.mcd([F(4, 5), F(6, 7)]) == (F(1, 17),)
+        assert builds == [] and set(before) == {True, False}
+        table = m.numerical
+        assert builds == [3] and m.numerical is table  # built once, on demand
+        want = [n is not None and table.contains(n) for n in map(m.to_scaled, queries)]
+        assert before == want and atoms == tuple(map(m.from_scaled, table.atoms))
+        searches.clear()
+        assert [m.contains(q) for q in queries] == want
+        assert len(searches) == len(queries)  # still the solver
+        builds.clear()
 
 
 def test_example33_factorizations_build_no_table(monkeypatch):
