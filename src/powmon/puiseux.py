@@ -11,15 +11,16 @@ structures:
   first few counts of a class hold no representation, no larger count
   does, since the surplus trades for later generators.  This is what makes
   the huge-denominator families below tractable.  It answers membership
-  and atoms, unless one of its depths has no trade bound and a table
-  exists.  Its count vectors over the atoms give the length sets (their
-  sums), the divisors without a table (their integer sub-sums) and the
-  factorizations, the only result built as `Factorization` objects.
+  and atoms, unless a table exists and is built already, is small, or
+  one of the solver's depths has no trade bound.  Its count vectors over
+  the atoms give the length sets (their sums), the divisors without a
+  table (their integer sub-sums) and the factorizations, the only result
+  built as `Factorization` objects.
 * scale isomorphism: multiplying by lambda = lcm(denominators)/gcd(scaled
   numerators) maps the monoid onto a numerical monoid, whose Apery table
   enumerates members: it serves divisor sets, member lists and the
   set-level engine when the multiplicity is small enough to table, and
-  membership and atoms where the solver has a depth without a trade bound.
+  membership and atoms in the three cases above.
   Each backend is built on first use.  The tests cross-check the solver's
   membership and atoms against the table.
 
@@ -33,7 +34,8 @@ handle per validated argument tuple, from a memo of at most
 `FAMILY_HANDLES` handles each (least recently used first out), so repeated
 calls share the handle's Apery table, atoms and solvers.  No answer is
 memoized across calls: what a handle keeps costs the same to build whichever
-call builds it, so the cost of a call does not depend on what ran before.
+call builds it, so a call costs less after another only by the backends
+built already (membership reads a built table).
 """
 
 from __future__ import annotations
@@ -65,12 +67,18 @@ from .rational import (
 
 # Largest multiplicity for which the Apery table is built.  Member
 # enumeration reads it (members_upto, the set-level engine, divisors and the
-# Frobenius number in the JSON), and so do membership and atoms where a depth
-# of the solver has no trade bound; elsewhere they run on the solver.
+# Frobenius number in the JSON), and so do membership and atoms where it is
+# built already, small or needed (PuiseuxMonoid._membership_table);
+# elsewhere they run on the solver.
 APERY_LIMIT = 250_000
 
 # Largest trade bound k a solver looks for at each depth (see ReprSolver).
 _TRADE_CAP = 64
+
+# Largest multiplicity whose Apery table answers membership and atoms on a
+# fresh handle: about where building it costs what building a solver does,
+# on random monoids of 2-6 generators.
+_SMALL_TABLE = 768
 
 _DIVISOR_ENUM_LIMIT = 200_000
 
@@ -173,7 +181,8 @@ class ReprSolver:
     is free for this order (telescopic: Kirfel and Pellikaan, IEEE Trans.
     Inf. Theory 41, 1995), as every geometric truncation is (Chapman, Gotti
     and Gotti, Comm. Algebra 48, 2020), and a membership query is one walk
-    of n steps.  A depth with k_i None scans every count of its class.
+    of n steps.  A depth with k_i None scans every count of its class, so
+    k_0 is sought only when the solver over G_1, ... has no such depth.
     """
 
     def __init__(self, generators: Sequence[Fraction]):
@@ -187,12 +196,13 @@ class ReprSolver:
         residues = [(d, h // d, pow(g // d, -1, h // d))
                      for g, d, h in zip(scaled, suffix, suffix[1:])]
         if residues:
-            # k_0 from the solver over G_1, ..., G_{n-1}, whose trades are the rest
+            # k_0 from the solver over G_1, ..., G_{n-1}, whose trades are the
+            # rest; sought only when those are all bounded, since a depth
+            # without a bound could scan its whole class for every k
             rest = ReprSolver(self.gens[1:])
-            trade = residues[0][1] * self.gens[0]
-            k0 = next((k for k in range(1, _TRADE_CAP + 1) if rest.is_member(k * trade)), None)
-            trades = (k0, *(k for *_, k in rest._residues))
-            residues = [(*r, k) for r, k in zip(residues, trades)]
+            ks = range(1, _TRADE_CAP + 1) if rest.bounded else ()
+            k0 = next((k for k in ks if rest.is_member(k * residues[0][1] * self.gens[0])), None)
+            residues = [(*r, k) for r, k in zip(residues, (k0, *(k for *_, k in rest._residues)))]
         self._residues = tuple(residues)
         # False when a depth has no trade bound and scans its whole class
         self.bounded = all(k for *_, k in residues)
@@ -248,8 +258,7 @@ class ReprSolver:
             # a node whose first b blocks of `trades` counts hold fewer than b
             # solutions holds no others
             step = trades * modulus if trades else 0
-            bound = c + step if step else -1
-            need = len(solutions) + 1
+            bound, need = c + step if step else -1, len(solutions) + 1
             while c <= cap_c:
                 counts[i] = c
                 if rec(i + 1, t - c * g, total + c):
@@ -324,16 +333,23 @@ class PuiseuxMonoid:
 
     @functools.cached_property
     def _membership_table(self) -> NumericalMonoid | None:
-        """The Apery table where membership and atoms read it: only when a
-        depth of the solver has no trade bound, so that a query could scan
-        every count of its class (10**12 of them for 10**12 - 1 over
-        <1, 10**12, 10**12 + 1>), and a table exists."""
-        return None if self._solver.bounded else self.numerical
+        """The Apery table where membership and atoms read it before it is
+        built, if one exists: when it is small, since a lookup then beats
+        building a solver, and when a depth of the solver has no trade bound,
+        so that a query could scan every count of its class (10**9 of them
+        for 10**12 - 1 over <1000, 10**12, 10**12 + 1>).  Elsewhere None: the
+        solver answers.  Once built (by divisors, members_upto or the
+        set-level engine), the table answers anyway: the cached_property
+        `numerical` then sits in the instance dict."""
+        # the scaled generators ascend, so the first is the multiplicity
+        small = self.scaled_generators[0] <= _SMALL_TABLE
+        return self.numerical if small or not self._solver.bounded else None
 
     @functools.cached_property
     def _atoms(self) -> tuple[Fraction, ...]:
-        if self._membership_table is not None:
-            return tuple(map(self.from_scaled, self._membership_table.atoms))
+        table = self.__dict__.get("numerical") or self._membership_table
+        if table is not None:
+            return tuple(map(self.from_scaled, table.atoms))
         solver = self._solver
         return tuple(g for g in self.generators if solver.is_atom_generator(g))
 
@@ -352,10 +368,11 @@ class PuiseuxMonoid:
     # -- membership and friends ---------------------------------------------
 
     def contains(self, q) -> bool:
-        if self._membership_table is None:
+        table = self.__dict__.get("numerical") or self._membership_table
+        if table is None:
             return self._solver.is_member(q)
         n = self.to_scaled(Fraction(q))
-        return n is not None and self._membership_table.contains(n)
+        return n is not None and table.contains(n)
 
     def _require_member(self, q) -> Fraction:
         q = Fraction(q)
@@ -369,9 +386,10 @@ class PuiseuxMonoid:
 
     def divisors(self, q) -> list[Fraction]:
         """All d in the monoid with q - d also in the monoid, ascending."""
+        table = self.numerical  # built first, so that the membership test reads it
         q = self._require_member(q)
-        if self.numerical is not None:
-            return [self.from_scaled(d) for d in self.numerical.divisors(self.to_scaled(q))]
+        if table is not None:
+            return [self.from_scaled(d) for d in table.divisors(self.to_scaled(q))]
         # no Apery table: the integer sub-sums of the solver's vectors.  Each
         # vector of q > 0 costs at least 2, so more than half the budget of
         # them is refused whichever they are.
@@ -527,10 +545,11 @@ def _validated_ratio(ratio) -> Fraction:
 def geometric(ratio, level: int) -> PuiseuxMonoid:
     """Truncation <r**0, ..., r**level> of the powers-of-r monoid.
 
-    Membership and atoms run on the solver, whose trade bounds are all 1
-    here.  Levels pushing the multiplicity n(r)**level beyond the Apery
-    bound are refused outright, so that every truncation keeps the table
-    that its divisor sets and set-level queries read.
+    Past multiplicity _SMALL_TABLE, membership and atoms run on the solver,
+    whose trade bounds are all 1 here.  Levels pushing the multiplicity
+    n(r)**level beyond the Apery bound are refused outright, so that every
+    truncation keeps the table that its divisor sets and set-level queries
+    read.
     Equal arguments return the same shared handle while it stays among the
     last `FAMILY_HANDLES` built.
     """

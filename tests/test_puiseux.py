@@ -448,17 +448,35 @@ def test_an_atom_is_not_scanned_for_a_second_representation():
 
 
 def test_a_depth_without_a_trade_bound_leaves_membership_to_the_table():
-    """Over <1, 10**12, 10**12 + 1> no multiple of 1 below 10**12 is a sum of
-    the later generators, so the solver's first depth has no trade bound,
-    and its search for 10**12 - 1 would walk 10**12 counts of 1.  That
-    monoid has a table, which answers membership and atoms instead."""
-    m = PuiseuxMonoid([1, 10**12, 10**12 + 1])
+    """Over <1000, 10**12, 10**12 + 1> no multiple of 1000 below 10**12 is a
+    sum of the later generators, so the solver's first depth has no trade
+    bound, and its search for 10**12 - 1 would walk 10**9 counts of 1000.
+    That monoid has a table, past _SMALL_TABLE, which answers membership
+    and atoms instead."""
+    m = PuiseuxMonoid([1000, 10**12, 10**12 + 1])
+    assert min(m.scaled_generators) > puiseux._SMALL_TABLE
     start = time.perf_counter()
-    assert m.contains(10**12 - 1) and not m.contains(F(1, 2))
-    assert m.atoms() == (1,)
+    assert not m.contains(10**12 - 1) and not m.contains(F(1, 2))
+    assert m.contains(10**12 - 1000) and m.contains(2 * 10**12 + 1)
+    assert m.atoms() == (1000, 10**12 + 1)  # 10**12 is 10**9 copies of 1000
     assert time.perf_counter() - start < 0.5
     assert not m._solver.bounded and m._membership_table is m.numerical
     assert not ReprSolver(PAST_THE_CAP).bounded and ReprSolver([F(1, 2), F(1, 3)]).bounded
+
+
+def test_no_trade_bound_is_sought_over_an_unbounded_rest():
+    """Over <10**9 - 1, 10**9, 10**21, 10**21 + 10**9> the solver over the
+    last three generators has no trade bound at its first depth, so looking
+    for k_0 with it would walk up to 10**9 counts of 10**9 per k.  The
+    solver skips k_0 there and builds at once; no table exists (the
+    multiplicity is past APERY_LIMIT), so membership runs on it."""
+    gens = [10**9 - 1, 10**9, 10**21, 10**21 + 10**9]
+    start = time.perf_counter()
+    m = PuiseuxMonoid(gens)
+    assert not m.contains(1) and m.contains(2 * 10**9 - 1) and not m.contains(10**9 + 1)
+    assert m._solver.search(2 * 10**9 - 1) == ([(1, 1, 0, 0)], True)
+    assert time.perf_counter() - start < 0.5
+    assert m.numerical is None and not m._solver.bounded
 
 
 def test_a_prime_square_cofactor_splits_by_its_root():
@@ -851,31 +869,47 @@ def _counting_apery_builds(monkeypatch) -> list:
 
 
 def test_a_table_is_built_on_first_use(monkeypatch):
-    """Membership and atoms build no Apery table; the first member
-    enumeration or divisor set builds it, and only once."""
+    """Past _SMALL_TABLE, membership and atoms build no Apery table; the
+    first member enumeration or divisor set builds it, and only once.  A
+    divisor set builds the table before its membership test, and once the
+    table is built it answers membership and atoms without a solver.  Up to
+    _SMALL_TABLE the table, cheaper to build than a solver, answers them
+    from the first query."""
     builds = _counting_apery_builds(monkeypatch)
-    m = PuiseuxMonoid([2, 3])
-    assert m.contains(5) and not m.contains(1) and m.atoms() == (2, 3)
-    assert builds == []
-    assert m.members_upto(5) == [0, 2, 3, 4, 5]
+    searches = _counting_searches(monkeypatch)
+    a = puiseux._SMALL_TABLE + 1
+    members = [0, a, a + 1, 2 * a, 2 * a + 1]
+    m = PuiseuxMonoid([a, a + 1])
+    assert m.contains(2 * a + 1) and not m.contains(a - 1) and m.atoms() == (a, a + 1)
+    assert builds == [] and searches
+    assert m.members_upto(2 * a + 1) == members
     assert builds == [2]
-    assert m.divisors(5) == [0, 2, 3, 5]
+    assert m.divisors(2 * a + 1) == [0, a, a + 1, 2 * a + 1]
     assert builds == [2]
-    m = PuiseuxMonoid([2, 3])
-    assert m.divisors(5) == [0, 2, 3, 5] and m.members_upto(5) == [0, 2, 3, 4, 5]
-    assert builds == [2, 2]
+    for x in (a, puiseux._SMALL_TABLE, 2):
+        m = PuiseuxMonoid([x, x + 1])
+        searches.clear()
+        builds.clear()
+        divisors = [0, x, x + 1, 2 * x + 1]
+        if x == a:  # the table first, then its membership test and the rest
+            assert m.divisors(2 * x + 1) == divisors
+        assert m.contains(2 * x + 1) and not m.contains(1) and m.atoms() == (x, x + 1)
+        assert m.divisors(2 * x + 1) == divisors
+        assert builds == [2] and searches == [], x
 
 
 def test_example33_membership_stays_on_the_solver(monkeypatch):
-    """example33(0) and <1/3, 1/2, 5/6> scale to tableable multiplicities,
-    but membership and atoms go to the solver: no table is built until a
-    member enumeration asks for one, and the answers agree with that table
-    before and after it exists."""
+    """example33(0) and the ordinary monoid of (2/3)**0, ..., (2/3)**10 scale
+    to tableable multiplicities past _SMALL_TABLE, but membership and atoms
+    go to the solver: no table is built until a member enumeration asks for
+    one, and the answers agree with that table.  Once the table exists it
+    answers membership, with no search."""
     builds = _counting_apery_builds(monkeypatch)
     searches = _counting_searches(monkeypatch)
     shared = example33(0)
     for m in (PuiseuxMonoid(shared.generators, family=shared.family),
-              PuiseuxMonoid([F(1, 2), F(1, 3), F(5, 6)])):
+              PuiseuxMonoid([F(2, 3)**k for k in range(11)])):
+        assert min(m.scaled_generators) > puiseux._SMALL_TABLE
         rng = random.Random(33)
         queries = []
         for _ in range(60):
@@ -889,12 +923,12 @@ def test_example33_membership_stays_on_the_solver(monkeypatch):
             assert m.mcd([F(4, 5), F(6, 7)]) == (F(1, 17),)
         assert builds == [] and set(before) == {True, False}
         table = m.numerical
-        assert builds == [3] and m.numerical is table  # built once, on demand
+        assert builds == [len(m.generators)] and m.numerical is table  # once, on demand
         want = [n is not None and table.contains(n) for n in map(m.to_scaled, queries)]
         assert before == want and atoms == tuple(map(m.from_scaled, table.atoms))
         searches.clear()
         assert [m.contains(q) for q in queries] == want
-        assert len(searches) == len(queries)  # still the solver
+        assert searches == []  # the table, now that it is built
         builds.clear()
 
 
