@@ -11,11 +11,12 @@ structures:
   first few counts of a class hold no representation, no larger count
   does, since the surplus trades for later generators.  This is what makes
   the huge-denominator families below tractable.  It answers membership
-  and atoms, unless a table exists and is built already, is small, or
-  one of the solver's depths has no trade bound.  Its count vectors over
-  the atoms give the length sets (their sums), the divisors without a
-  table (their integer sub-sums) and the factorizations, the only result
-  built as `Factorization` objects.
+  (one walk over the same counts, remembered per remainder) and atoms,
+  unless a table exists and is built already, is small, or one of the
+  solver's depths has no trade bound.  Its count vectors over the atoms
+  give the length sets (their sums), the divisors without a table (their
+  integer sub-sums) and the factorizations, the only result built as
+  `Factorization` objects.
 * scale isomorphism: multiplying by lambda = lcm(denominators)/gcd(scaled
   numerators) maps the monoid onto a numerical monoid, whose Apery table
   enumerates members: it serves divisor sets, member lists and the
@@ -32,10 +33,10 @@ the level grows).  Each family tag writes its own label and JSON, and
 `parse_family` reads the labels back.  Both constructors return one shared
 handle per validated argument tuple, from a memo of at most
 `FAMILY_HANDLES` handles each (least recently used first out), so repeated
-calls share the handle's Apery table, atoms and solvers.  No answer is
-memoized across calls: what a handle keeps costs the same to build whichever
-call builds it, so a call costs less after another only by the backends
-built already (membership reads a built table).
+calls share the handle's Apery table, atoms and solvers.  The only answers
+a handle keeps across calls are its solver's membership walks: a call costs
+less after another by the backends built already (membership reads a built
+table) and by the remainders the solver has decided.
 """
 
 from __future__ import annotations
@@ -74,6 +75,11 @@ APERY_LIMIT = 250_000
 
 # Largest trade bound k a solver looks for at each depth (see ReprSolver).
 _TRADE_CAP = 64
+
+# Most (depth, remainder) answers a solver remembers; past it the memo
+# starts over.  Full, it holds about 10 MB at example33(3)'s 259-bit
+# remainders.
+_MEMO_LIMIT = 1 << 16
 
 # Largest multiplicity whose Apery table answers membership and atoms on a
 # fresh handle: about where building it costs what building a solver does,
@@ -183,6 +189,13 @@ class ReprSolver:
     and Gotti, Comm. Algebra 48, 2020), and a membership query is one walk
     of n steps.  A depth with k_i None scans every count of its class, so
     k_0 is sought only when the solver over G_1, ... has no such depth.
+
+    Membership (`is_member`, and the k_0 probe) is that walk for b = 1
+    without the vectors: whether a remainder t at depth i is a sum of
+    G_i, ..., G_{n-1} depends on (i, t) alone, so a bounded solver
+    remembers each answer, up to _MEMO_LIMIT of them, and a later query
+    that meets the same remainder reads it.  An unbounded one remembers
+    nothing, since its walk can meet a whole class of remainders.
     """
 
     def __init__(self, generators: Sequence[Fraction]):
@@ -201,11 +214,17 @@ class ReprSolver:
             # without a bound could scan its whole class for every k
             rest = ReprSolver(self.gens[1:])
             ks = range(1, _TRADE_CAP + 1) if rest.bounded else ()
-            k0 = next((k for k in ks if rest.is_member(k * residues[0][1] * self.gens[0])), None)
+            # h_0 * G_0 is a multiple of d_1, and so of lcm // rest._lcm,
+            # which divides every later G_i: an integer in the rest's units
+            first = residues[0][1] * scaled[0] // (lcm // rest._lcm)
+            k0 = next((k for k in ks if rest.is_member(k * first)), None)
             residues = [(*r, k) for r, k in zip(residues, (k0, *(k for *_, k in rest._residues)))]
         self._residues = tuple(residues)
         # False when a depth has no trade bound and scans its whole class
         self.bounded = all(k for *_, k in residues)
+        # (i, t) -> whether t is a sum of G_i, ..., G_{n-1}; written only
+        # when bounded, so that a walk over a whole class fills no memory
+        self._sums: dict[tuple[int, int], bool] = {}
 
     def search(
         self,
@@ -281,9 +300,45 @@ class ReprSolver:
         stopped = rec(0, start, 0)
         return solutions, not (stopped or pruned)
 
-    def is_member(self, q: Fraction) -> bool:
-        found, _ = self.search(q, limit=1)
-        return bool(found)
+    def is_member(self, q: Fraction | int) -> bool:
+        """Whether q is a sum of the generators: a rational, or an int T
+        already scaled by L (q = T/L)."""
+        if isinstance(q, int):
+            t = q
+        else:
+            q = Fraction(q)
+            t, r = divmod(q.numerator * self._lcm, q.denominator)
+            if r:
+                return False
+        return t >= 0 and t % self._gcd == 0 and self._is_sum(0, t)
+
+    def _is_sum(self, i: int, t: int) -> bool:
+        """Whether t, a multiple of d_i, is a sum of G_i, ..., G_{n-1}: the
+        walk over the first k_i counts of the class (all of them when k_i is
+        None), remembered per (i, t) when the solver is bounded."""
+        gens = self._scaled
+        if t == 0 or i == len(gens) - 1:  # d_{n-1} = G_{n-1} divides t
+            return True
+        if t < gens[i]:
+            return False
+        memo = self._sums
+        key = (i, t)
+        found = memo.get(key)
+        if found is not None:
+            return found
+        d, modulus, inv, trades = self._residues[i]
+        g = gens[i]
+        counts = range(t // d * inv % modulus, t // g + 1, modulus)
+        found = False
+        for c in counts[:trades] if trades else counts:
+            if self._is_sum(i + 1, t - c * g):
+                found = True
+                break
+        if self.bounded:
+            if len(memo) >= _MEMO_LIMIT:
+                memo.clear()
+            memo[key] = found
+        return found
 
     def is_atom_generator(self, g: Fraction) -> bool:
         """True when the only representation of g is g itself."""
@@ -368,11 +423,16 @@ class PuiseuxMonoid:
     # -- membership and friends ---------------------------------------------
 
     def contains(self, q) -> bool:
+        n = self.to_scaled(Fraction(q))
+        return n is not None and self._contains_scaled(n)
+
+    def _contains_scaled(self, n: int) -> bool:
+        """Membership of n / scale.  The solver's L is scale's numerator,
+        so T = n * scale.denominator is n in the solver's units."""
         table = self.__dict__.get("numerical") or self._membership_table
         if table is None:
-            return self._solver.is_member(q)
-        n = self.to_scaled(Fraction(q))
-        return n is not None and table.contains(n)
+            return self._solver.is_member(n * self.scale.denominator)
+        return table.contains(n)
 
     def _require_member(self, q) -> Fraction:
         q = Fraction(q)
@@ -423,22 +483,29 @@ class PuiseuxMonoid:
     def mcd(self, elements: Iterable) -> tuple[Fraction, ...]:
         """All maximal common divisors of a nonempty finite set of members.
 
-        The common-divisor poset is walked upward from 0 by atom steps; a
-        node with no extension that still divides every element is maximal.
-        (Any non-invertible extension is bounded below by an atom extension,
-        so checking atoms suffices in an atomic monoid.)
+        When the least element divides every other, it is the only one:
+        every common divisor divides it.  Otherwise the common-divisor poset
+        is walked upward from 0 by atom steps; a node with no extension that
+        still divides every element is maximal.  (Any non-invertible
+        extension is bounded below by an atom extension, so checking atoms
+        suffices in an atomic monoid.)  The walk runs on scaled integers;
+        only the maximal divisors become Fractions.
         """
-        elems = [self._require_member(x) for x in elements]
+        elems = [self.to_scaled(self._require_member(x)) for x in elements]
         if not elems:
             raise InvalidInputError("mcd of an empty set is undefined")
-        atoms = self.atoms()
+        member = self._contains_scaled
+        least = min(elems)
+        if all(member(x - least) for x in elems):
+            return (self.from_scaled(least),)
+        atoms = [self.to_scaled(u) for u in self.atoms()]
 
-        def common(d: Fraction) -> bool:
-            return all(x >= d and self.contains(x - d) for x in elems)
+        def common(d: int) -> bool:
+            return all(x >= d and member(x - d) for x in elems)
 
-        seen: set[Fraction] = {Fraction(0)}
-        queue: list[Fraction] = [Fraction(0)]
-        maximal: list[Fraction] = []
+        seen: set[int] = {0}
+        queue: list[int] = [0]
+        maximal: list[int] = []
         while queue:
             d = queue.pop()
             extended = False
@@ -453,7 +520,7 @@ class PuiseuxMonoid:
                     queue.append(e)
             if not extended:
                 maximal.append(d)
-        return tuple(sorted(maximal))
+        return tuple(map(self.from_scaled, sorted(maximal)))
 
     def _member_table(self) -> NumericalMonoid:
         """The scaled numerical monoid, which every member enumeration reads."""

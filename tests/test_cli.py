@@ -197,6 +197,16 @@ def test_geometric_powers_past_the_table_are_answered_at_once(capsys, argv):
     assert time.perf_counter() - start < 1
 
 
+def test_mcd_of_a_dividing_pair_is_answered_at_once(capsys):
+    """2 divides 3 in geometric:2/3:17 (3 - 2 = 1 is the power r**0), so 2
+    is the only mcd; walking the common divisors of 2 and 3 instead ran
+    past 20 s, about 3x longer per level."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "mcd", "--family", "geometric:2/3:17", "2", "3")
+    assert (code, out, err) == (0, "2\n", "")
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("argv", [("family", "example33:4"), ("verify", "example33", "--level", "4")])
 def test_example33_level4_is_refused(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

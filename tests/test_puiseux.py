@@ -187,6 +187,107 @@ def test_solver_agrees_with_apery_backend():
             assert got == expected, (gens, q)
 
 
+def _random_tabled_monoids(rng, count):
+    for _ in range(count):
+        dens = rng.sample([1, 2, 3, 4, 5, 7, 8, 9, 25, 27], rng.randrange(1, 5))
+        yield sorted({F(rng.randrange(1, 12), d) for d in dens})
+    yield PAST_THE_CAP
+
+
+def test_the_remembered_walk_agrees_with_the_table(monkeypatch):
+    """With the solver forced (no table answers membership below
+    _SMALL_TABLE = 0), `contains` and the solver's `is_member`, given a
+    rational or an int already scaled by L, agree with the table on random
+    monoids that have one: from a fresh solver and from one whose memo
+    every earlier query filled, asked in either order.  Only a bounded
+    solver remembers anything."""
+    monkeypatch.setattr(puiseux, "_SMALL_TABLE", 0)
+    rng = random.Random(67)
+    for gens in _random_tabled_monoids(rng, 60):
+        tabled, forced = PuiseuxMonoid(gens), PuiseuxMonoid(gens)
+        solver = ReprSolver(tabled.generators)
+        queries = [F(rng.randrange(0, 80), rng.randrange(1, 12)) for _ in range(40)]
+        want = [_table_contains(tabled, q) for q in queries]
+        assert [forced.contains(q) for q in queries] == want, gens
+        assert forced._membership_table is None or not forced._solver.bounded
+        assert [solver.is_member(q) for q in queries] == want, gens
+        assert [solver.is_member(q) for q in reversed(queries)] == want[::-1], gens
+        assert [ReprSolver(gens).is_member(q) for q in queries] == want, gens
+        unit = tabled.scale.denominator
+        scaled = range(-2, 3 * tabled.scaled_generators[-1])
+        assert [solver.is_member(n * unit) for n in scaled] == [
+            tabled.numerical.contains(n) for n in scaled], gens
+        assert bool(solver._sums) == (solver.bounded and len(solver.gens) > 1), gens
+
+
+def test_a_filled_memo_answers_as_a_fresh_solver():
+    """On example33(1), past any table, a solver whose memo an mcd walk and
+    earlier queries filled answers each query as a solver built for it
+    alone does."""
+    m = example33(1)
+    gens = m.generators
+    rng = random.Random(71)
+    m.mcd([F(4, 5), F(6, 7)])
+    solver = m._solver
+    assert solver.bounded and solver._sums
+    queries = [F(4, 5) - sum(rng.sample(gens, rng.randrange(0, 4)), F(0)) for _ in range(20)]
+    queries += [sum(rng.sample(gens, rng.randrange(1, 4)), F(0)) + F(1, rng.choice([2, 3, 17]))
+                for _ in range(20)]
+    for q in queries:
+        assert solver.is_member(q) == ReprSolver(gens).is_member(q), q
+
+
+def test_a_free_monoid_walks_one_count_per_depth():
+    """Every trade bound of a geometric truncation is 1, so a membership
+    walk tries one count at each depth but the last: a query remembers at
+    most n - 1 remainders, where a walk over whole classes would remember
+    hundreds."""
+    gens = geometric(F(2, 3), 17).generators
+    solver = ReprSolver(gens)
+    assert all(k == 1 for *_, k in solver._residues)
+    rng = random.Random(79)
+    answers = []
+    for _ in range(300):
+        before = len(solver._sums)
+        answers.append(solver.is_member(F(rng.randrange(10**7, 10**9), 3**17)))
+        assert len(solver._sums) - before <= len(gens) - 1
+    assert 0 < sum(answers) < len(answers)
+
+
+def test_the_memo_starts_over_at_its_limit(monkeypatch):
+    """A bounded solver keeps at most _MEMO_LIMIT answers, and answers the
+    same once it has dropped them."""
+    m = example33(1)
+    fresh = [ReprSolver(m.generators).is_member(q) for q in (F(4, 5), F(6, 7), F(1, 2))]
+    monkeypatch.setattr(puiseux, "_MEMO_LIMIT", 8)
+    solver = ReprSolver(m.generators)
+    for _ in range(2):
+        assert [solver.is_member(q) for q in (F(4, 5), F(6, 7), F(1, 2))] == fresh
+        assert 0 < len(solver._sums) <= 8
+
+
+def test_integer_mcd_matches_the_brute_force_lattice(monkeypatch):
+    """The integer mcd walk, on the solver (no table answers membership
+    below _SMALL_TABLE = 0) and on the table, gives the maximal elements
+    of the brute-force common-divisor lattice of random members, two or
+    three at a time."""
+    rng = random.Random(73)
+    cases = []
+    for gens in _random_tabled_monoids(rng, 40):
+        m = PuiseuxMonoid(gens)
+        members = sorted(reachable_upto(m.scaled_generators, 60))
+        for _ in range(3):
+            elems = rng.sample(members, min(len(members), rng.choice([2, 3])))
+            cases.append((gens, elems, brute_mcds(m.scaled_generators, elems)))
+    for small_table in (puiseux._SMALL_TABLE, 0):
+        monkeypatch.setattr(puiseux, "_SMALL_TABLE", small_table)
+        for gens, elems, want in cases:
+            m = PuiseuxMonoid(gens)
+            got = m.mcd([m.from_scaled(x) for x in elems])
+            assert list(map(m.to_scaled, got)) == want, (gens, elems, small_table)
+            assert all(type(d) is F for d in got)
+
+
 def test_solver_combined_residue_constraints():
     """A composite denominator makes one generator the unique negative
     carrier at two primes at once; the solver must combine both residue
@@ -469,7 +570,9 @@ def test_no_trade_bound_is_sought_over_an_unbounded_rest():
     last three generators has no trade bound at its first depth, so looking
     for k_0 with it would walk up to 10**9 counts of 10**9 per k.  The
     solver skips k_0 there and builds at once; no table exists (the
-    multiplicity is past APERY_LIMIT), so membership runs on it."""
+    multiplicity is past APERY_LIMIT), so membership runs on it.  A walk
+    over a depth without a bound remembers nothing, so its memo stays
+    empty however many counts it tries."""
     gens = [10**9 - 1, 10**9, 10**21, 10**21 + 10**9]
     start = time.perf_counter()
     m = PuiseuxMonoid(gens)
@@ -477,6 +580,10 @@ def test_no_trade_bound_is_sought_over_an_unbounded_rest():
     assert m._solver.search(2 * 10**9 - 1) == ([(1, 1, 0, 0)], True)
     assert time.perf_counter() - start < 0.5
     assert m.numerical is None and not m._solver.bounded
+    start = time.perf_counter()
+    assert not m.contains(1) and m.contains(3 * 10**9 - 1) and not m.contains(3 * 10**9 - 4)
+    assert time.perf_counter() - start < 0.5
+    assert m._solver._sums == {}
 
 
 def test_a_prime_square_cofactor_splits_by_its_root():
@@ -572,33 +679,40 @@ def test_large_prime_denominators_are_answered_at_once(gens):
 
 
 def test_every_solver_query_goes_through_the_class_method(monkeypatch):
-    """A wrapper bound over `ReprSolver.search` after the handle and its
-    solver exist sees every query, so a tracer that rebinds the class
-    attribute counts every search.  The handle is a fresh copy of the
-    shared one, whose atoms may be filled already."""
+    """Wrappers bound over `ReprSolver.search` and `ReprSolver.is_member`
+    after the handle and its solver exist see every query, so a tracer
+    that rebinds the class attributes counts every one: membership and
+    `mcd` go through `is_member`, atoms and factorizations through
+    `search`.  The handle is a fresh copy of the shared one, whose atoms
+    may be filled already."""
     shared = example33(1)
     m = PuiseuxMonoid(shared.generators, family=shared.family)
     assert m.numerical is None
     m._solver
     calls = []
-    search = ReprSolver.search
+    search, is_member = ReprSolver.search, ReprSolver.is_member
 
-    def counting(self, *args, **kwargs):
-        calls.append(kwargs)
+    def counting_search(self, *args, **kwargs):
+        calls.append(("search", kwargs))
         return search(self, *args, **kwargs)
 
-    monkeypatch.setattr(ReprSolver, "search", counting)
+    def counting_member(self, *args):
+        calls.append(("is_member", {}))
+        return is_member(self, *args)
+
+    monkeypatch.setattr(ReprSolver, "search", counting_search)
+    monkeypatch.setattr(ReprSolver, "is_member", counting_member)
     atoms = m.atoms()
-    assert calls
-    for query in (lambda: m.contains(F(4, 5)),
-                  lambda: m.factorizations(atoms[0] + atoms[1]),
-                  lambda: m.mcd([F(4, 5), F(6, 7)])):
+    assert {k for k, _ in calls} == {"search"}
+    for kind, query in (("is_member", lambda: m.contains(F(4, 5))),
+                        ("search", lambda: m.factorizations(atoms[0] + atoms[1])),
+                        ("is_member", lambda: m.mcd([F(4, 5), F(6, 7)]))):
         calls.clear()
         query()
-        assert calls
+        assert kind in {k for k, _ in calls}
     calls.clear()
     m.factorizations(F(4, 5), max_length=2)
-    assert {"max_total": 2} in calls
+    assert ("search", {"max_total": 2}) in calls
 
 
 _P, _Q = 300007, 300017
@@ -763,7 +877,7 @@ def test_divisors_without_a_table_stop_the_search_at_the_budget(monkeypatch):
         m.divisors(q)
     assert time.perf_counter() - start < 0.5
     assert str(refused.value) == f"divisor set of {q} is too large to enumerate"
-    assert calls == [{"limit": 1}, {"limit": puiseux._DIVISOR_ENUM_LIMIT // 2 + 1}]
+    assert calls == [{"limit": puiseux._DIVISOR_ENUM_LIMIT // 2 + 1}]
 
 
 def test_divisors_without_a_table_match_the_table(monkeypatch):
