@@ -16,7 +16,6 @@ accepts only the flags it reads: `family` takes just its label, and
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections.abc import Callable
 
@@ -32,7 +31,7 @@ from .decompose import (
 from .errors import InvalidInputError, MonoidError
 from .powerset import FinSet
 from .puiseux import PuiseuxMonoid, parse_family, parse_monoid
-from .rational import format_rational, jsonable, parse_rational
+from .rational import dumps, format_rational, parse_rational
 
 
 def _ambient(args, required: bool = True) -> PuiseuxMonoid | None:
@@ -52,10 +51,10 @@ def _emit(args, payload, text_lines: Callable[[], list[str]]) -> None:
     last line marking a result the payload flags "partial".
 
     The payload holds values (monoids, sets, Fractions, reports), encoded
-    by `jsonable` only under --json; the lines are a callable so that
+    by `rational.dumps` only under --json; the lines are a callable so that
     --json never renders them."""
     if args.json:
-        print(json.dumps(jsonable(payload), sort_keys=True, indent=2))
+        print(dumps(payload))
     else:
         partial = isinstance(payload, dict) and payload.get("partial")
         for line in text_lines() + (["(partial: length cap hit)"] if partial else []):

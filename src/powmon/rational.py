@@ -4,8 +4,9 @@ Values are `fractions.Fraction` instances (arbitrary-precision, always in
 lowest terms).  This module adds the pieces the monoid machinery needs on
 top of the stdlib type: validated reduction, p-adic valuations,
 primality (deterministic below a bound, refused past it unless composite),
-prime search, partial subtraction on Q>=0, the "a/b" text format, and the
-JSON form built on it (`jsonable`, `Record`).
+prime search, partial subtraction on Q>=0, the "a/b" text format, the
+JSON form built on it (`jsonable`, `Record`), and `dumps`, which encodes
+that form as the CLI prints it.
 
 No floating point is used anywhere in the package.
 """
@@ -174,6 +175,49 @@ def jsonable(value):
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     return value
+
+
+def dumps(value) -> str:
+    """`json.dumps(jsonable(value), sort_keys=True, indent=2)`, byte for byte,
+    with each object that has `to_json` encoded once per depth.
+
+    With `indent` set CPython runs its pure-Python encoder, which would
+    encode an atom again at each of its places in a factorization list.
+    Here containers are joined as that encoder joins them, leaves go
+    through `json.dumps(jsonable(leaf))`, and an object with `to_json`
+    is encoded once per (object, depth).  The memo keeps each object next
+    to its string, so no id it holds is reused while the call runs; it is
+    dropped when the call returns.
+    """
+    import json  # here, so that `import powmon` does not load it
+
+    memo: dict[tuple[int, int], tuple[object, str]] = {}
+
+    def encode(value, depth: int) -> str:
+        if hasattr(value, "to_json"):
+            key = (id(value), depth)
+            hit = memo.get(key)
+            if hit is None:
+                hit = memo[key] = (value, encode(value.to_json(), depth))
+            return hit[1]
+        if isinstance(value, (tuple, list)):
+            if not value:
+                return "[]"
+            parts = [encode(v, depth + 1) for v in value]
+            brackets = "[]"
+        elif isinstance(value, dict):
+            if not value:
+                return "{}"
+            items = {str(k): v for k, v in value.items()}
+            parts = [json.dumps(k) + ": " + encode(items[k], depth + 1) for k in sorted(items)]
+            brackets = "{}"
+        else:
+            return json.dumps(jsonable(value))
+        inner = "\n" + "  " * (depth + 1)
+        return (brackets[0] + inner + ("," + inner).join(parts)
+                + "\n" + "  " * depth + brackets[1])
+
+    return encode(value, 0)
 
 
 class _Field:
