@@ -3,9 +3,9 @@
 A monoid given by rational generators is handled through two exact
 structures:
 
-* generator solver: a bounded-knapsack search over the generators scaled by
-  L = lcm(denominators), so every remainder it meets is an integer, pruned
-  by suffix gcds and bounded by trades.  A remainder must be divisible by
+* generator solver: a bounded-knapsack search over the scaled generators
+  (below), so every remainder it meets is an integer, pruned by suffix
+  gcds and bounded by trades.  A remainder must be divisible by
   the gcd of the generators still to come, which forces each coefficient
   into a single residue class without factoring anything; and once the
   first few counts of a class hold no representation, no larger count
@@ -18,8 +18,9 @@ structures:
   integer sub-sums) and the factorizations, the only result built as
   `Factorization` objects.
 * scale isomorphism: multiplying by lambda = lcm(denominators)/gcd(scaled
-  numerators) maps the monoid onto a numerical monoid, whose Apery table
-  enumerates members: it serves divisor sets, member lists and the
+  numerators) (`to_scaled`, and `from_scaled` back: the only conversions)
+  maps the monoid onto a numerical monoid, whose Apery table enumerates
+  members: it serves divisor sets, member lists and the
   set-level engine when the multiplicity is small enough to table, and
   membership and atoms in the three cases above.
   Each backend is built on first use.  The tests cross-check the solver's
@@ -45,7 +46,7 @@ import functools
 import itertools
 import math
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from fractions import Fraction
 
 from .errors import (
@@ -157,20 +158,19 @@ class Example33Family(Record):
 
 
 class ReprSolver:
-    """Enumerates representations of a target as N0-combinations of generators.
+    """Enumerates representations of an integer as N0-combinations of integers.
 
-    Exhaustive within the stated caps.  The search runs on integers: with L
-    the lcm of the generators' denominators, a target t and each generator
-    g_i become T = t*L and G_i = g_i*L, and every remainder the search meets
-    stays an integer.  It prunes by suffix gcds, as the round-robin residue
-    tables do (Boecker & Liptak 2007): a remainder at depth i is a sum of
-    G_i, ..., G_{n-1}, so it is divisible by their gcd d_i, and the count c
-    of G_i must leave a remainder divisible by d_{i+1}, which forces c into
-    one residue class mod d_{i+1} / d_i.  Both are necessary conditions, so
-    pruning never loses a solution and needs no factoring.  The target is
-    tested against d_0 once; every count is then taken from its class, so
-    each remainder is divisible by the next d_i without a test, and the
-    last count is exact.
+    Exhaustive within the stated caps.  It runs on a monoid's scaled
+    generators G_i = lambda*g_i and targets T = lambda*t, as `to_scaled`
+    gives them, so every remainder the search meets is an integer.  It
+    prunes by suffix gcds, as the round-robin residue tables do (Boecker &
+    Liptak 2007): a remainder at depth i is a sum of G_i, ..., G_{n-1}, so
+    it is divisible by their gcd d_i, and the count c of G_i must leave a
+    remainder divisible by d_{i+1}, which forces c into one residue class
+    mod d_{i+1} / d_i.  Both are necessary conditions, so pruning never
+    loses a solution and needs no factoring.  The target is tested against
+    d_0 once; every count is then taken from its class, so each remainder
+    is divisible by the next d_i without a test, and the last count is exact.
 
     Trades bound the counts a node tries.  With h_i = d_{i+1} / d_i, let k_i
     be the least k <= _TRADE_CAP with k*h_i*G_i in <G_{i+1}, ..., G_{n-1}>,
@@ -188,64 +188,57 @@ class ReprSolver:
     Inf. Theory 41, 1995), as every geometric truncation is (Chapman, Gotti
     and Gotti, Comm. Algebra 48, 2020), and a membership query is one walk
     of n steps.  A depth with k_i None scans every count of its class, so
-    k_0 is sought only when the solver over G_1, ... has no such depth.
+    the one backward pass that finds the k_i stops at the first None.
 
-    Membership (`is_member`, and the k_0 probe) is that walk for b = 1
-    without the vectors: whether a remainder t at depth i is a sum of
-    G_i, ..., G_{n-1} depends on (i, t) alone, so a bounded solver
-    remembers each answer, up to _MEMO_LIMIT of them, and a later query
-    that meets the same remainder reads it.  An unbounded one remembers
-    nothing, since its walk can meet a whole class of remainders.
+    Membership (`is_member`, and that pass) is the walk for b = 1 without
+    the vectors: whether a remainder t at depth i is a sum of G_i, ...,
+    G_{n-1} depends on (i, t) alone, so a bounded solver remembers each
+    answer, up to _MEMO_LIMIT of them, and a later query that meets the
+    same remainder reads it.  An unbounded one remembers nothing, since its
+    walk can meet a whole class of remainders.
     """
 
-    def __init__(self, generators: Sequence[Fraction]):
-        self.gens: tuple[Fraction, ...] = tuple(sorted(generators))
-        self._lcm = lcm = math.lcm(*(g.denominator for g in self.gens))
-        self._scaled = scaled = tuple(g.numerator * (lcm // g.denominator) for g in self.gens)
+    def __init__(self, generators: Iterable[int]):
+        self.gens = gens = tuple(sorted(generators))
         # suffix[i] = gcd(G_i, ..., G_{n-1}); with d = suffix[i] and
         # h = suffix[i+1], the count of G_i is (T // d) * (G_i // d)**-1 mod h // d
-        suffix = list(itertools.accumulate(reversed(scaled), math.gcd))[::-1]
+        suffix = list(itertools.accumulate(reversed(gens), math.gcd))[::-1]
         self._gcd = suffix[0] if suffix else 1
-        residues = [(d, h // d, pow(g // d, -1, h // d))
-                     for g, d, h in zip(scaled, suffix, suffix[1:])]
-        if residues:
-            # k_0 from the solver over G_1, ..., G_{n-1}, whose trades are the
-            # rest; sought only when those are all bounded, since a depth
-            # without a bound could scan its whole class for every k
-            rest = ReprSolver(self.gens[1:])
-            ks = range(1, _TRADE_CAP + 1) if rest.bounded else ()
-            # h_0 * G_0 is a multiple of d_1, and so of lcm // rest._lcm,
-            # which divides every later G_i: an integer in the rest's units
-            first = residues[0][1] * scaled[0] // (lcm // rest._lcm)
-            k0 = next((k for k in ks if rest.is_member(k * first)), None)
-            residues = [(*r, k) for r, k in zip(residues, (k0, *(k for *_, k in rest._residues)))]
-        self._residues = tuple(residues)
-        # False when a depth has no trade bound and scans its whole class
-        self.bounded = all(k for *_, k in residues)
-        # (i, t) -> whether t is a sum of G_i, ..., G_{n-1}; written only
-        # when bounded, so that a walk over a whole class fills no memory
+        self._residues = residues = [(d, h // d, pow(g // d, -1, h // d), None)
+                                     for g, d, h in zip(gens, suffix, suffix[1:])]
+        # (i, t) -> whether t is a sum of G_i, ..., G_{n-1}; kept only when
+        # bounded, so that a walk over a whole class fills no memory
         self._sums: dict[tuple[int, int], bool] = {}
+        # k_i from the last depth down, by the walk over the later depths,
+        # every one of them bounded while the pass runs
+        self.bounded = True
+        for i in reversed(range(len(residues))):
+            d, modulus, inv, _ = residues[i]
+            k = next((k for k in range(1, _TRADE_CAP + 1)
+                      if self._is_sum(i + 1, k * modulus * gens[i])), None)
+            if k is None:
+                self.bounded = False
+                self._sums.clear()
+                break
+            residues[i] = (d, modulus, inv, k)
 
     def search(
         self,
-        target: Fraction,
+        target: int,
         limit: int | None = None,
         max_total: int | None = None,
     ) -> tuple[list[tuple[int, ...]], bool]:
-        """All coefficient vectors summing to target.
+        """All count vectors over `gens` summing to target.
 
         Returns (solutions, exhaustive); `limit` stops after that many
         solutions (0 after the first), `max_total` caps the coefficient sum
-        (either makes the result potentially non-exhaustive).  A target
-        outside (1/L)*Z has no representation, exhaustive under any cap.
+        (either makes the result potentially non-exhaustive).  A negative
+        target, or one outside d_0*Z, has no representation, exhaustive
+        under any cap.
         """
-        target = Fraction(target)
-        if target < 0:
+        if target < 0 or target % self._gcd:
             return [], True
-        start, r = divmod(target.numerator * self._lcm, target.denominator)
-        if r or start % self._gcd:
-            return [], True
-        gens, residues = self._scaled, self._residues
+        gens, residues = self.gens, self._residues
         n = len(gens)
         solutions: list[tuple[int, ...]] = []
         counts = [0] * n
@@ -297,26 +290,20 @@ class ReprSolver:
             counts[i] = 0
             return False
 
-        stopped = rec(0, start, 0)
+        stopped = rec(0, target, 0)
         return solutions, not (stopped or pruned)
 
-    def is_member(self, q: Fraction | int) -> bool:
-        """Whether q is a sum of the generators: a rational, or an int T
-        already scaled by L (q = T/L)."""
-        if isinstance(q, int):
-            t = q
-        else:
-            q = Fraction(q)
-            t, r = divmod(q.numerator * self._lcm, q.denominator)
-            if r:
-                return False
+    def is_member(self, t: int) -> bool:
+        """Whether t is a sum of the generators."""
         return t >= 0 and t % self._gcd == 0 and self._is_sum(0, t)
 
     def _is_sum(self, i: int, t: int) -> bool:
         """Whether t, a multiple of d_i, is a sum of G_i, ..., G_{n-1}: the
-        walk over the first k_i counts of the class (all of them when k_i is
-        None), remembered per (i, t) when the solver is bounded."""
-        gens = self._scaled
+        walk over the first k_i counts of the class, remembered per (i, t)
+        when the solver is bounded.  When k_i is None, true at once if G_i
+        divides t, and otherwise over every count that leaves at least
+        G_{i+1}, since a smaller nonzero remainder is no sum."""
+        gens = self.gens
         if t == 0 or i == len(gens) - 1:  # d_{n-1} = G_{n-1} divides t
             return True
         if t < gens[i]:
@@ -328,9 +315,11 @@ class ReprSolver:
             return found
         d, modulus, inv, trades = self._residues[i]
         g = gens[i]
-        counts = range(t // d * inv % modulus, t // g + 1, modulus)
+        if not trades and t % g == 0:
+            return True
+        top = t if trades else t - gens[i + 1]
         found = False
-        for c in counts[:trades] if trades else counts:
+        for c in range(t // d * inv % modulus, top // g + 1, modulus)[:trades]:
             if self._is_sum(i + 1, t - c * g):
                 found = True
                 break
@@ -340,7 +329,7 @@ class ReprSolver:
             memo[key] = found
         return found
 
-    def is_atom_generator(self, g: Fraction) -> bool:
+    def is_atom_generator(self, g: int) -> bool:
         """True when the only representation of g is g itself."""
         found, _ = self.search(g, limit=2)
         return len(found) == 1
@@ -379,34 +368,35 @@ class PuiseuxMonoid:
 
     @functools.cached_property
     def _solver(self) -> ReprSolver:
-        return ReprSolver(self.generators)
+        return ReprSolver(self.scaled_generators)
 
     @functools.cached_property
     def _atom_solver(self) -> ReprSolver:
         atoms = self.atoms()
-        return self._solver if atoms == self.generators else ReprSolver(atoms)
+        return self._solver if atoms == self.generators else ReprSolver(map(self.to_scaled, atoms))
 
-    @functools.cached_property
     def _membership_table(self) -> NumericalMonoid | None:
-        """The Apery table where membership and atoms read it before it is
-        built, if one exists: when it is small, since a lookup then beats
-        building a solver, and when a depth of the solver has no trade bound,
-        so that a query could scan every count of its class (10**9 of them
-        for 10**12 - 1 over <1000, 10**12, 10**12 + 1>).  Elsewhere None: the
-        solver answers.  Once built (by divisors, members_upto or the
-        set-level engine), the table answers anyway: the cached_property
-        `numerical` then sits in the instance dict."""
+        """The Apery table that membership and atoms read, or None: the
+        solver answers.  A built one (the cached_property `numerical` in the
+        instance dict) first; else, if one exists, when it is small, since a
+        lookup then beats building a solver, and when a depth of the solver
+        has no trade bound, so that a query could scan every count of its
+        class (10**9 of them for 10**12 - 1 over <1000, 10**12, 10**12 + 1>)."""
+        table = self.__dict__.get("numerical")
         # the scaled generators ascend, so the first is the multiplicity
-        small = self.scaled_generators[0] <= _SMALL_TABLE
-        return self.numerical if small or not self._solver.bounded else None
+        if table is None and (self.scaled_generators[0] <= _SMALL_TABLE
+                              or not self._solver.bounded):
+            table = self.numerical
+        return table
 
     @functools.cached_property
     def _atoms(self) -> tuple[Fraction, ...]:
-        table = self.__dict__.get("numerical") or self._membership_table
+        table = self._membership_table()
         if table is not None:
             return tuple(map(self.from_scaled, table.atoms))
         solver = self._solver
-        return tuple(g for g in self.generators if solver.is_atom_generator(g))
+        return tuple(g for g, n in zip(self.generators, self.scaled_generators)
+                     if solver.is_atom_generator(n))
 
     # -- scaling helpers ----------------------------------------------------
 
@@ -427,18 +417,17 @@ class PuiseuxMonoid:
         return n is not None and self._contains_scaled(n)
 
     def _contains_scaled(self, n: int) -> bool:
-        """Membership of n / scale.  The solver's L is scale's numerator,
-        so T = n * scale.denominator is n in the solver's units."""
-        table = self.__dict__.get("numerical") or self._membership_table
-        if table is None:
-            return self._solver.is_member(n * self.scale.denominator)
-        return table.contains(n)
+        """Membership of n / scale, n in the units of table and solver alike."""
+        table = self._membership_table()
+        return self._solver.is_member(n) if table is None else table.contains(n)
 
-    def _require_member(self, q) -> Fraction:
+    def _require_member(self, q) -> int:
+        """lambda*q for a member q; NotAMemberError otherwise."""
         q = Fraction(q)
-        if not self.contains(q):
+        n = self.to_scaled(q)
+        if n is None or not self._contains_scaled(n):
             raise NotAMemberError(f"{format_rational(q)} is not in {self}")
-        return q
+        return n
 
     def atoms(self) -> tuple[Fraction, ...]:
         """The atoms: exactly the minimal generators."""
@@ -447,33 +436,32 @@ class PuiseuxMonoid:
     def divisors(self, q) -> list[Fraction]:
         """All d in the monoid with q - d also in the monoid, ascending."""
         table = self.numerical  # built first, so that the membership test reads it
-        q = self._require_member(q)
+        n = self._require_member(q)
         if table is not None:
-            return [self.from_scaled(d) for d in table.divisors(self.to_scaled(q))]
+            return [self.from_scaled(d) for d in table.divisors(n)]
         # no Apery table: the integer sub-sums of the solver's vectors.  Each
         # vector of q > 0 costs at least 2, so more than half the budget of
         # them is refused whichever they are.
         solver = self._atom_solver
         sums: set[int] = set()
         budget = _DIVISOR_ENUM_LIMIT
-        for vector in solver.search(q, limit=_DIVISOR_ENUM_LIMIT // 2 + 1)[0]:
+        for vector in solver.search(n, limit=_DIVISOR_ENUM_LIMIT // 2 + 1)[0]:
             budget -= math.prod(c + 1 for c in vector)
             if budget < 0:
-                raise UnsupportedAmbientError(
-                    f"divisor set of {format_rational(q)} is too large to enumerate"
-                )
+                q = format_rational(self.from_scaled(n))
+                raise UnsupportedAmbientError(f"divisor set of {q} is too large to enumerate")
             partial = {0}
-            for g, c in zip(solver._scaled, vector):
+            for g, c in zip(solver.gens, vector):
                 partial = {s + k * g for s in partial for k in range(c + 1)}
             sums |= partial
-        return [Fraction(s, solver._lcm) for s in sorted(sums)]
+        return [self.from_scaled(s) for s in sorted(sums)]
 
     def factorizations(self, q, max_length: int | None = None) -> Enumeration:
         """Every factorization of q into atoms (exact, canonically sorted)."""
-        q = self._require_member(q)
-        solver = self._atom_solver
-        vectors, exhaustive = solver.search(q, max_total=max_length)
-        items = tuple(sorted(Factorization.from_vector(solver.gens, v) for v in vectors))
+        n = self._require_member(q)
+        vectors, exhaustive = self._atom_solver.search(n, max_total=max_length)
+        atoms = self.atoms()
+        items = tuple(sorted(Factorization.from_vector(atoms, v) for v in vectors))
         return Enumeration(items, exhaustive=exhaustive)
 
     def length_set(self, q) -> frozenset[int]:
@@ -491,7 +479,7 @@ class PuiseuxMonoid:
         suffices in an atomic monoid.)  The walk runs on scaled integers;
         only the maximal divisors become Fractions.
         """
-        elems = [self.to_scaled(self._require_member(x)) for x in elements]
+        elems = [self._require_member(x) for x in elements]
         if not elems:
             raise InvalidInputError("mcd of an empty set is undefined")
         member = self._contains_scaled

@@ -207,6 +207,17 @@ def test_mcd_of_a_dividing_pair_is_answered_at_once(capsys):
     assert time.perf_counter() - start < 1
 
 
+def test_membership_past_depths_without_a_trade_bound_is_answered_at_once(capsys):
+    """Over <10**9 - 1, 10**9, 10**21, 10**21 + 10**9> no table exists and
+    the solver's first two depths have no trade bound; this query once ran
+    past 10 s."""
+    start = time.perf_counter()
+    monoid = ",".join(map(str, [10**9 - 1, 10**9, 10**21, 10**21 + 10**9]))
+    code, out, err = run_cli(capsys, "member", "--monoid", monoid, str(10**21 - 1))
+    assert (code, out, err) == (0, "true\n", "")
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("argv", [("family", "example33:4"), ("verify", "example33", "--level", "4")])
 def test_example33_level4_is_refused(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

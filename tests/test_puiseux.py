@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -140,6 +141,30 @@ def _table_contains(monoid, q) -> bool:
 PAST_THE_CAP = [F(1), F(100), F(101)]
 
 
+class _Over:
+    """A `ReprSolver` over the scaled generators of `PuiseuxMonoid(gens)`,
+    asked in rationals as the monoid asks it: each query goes through the
+    monoid's `to_scaled`, and one off its lattice has no representation,
+    exhaustive under any cap.  `gens` are the rationals, in the solver's
+    order; `solver` is the integer solver itself."""
+
+    def __init__(self, gens):
+        self.monoid = PuiseuxMonoid(gens)
+        self.gens = self.monoid.generators
+        self.solver = ReprSolver(self.monoid.scaled_generators)
+
+    def is_member(self, q):
+        n = self.monoid.to_scaled(F(q))
+        return n is not None and self.solver.is_member(n)
+
+    def search(self, q, limit=None, max_total=None):
+        n = self.monoid.to_scaled(F(q))
+        return ([], True) if n is None else self.solver.search(n, limit, max_total)
+
+    def is_atom_generator(self, g):
+        return self.solver.is_atom_generator(self.monoid.to_scaled(F(g)))
+
+
 def test_solver_agrees_with_apery_backend():
     """The generator solver answers membership and atoms as the Apery
     table does on monoids small enough to run both, and its factorizations
@@ -150,8 +175,8 @@ def test_solver_agrees_with_apery_backend():
     one depth unbounded."""
     rng = random.Random(31)
     powers = [[r**k for k in range(level + 1)] for r, level in ((F(2, 3), 6), (F(3, 5), 4))]
-    assert all(k == 1 for gens in powers for *_, k in ReprSolver(gens)._residues)
-    assert ReprSolver(PAST_THE_CAP)._residues[0][3] is None
+    assert all(k == 1 for gens in powers for *_, k in _Over(gens).solver._residues)
+    assert _Over(PAST_THE_CAP).solver._residues[0][3] is None
 
     def generator_lists():
         for _ in range(30):
@@ -162,11 +187,11 @@ def test_solver_agrees_with_apery_backend():
 
     for gens in generator_lists():
         monoid = PuiseuxMonoid(gens)
-        solver = ReprSolver(monoid.generators)
+        solver = _Over(monoid.generators)
         atoms = monoid.atoms()
         assert atoms == tuple(map(monoid.from_scaled, monoid.numerical.atoms))
         assert tuple(g for g in monoid.generators if solver.is_atom_generator(g)) == atoms
-        atom_solver = ReprSolver(atoms)
+        atom_solver = _Over(atoms)
         for _ in range(25):
             q = F(rng.randrange(0, 40), rng.randrange(1, 10))
             assert solver.is_member(q) == monoid.contains(q) == _table_contains(monoid, q), (
@@ -196,28 +221,28 @@ def _random_tabled_monoids(rng, count):
 
 def test_the_remembered_walk_agrees_with_the_table(monkeypatch):
     """With the solver forced (no table answers membership below
-    _SMALL_TABLE = 0), `contains` and the solver's `is_member`, given a
-    rational or an int already scaled by L, agree with the table on random
-    monoids that have one: from a fresh solver and from one whose memo
-    every earlier query filled, asked in either order.  Only a bounded
+    _SMALL_TABLE = 0), `contains` and the solver's `is_member`, asked a
+    rational through `to_scaled` or a scaled int, agree with the table on
+    random monoids that have one: from a fresh solver and from one whose
+    memo every earlier query filled, asked in either order.  Only a bounded
     solver remembers anything."""
     monkeypatch.setattr(puiseux, "_SMALL_TABLE", 0)
     rng = random.Random(67)
     for gens in _random_tabled_monoids(rng, 60):
         tabled, forced = PuiseuxMonoid(gens), PuiseuxMonoid(gens)
-        solver = ReprSolver(tabled.generators)
+        solver = _Over(tabled.generators)
         queries = [F(rng.randrange(0, 80), rng.randrange(1, 12)) for _ in range(40)]
         want = [_table_contains(tabled, q) for q in queries]
         assert [forced.contains(q) for q in queries] == want, gens
-        assert forced._membership_table is None or not forced._solver.bounded
+        assert forced._membership_table() is None or not forced._solver.bounded
         assert [solver.is_member(q) for q in queries] == want, gens
         assert [solver.is_member(q) for q in reversed(queries)] == want[::-1], gens
-        assert [ReprSolver(gens).is_member(q) for q in queries] == want, gens
-        unit = tabled.scale.denominator
+        assert [_Over(gens).is_member(q) for q in queries] == want, gens
+        ints = solver.solver
         scaled = range(-2, 3 * tabled.scaled_generators[-1])
-        assert [solver.is_member(n * unit) for n in scaled] == [
+        assert [ints.is_member(n) for n in scaled] == [
             tabled.numerical.contains(n) for n in scaled], gens
-        assert bool(solver._sums) == (solver.bounded and len(solver.gens) > 1), gens
+        assert bool(ints._sums) == (ints.bounded and len(ints.gens) > 1), gens
 
 
 def test_a_filled_memo_answers_as_a_fresh_solver():
@@ -234,7 +259,8 @@ def test_a_filled_memo_answers_as_a_fresh_solver():
     queries += [sum(rng.sample(gens, rng.randrange(1, 4)), F(0)) + F(1, rng.choice([2, 3, 17]))
                 for _ in range(20)]
     for q in queries:
-        assert solver.is_member(q) == ReprSolver(gens).is_member(q), q
+        n = m.to_scaled(q)
+        assert (n is not None and solver.is_member(n)) == _Over(gens).is_member(q), q
 
 
 def test_a_free_monoid_walks_one_count_per_depth():
@@ -243,13 +269,14 @@ def test_a_free_monoid_walks_one_count_per_depth():
     most n - 1 remainders, where a walk over whole classes would remember
     hundreds."""
     gens = geometric(F(2, 3), 17).generators
-    solver = ReprSolver(gens)
+    over = _Over(gens)
+    solver = over.solver
     assert all(k == 1 for *_, k in solver._residues)
     rng = random.Random(79)
     answers = []
     for _ in range(300):
         before = len(solver._sums)
-        answers.append(solver.is_member(F(rng.randrange(10**7, 10**9), 3**17)))
+        answers.append(over.is_member(F(rng.randrange(10**7, 10**9), 3**17)))
         assert len(solver._sums) - before <= len(gens) - 1
     assert 0 < sum(answers) < len(answers)
 
@@ -258,12 +285,12 @@ def test_the_memo_starts_over_at_its_limit(monkeypatch):
     """A bounded solver keeps at most _MEMO_LIMIT answers, and answers the
     same once it has dropped them."""
     m = example33(1)
-    fresh = [ReprSolver(m.generators).is_member(q) for q in (F(4, 5), F(6, 7), F(1, 2))]
+    fresh = [_Over(m.generators).is_member(q) for q in (F(4, 5), F(6, 7), F(1, 2))]
     monkeypatch.setattr(puiseux, "_MEMO_LIMIT", 8)
-    solver = ReprSolver(m.generators)
+    solver = _Over(m.generators)
     for _ in range(2):
         assert [solver.is_member(q) for q in (F(4, 5), F(6, 7), F(1, 2))] == fresh
-        assert 0 < len(solver._sums) <= 8
+        assert 0 < len(solver.solver._sums) <= 8
 
 
 def test_integer_mcd_matches_the_brute_force_lattice(monkeypatch):
@@ -294,7 +321,7 @@ def test_solver_combined_residue_constraints():
     constraints and still agree with the Apery backend."""
     gens = [F(5, 6), F(4)]
     monoid = PuiseuxMonoid(gens)
-    solver = ReprSolver(gens)
+    solver = _Over(gens)
     for num in range(0, 121):
         for den in (1, 2, 3, 6):
             q = F(num, den)
@@ -442,7 +469,7 @@ def _agreement_solvers():
     pairs = []
     for level in range(4):
         m = example33(level)
-        pairs.append((ReprSolver(m.generators), _reference_primes(m.generators, m.family.primes)))
+        pairs.append((_Over(m.generators), _reference_primes(m.generators, m.family.primes)))
     for gens in (
         [F(1, 4), F(3, 8), F(5, 9), F(7, 27)],  # prime powers
         [F(5, 6), F(4)],  # one generator carries 2 and 3
@@ -452,7 +479,7 @@ def _agreement_solvers():
         [F(2, 3) ** k for k in range(6)],  # every trade bound is 1
         PAST_THE_CAP,
     ):
-        pairs.append((ReprSolver(gens), _reference_primes(gens)))
+        pairs.append((_Over(gens), _reference_primes(gens)))
     return pairs
 
 
@@ -506,14 +533,20 @@ def test_a_limited_search_is_a_prefix_of_the_full_one():
 
 
 def test_target_outside_the_lattice_is_exhaustive_under_a_cap():
-    """The one intended difference from the Fraction search: a target with
-    t * lcm not integral has no representation, and the integer search says
-    so at once, exhaustive, where the Fraction search reported the capped
-    candidates it never tried.  `factorizations`, the only caller with a
-    cap, refuses such a target as a non-member first."""
-    solver = ReprSolver([F(1, 2), F(1, 3)])
+    """The one intended difference from the Fraction search: a target off
+    the lattice has no representation, and the integer side says so at
+    once, exhaustive, where the Fraction search reported the capped
+    candidates it never tried.  For a rational target `to_scaled` says so
+    before any solver runs; the integer solver says so for a target outside
+    the multiples of its generators' gcd, or below 0.  `factorizations`,
+    the only caller with a cap, refuses such a target as a non-member
+    first."""
+    solver = _Over([F(1, 2), F(1, 3)])
     assert _fraction_search(solver, F(5, 4), (2, 3), max_total=1) == ([], False)
+    assert solver.monoid.to_scaled(F(5, 4)) is None
     assert solver.search(F(5, 4), max_total=1) == ([], True)
+    assert ReprSolver([4, 6]).search(5, max_total=1) == ([], True)
+    assert ReprSolver([4, 6]).search(-4, max_total=1) == ([], True)
     assert solver.search(F(5, 4)) == _fraction_search(solver, F(5, 4), (2, 3)) == ([], True)
     with pytest.raises(NotAMemberError):
         PuiseuxMonoid([F(1, 2), F(1, 3)]).factorizations(F(5, 4), max_length=1)
@@ -526,10 +559,11 @@ def test_prime_discovery_ignores_generator_order(level):
     prune as the family's primes do, whatever order the generators come
     in."""
     m = example33(level)
-    solver = ReprSolver(m.generators)
+    solver = _Over(m.generators)
     target = solver.gens[0] + solver.gens[1] + solver.gens[5]
     primes = _reference_primes(m.generators, m.family.primes)
-    assert ReprSolver(m.generators[::-1]).search(target) == solver.search(target) == (
+    reversed_solver = ReprSolver(m.scaled_generators[::-1])
+    assert reversed_solver.search(m.to_scaled(target)) == solver.search(target) == (
         _fraction_search(solver, target, primes))
     if level == 3:
         assert solver.search(target) == ([(1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0)], True)
@@ -561,8 +595,8 @@ def test_a_depth_without_a_trade_bound_leaves_membership_to_the_table():
     assert m.contains(10**12 - 1000) and m.contains(2 * 10**12 + 1)
     assert m.atoms() == (1000, 10**12 + 1)  # 10**12 is 10**9 copies of 1000
     assert time.perf_counter() - start < 0.5
-    assert not m._solver.bounded and m._membership_table is m.numerical
-    assert not ReprSolver(PAST_THE_CAP).bounded and ReprSolver([F(1, 2), F(1, 3)]).bounded
+    assert not m._solver.bounded and m._membership_table() is m.numerical
+    assert not _Over(PAST_THE_CAP).solver.bounded and _Over([F(1, 2), F(1, 3)]).solver.bounded
 
 
 def test_no_trade_bound_is_sought_over_an_unbounded_rest():
@@ -584,6 +618,89 @@ def test_no_trade_bound_is_sought_over_an_unbounded_rest():
     assert not m.contains(1) and m.contains(3 * 10**9 - 1) and not m.contains(3 * 10**9 - 4)
     assert time.perf_counter() - start < 0.5
     assert m._solver._sums == {}
+
+
+_UNBOUNDED_REST = [10**9 - 1, 10**9, 10**21, 10**21 + 10**9]
+
+
+def test_each_trade_bound_is_the_least_multiple_in_the_suffix_monoid():
+    """On random monoids with a table, each k_i that the solver's backward
+    pass finds is its definition: the least k <= _TRADE_CAP with k*h_i*G_i
+    in <G_{i+1}, ..., G_{n-1}>, read off that suffix monoid's own table, or
+    None past the cap; and None wherever a later depth has none, since the
+    pass stops there.  The solver is bounded when every k_i is found."""
+    rng = random.Random(83)
+    checked = unbounded = 0
+    for gens in _random_tabled_monoids(rng, 300):
+        m = PuiseuxMonoid(gens)
+        scaled, ks = m.scaled_generators, [k for *_, k in m._solver._residues]
+        assert len(ks) == len(scaled) - 1
+        later_bounded = True
+        for i in reversed(range(len(ks))):
+            h = math.gcd(*scaled[i + 1:]) // math.gcd(*scaled[i:])
+            suffix = PuiseuxMonoid(m.generators[i + 1:])
+            multiples = range(1, puiseux._TRADE_CAP + 1) if later_bounded else ()
+            want = next((k for k in multiples
+                         if _table_contains(suffix, k * h * m.generators[i])), None)
+            assert ks[i] == want, (gens, i)
+            later_bounded = want is not None
+            checked += 1
+        assert m._solver.bounded == (None not in ks)
+        unbounded += not m._solver.bounded
+    assert checked > 300 and unbounded
+
+
+def test_the_trade_bounds_of_the_families():
+    """Every geometric truncation is free in the solver's order, so each
+    k_i is 1; every example33 depth has k_i <= 7 up to level 3.  PAST_THE_CAP
+    has none at its first depth, and over _UNBOUNDED_REST the second depth
+    has none either (10**12 copies of 10**9 are the least multiple in
+    <10**21, 10**21 + 10**9>), so the first is not sought."""
+    for ratio, top in ((F(2, 3), 17), (F(3, 5), 11)):
+        for level in range(top + 1):
+            assert [k for *_, k in geometric(ratio, level)._solver._residues] == [1] * level
+    for level in range(4):
+        ks = [k for *_, k in example33(level)._solver._residues]
+        assert len(ks) == 3 * level + 2 and all(k is not None and k <= 7 for k in ks), ks
+    assert [k for *_, k in PuiseuxMonoid(PAST_THE_CAP)._solver._residues] == [None, 1]
+    assert [k for *_, k in PuiseuxMonoid(_UNBOUNDED_REST)._solver._residues] == [None, None, 1]
+
+
+def test_membership_past_depths_without_a_trade_bound_is_answered_at_once():
+    """Over _UNBOUNDED_REST (no table) the first two depths have no trade
+    bound.  The walk for 10**21 - 1 or 2*10**21 + 7 once tried up to 10**12
+    counts of 10**9 at the second, past 10 s.  10**9 divides every
+    remainder there, so it answers at once; the first depth takes only
+    counts that leave 0 or at least 10**9.  Every integer past the
+    Frobenius number of <10**9 - 1, 10**9> is a member; that number is not."""
+    a = 10**9 - 1
+    frobenius = a * (a + 1) - a - (a + 1)
+    m = PuiseuxMonoid(_UNBOUNDED_REST)
+    start = time.perf_counter()
+    assert m.contains(10**21 - 1) and m.contains(2 * 10**21 + 7)
+    assert not m.contains(frobenius) and m.contains(frobenius + 1)
+    assert not m.contains(10**9 + 1) and m.contains(10**21 + 10**9 - 1)
+    assert time.perf_counter() - start < 0.5
+    assert m.numerical is None and m._solver._sums == {}
+
+
+def test_the_walk_over_unbounded_depths_agrees_with_the_table():
+    """On random <a, b, b + c> with a small, where k*a is rarely a sum of b
+    and b + c for k <= 64, the solver's walk (which skips the counts that
+    leave a nonzero remainder below the next generator at a depth without a
+    trade bound) answers membership of every integer below 2*(b + c) as the
+    table does."""
+    rng = random.Random(89)
+    unbounded = 0
+    for _ in range(40):
+        a, b = rng.randrange(2, 60), rng.randrange(100, 1000)
+        m = PuiseuxMonoid([a, b, b + rng.randrange(1, 60)])
+        solver, table = m._solver, m.numerical
+        unbounded += not solver.bounded
+        top = 2 * m.scaled_generators[-1]
+        assert [solver.is_member(n) for n in range(top)] == [
+            table.contains(n) for n in range(top)], m
+    assert unbounded > 20
 
 
 def test_a_prime_square_cofactor_splits_by_its_root():
@@ -610,7 +727,7 @@ def test_a_semiprime_cofactor_splits_by_rho():
     fam = example33(3).family
     p9, p10, p11 = fam.prime(9), fam.prime(10), fam.prime(11)
     gens = [F(1, p9 * p10), F(1, p11)]
-    solver = ReprSolver(gens)
+    solver = _Over(gens)
     for target in (F(2, p11), F(1, p9 * p10) + F(3, p11), F(1, p9), F(1, p9 * p11)):
         assert solver.search(target) == _fraction_search(solver, target, (p9, p10, p11)), target
     assert PuiseuxMonoid(gens).contains(F(2, p11))
@@ -621,7 +738,7 @@ def test_a_cofactor_with_a_prime_past_the_mr_range_builds_quickly():
     the solver nothing to build."""
     big = 100003 * (2**89 - 1)
     start = time.perf_counter()
-    ReprSolver([F(1, big), F(1, 7)])
+    _Over([F(1, big), F(1, 7)])
     assert time.perf_counter() - start < 0.5
     m = PuiseuxMonoid([F(1, big)])
     assert m.contains(F(5, big)) and not m.contains(F(1, 2 * big))
@@ -633,7 +750,7 @@ def test_a_cofactor_rho_cannot_split_is_walked_once():
     and one walk finds the three representations of 1."""
     big = 1000000000039 * 1000000000061
     start = time.perf_counter()
-    solver = ReprSolver([F(1, big), F(1, 7), F(1, 300007)])
+    solver = _Over([F(1, big), F(1, 7), F(1, 300007)])
     vectors, exhaustive = solver.search(F(1))
     assert time.perf_counter() - start < 0.5
     assert exhaustive and sorted(vectors) == [(0, 0, 7), (0, 300007, 0), (big, 0, 0)]
