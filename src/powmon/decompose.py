@@ -28,10 +28,13 @@ shifting out the split).  Each split pair {d, min B - d} is searched twice,
 with the A side on either summand and its candidates masked to those
 bits, which finds every unordered pair from about 2^(|B|/2) A sides
 instead of 2^|B|; a pair whose sides both reach max B / 2 is met twice and
-kept once.  The atom witness is the pair that a search over the
-full space would meet first (splits in ascending d, then the largest A,
-then the largest C), so `is_atom` reports the same decomposition whichever
-way the space is searched.
+kept once.  The atom witness is the nontrivial pair (a, c) of the full
+space with the least key (min a, -a, -c): the lowest split d that has one,
+then the largest A-side mask, then the largest C-side mask.  It depends on
+the pair set alone, not on the order the kernel emits pairs in, so `is_atom`
+reports the same decomposition whichever way the space is searched.  The
+engine's own atom test, behind factorization and factorability, walks the
+same splits and stops at the first nontrivial pair, with no witness built.
 
 Results leave the engine as masks and become objects only at the API
 boundary, where all ordering and counting stays on integers:
@@ -60,7 +63,7 @@ from __future__ import annotations
 
 import math
 import threading
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import combinations
 
@@ -248,33 +251,41 @@ class _Engine:
 
     # -- atomhood ---------------------------------------------------------------
 
+    def _reducing_splits(self, bmask: int) -> Iterable[list[tuple[int, int]]]:
+        """The nontrivial pairs (x, y) of B, one list per split in ascending
+        d, each split searched only when the walk reaches it.  When min B > 0,
+        B is no singleton and B - min B lies in M, the one list walked is
+        [({min B}, B - min B)], found without a search."""
+        unit = bmask & -bmask  # {min B}
+        b0 = bmask >> (unit.bit_length() - 1)
+        if unit != 1 and b0 != 1 and not b0 & ~self.member_mask:
+            return ([(unit, b0)],)
+        return ([(x, y) for x, y in self._split_pairs(b0, da, dc) if x != 1 and y != 1]
+                for da, dc in self._splits(bmask))
+
     def atom_witness(self, bmask: int):
         """None when bmask is an atom; otherwise one nontrivial pair
         (canonical: smaller int first).
 
-        The witness is the pair that a search over every split (d, low - d)
-        in ascending d, taking A-side masks from the largest down, meets
-        first: the splits are visited in pairs {d, low - d} and, at the
-        first with a nontrivial pair, the pair (a, c) over both orientations
-        that minimises (lowest bit of a, -a, -c) is taken.  When min B > 0,
-        B is no singleton and B - min B lies in M, that pair is
-        ({min B}, B - min B), answered without a search."""
-        unit = bmask & -bmask  # {min B}
-        b0 = bmask >> (unit.bit_length() - 1)
-        if unit != 1 and b0 != 1 and not b0 & ~self.member_mask:
-            return (b0, unit) if b0 <= unit else (unit, b0)
-        for da, dc in self._splits(bmask):
-            found = [(a, c) for x, y in self._split_pairs(b0, da, dc) if x != 1 and y != 1
-                     for a, c in ((x, y), (y, x))]
-            if found:
-                a, c = min(found, key=lambda p: (p[0] & -p[0], -p[0], -p[1]))
+        The witness is the pair (a, c) with a + c = B, over every split
+        (d, low - d) of low = min B and both orientations, that minimises
+        the key (min a, -a, -c): the lowest split d with a nontrivial pair,
+        then the largest A-side mask, then the largest C-side mask."""
+        for split in self._reducing_splits(bmask):
+            if split:
+                _, neg_a, neg_c = min((a & -a, -a, -c)
+                                      for x, y in split for a, c in ((x, y), (y, x)))
+                a, c = -neg_a, -neg_c
                 return (a, c) if a <= c else (c, a)
         return None
 
     def is_atom(self, bmask: int) -> bool:
+        """Whether B is an atom: the walk of `atom_witness`, stopped at the
+        first split with a nontrivial pair, whose pairs it neither orients
+        nor ranks."""
         hit = self._atom_memo.get(bmask)
         if hit is None:
-            hit = self._atom_memo[bmask] = bmask != 1 and self.atom_witness(bmask) is None
+            hit = self._atom_memo[bmask] = bmask != 1 and not any(self._reducing_splits(bmask))
         return hit
 
     # -- factorability ------------------------------------------------------------

@@ -187,8 +187,10 @@ class ReprSolver:
     is free for this order (telescopic: Kirfel and Pellikaan, IEEE Trans.
     Inf. Theory 41, 1995), as every geometric truncation is (Chapman, Gotti
     and Gotti, Comm. Algebra 48, 2020), and a membership query is one walk
-    of n steps.  A depth with k_i None scans every count of its class, so
-    the one backward pass that finds the k_i stops at the first None.
+    of n steps.  A depth with k_i None scans every count of its class that
+    leaves 0 or at least G_{i+1}, since a smaller nonzero remainder is no
+    sum of later generators; as that can still be a whole class, the one
+    backward pass that finds the k_i stops at the first None.
 
     Membership (`is_member`, and that pass) is the walk for b = 1 without
     the vectors: whether a remainder t at depth i is a sum of G_i, ...,
@@ -268,10 +270,12 @@ class ReprSolver:
             max_c = t // g
             cap_c = max_c if max_total is None else min(max_c, max_total - total)
             # a node whose first b blocks of `trades` counts hold fewer than b
-            # solutions holds no others
+            # solutions holds no others; without trades, a count that leaves
+            # a nonzero remainder below G_{i+1} is skipped, as in `_is_sum`
             step = trades * modulus if trades else 0
             bound, need = c + step if step else -1, len(solutions) + 1
-            while c <= cap_c:
+            top = cap_c if trades else min(cap_c, (t - gens[i + 1]) // g)
+            while c <= top:
                 counts[i] = c
                 if rec(i + 1, t - c * g, total + c):
                     return True
@@ -281,6 +285,12 @@ class ReprSolver:
                         counts[i] = 0
                         return False
                     bound, need = bound + step, need + 1
+            if c <= cap_c:  # the skipped counts: only max_c can leave 0
+                if t % g == 0 and cap_c == max_c:
+                    counts[i] = max_c
+                    if rec(i + 1, 0, total + max_c):
+                        return True
+                c += ((cap_c - c) // modulus + 1) * modulus
             # a count cut by the length cap, not the target, flags the search
             # when a remainder it leaves is 0 or could hold the next generator:
             # the remainders fall by modulus * g from the first, r

@@ -24,6 +24,7 @@ from oracles import (
     mask_to_set,
     oracle_is_atom_restricted,
     oracle_restricted_factorizations,
+    oracle_sumset,
     pair_product_table,
 )
 
@@ -483,16 +484,34 @@ def _unmasked_pairs(eng, bmask, restricted):
     return out
 
 
-def _full_space_first_witness(eng, bmask, restricted):
-    """The witness of a search over the full A-side space: the first
-    nontrivial pair of the first split that has one.  A side is trivial
-    when it is {0}, that is a mask of 1 on a split side d == 0."""
+def _descending_submasks(mask: int):
+    """Every submask of mask, with bit 0 added, from the largest down."""
+    pool = mask & ~1
+    sub = pool
+    while True:
+        yield sub | 1
+        if sub == 0:
+            return
+        sub = (sub - 1) & pool
+
+
+def _witness_by_key(eng, bmask, restricted):
+    """The documented witness, by brute force over the full space: among
+    the nontrivial pairs (a, c) with a + c = B over every split (d, low - d),
+    the one with the least key (min a, -a, -c), so the lowest split d with
+    such a pair, then the largest A-side mask, then the largest C-side mask.
+    Each A side meets every C side within the shifts c with A + c inside B.
+    A side is trivial when it is {0}, that is a mask of 1 on a split side 0."""
     b0 = bmask >> ((bmask & -bmask).bit_length() - 1)
     for da, dc in _every_split(eng, bmask, restricted):
-        for a0, c0 in masks_py.pair_search(b0, eng.member_mask >> da, eng.member_mask >> dc):
-            if (a0 != 1 or da) and (c0 != 1 or dc):
-                a, c = a0 << da, c0 << dc
-                return (min(a, c), max(a, c))
+        shifts = b0 & (eng.member_mask >> dc)
+        for a0 in _descending_submasks(b0 & (eng.member_mask >> da)):
+            c_max = sum(1 << c for c in range(b0.bit_length())
+                        if shifts >> c & 1 and oracle_sumset(a0, 1 << c) | b0 == b0)
+            for c0 in _descending_submasks(c_max):
+                if oracle_sumset(a0, c0) == b0 and (a0 != 1 or da) and (c0 != 1 or dc):
+                    a, c = a0 << da, c0 << dc
+                    return (min(a, c), max(a, c))
     return None
 
 
@@ -504,11 +523,14 @@ def test_half_space_finds_every_pair_once():
 
 
 def test_atom_witness_is_the_full_space_first_witness():
+    """The half-space engine reports the witness that comes first over the
+    full space in the order of its key, whatever order the kernel emits
+    pairs in."""
     shortcut = searched_positive_min = 0
     for eng, bmask, restricted in _engine_cases(_pair_corpus() + _large_minimum_corpus()):
         if bmask == 1:
             continue  # the identity is no atom and has no witness
-        want = _full_space_first_witness(eng, bmask, restricted)
+        want = _witness_by_key(eng, bmask, restricted)
         assert eng.atom_witness(bmask) == want, (bin(bmask), restricted)
         low = (bmask & -bmask).bit_length() - 1
         if want is not None and low and not restricted:
@@ -518,6 +540,23 @@ def test_atom_witness_is_the_full_space_first_witness():
                 shortcut += 1
     # both ways of answering a set with a positive minimum are exercised
     assert shortcut > 100 and searched_positive_min > 100
+
+
+def test_the_yes_no_walk_agrees_with_the_witness():
+    """`_Engine.is_atom` stops at the first nontrivial pair it meets; it
+    reads an atom exactly when `atom_witness` finds no witness, on sets with
+    and without 0 and on every ambient of the pair corpus."""
+    atoms = reducible = 0
+    cases = _engine_cases(_pair_corpus() + _large_minimum_corpus())
+    for eng, bmask, restricted in cases:
+        if bmask == 1:
+            continue  # the identity is no atom and has no witness
+        eng._atom_memo.clear()
+        answer = eng.is_atom(bmask)
+        assert answer == (eng.atom_witness(bmask) is None), (bin(bmask), restricted)
+        atoms += answer
+        reducible += not answer
+    assert atoms > 100 and reducible > 1000
 
 
 def test_witness_examples_with_a_positive_minimum():

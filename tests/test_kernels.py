@@ -44,6 +44,29 @@ def test_pair_search_pure_soundness():
         assert set(found) == brute, (bin(B), bin(cand_a), bin(cand_c))
 
 
+def test_pair_search_on_every_small_set():
+    """Every B below 2**9 that contains 0, with the full candidate masks,
+    with B itself as both, and with two random pairs of masks: the kernel
+    returns the brute-force pair set, each pair once, with A-side masks
+    from the largest down.  A B without 0 has no pair."""
+    rng = random.Random(11)
+    full = (1 << 9) - 1
+    assert not any(masks_py.pair_search(B, full, full) for B in range(0, 1 << 9, 2))
+    for B in range(1, 1 << 9, 2):
+        masks = [(full, full), (B, B)]
+        masks += [(rng.getrandbits(9) | 1, rng.getrandbits(9)), (rng.getrandbits(9), B)]
+        for cand_a, cand_c in masks:
+            found = masks_py.pair_search(B, cand_a, cand_c)
+            assert len(found) == len(set(found)), (bin(B), bin(cand_a), bin(cand_c))
+            sides = [a for a, _ in found]
+            assert sides == sorted(sides, reverse=True)
+            brute = {(a, c)
+                     for a in _submasks_with_zero(B & cand_a)
+                     for c in _submasks_with_zero(B & cand_c)
+                     if oracle_sumset(a, c) == B}
+            assert set(found) == brute, (bin(B), bin(cand_a), bin(cand_c))
+
+
 def test_engine_calls_the_kernel_through_its_module(monkeypatch):
     """A wrapper bound over `masks_py.pair_search` after the engine exists
     sees its searches, so a tracer that rebinds the module attribute counts

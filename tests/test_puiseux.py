@@ -703,6 +703,67 @@ def test_the_walk_over_unbounded_depths_agrees_with_the_table():
     assert unbounded > 20
 
 
+def test_atoms_and_factorizations_past_unbounded_depths_are_answered_at_once():
+    """Over _UNBOUNDED_REST (no table) the search for a second
+    representation of 10**21 once walked 10**12 counts of 10**9 at the
+    second depth, which has no trade bound, past 5 s.  A count that leaves
+    a nonzero remainder below the next generator is skipped there, so the
+    search jumps to the count that leaves 0.  Only 10**9 - 1 and 10**9 are
+    atoms, so a factorization of q is a pair (x, y) with
+    x*(10**9 - 1) + y*10**9 = q, that is x = -q mod 10**9."""
+    a, b = 10**9 - 1, 10**9
+    start = time.perf_counter()
+    m = PuiseuxMonoid(_UNBOUNDED_REST)
+    assert m.atoms() == (a, b) and m.numerical is None
+    assert time.perf_counter() - start < 0.5
+    q = 10**21 + 10**9
+    start = time.perf_counter()
+    enum = m.factorizations(q)
+    assert time.perf_counter() - start < 0.5
+    assert enum.exhaustive
+    xs = range(-q % b, q // a + 1, b)
+    assert len(xs) == 1001 and set(enum.items) == {
+        Factorization.from_vector(m.atoms(), (x, (q - x * a) // b)) for x in xs}
+
+
+def _random_unbounded_gens(rng):
+    """<a, b_1, ..., b_k> with a small and every b_j much larger, so that
+    k*a is rarely a sum of the b_j for k <= _TRADE_CAP."""
+    a = rng.randrange(2, 30)
+    return [a] + [rng.randrange(20 * a, 200 * a) for _ in range(rng.randrange(1, 4))]
+
+
+def test_the_search_over_unbounded_depths_matches_the_plain_search():
+    """On random solvers with a depth that has no trade bound, the search
+    returns the vectors of the plain scan over every count (the Fraction
+    search without primes), in its order, alone, under a limit and under a
+    length cap; its flag is never looser, and tighter only where no
+    factorization is longer than the cap."""
+    rng = random.Random(97)
+    unbounded = calls = 0
+    for _ in range(30):
+        gens = _random_unbounded_gens(rng)
+        solver = _Over(gens)
+        if solver.solver.bounded:
+            continue
+        unbounded += 1
+        gens = solver.gens
+        targets = [sum(rng.choices(gens, k=rng.randrange(0, 5)), F(0)) for _ in range(4)]
+        targets += [F(rng.randrange(0, 3 * int(gens[-1]))) for _ in range(4)]
+        for target in targets:
+            for limit in (None, 1, 2):
+                for max_total in (None, 1, 5, 30):
+                    want, want_exhaustive = _fraction_search(solver, target, (), limit, max_total)
+                    got, exhaustive = solver.search(target, limit, max_total)
+                    assert got == want, (gens, target, limit, max_total)
+                    assert exhaustive >= want_exhaustive, (gens, target, limit, max_total)
+                    if exhaustive > want_exhaustive:
+                        full, _ = solver.search(target)
+                        assert all(sum(v) <= max_total for v in full), (gens, target)
+                    calls += 1
+    assert unbounded > 10 and calls > 1000
+
+
 def test_a_prime_square_cofactor_splits_by_its_root():
     """Without a residue class for 100003**2, which trial division up to
     100,000 does not split, this non-member query once crawled for seconds;
