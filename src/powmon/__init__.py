@@ -14,7 +14,6 @@ from .errors import (
     NotCofiniteError,
     UndefinedValuationError,
     UnsupportedAmbientError,
-    WouldGoNegativeError,
 )
 from .factorization import Enumeration, Factorization
 from .numerical import NumericalMonoid
@@ -30,7 +29,6 @@ from .puiseux import (
     verify_atoms_by_valuation,
 )
 from .rational import (
-    checked_sub,
     format_rational,
     is_prime,
     next_prime_above,
@@ -69,8 +67,6 @@ __all__ = [
     "PuiseuxMonoid",
     "UndefinedValuationError",
     "UnsupportedAmbientError",
-    "WouldGoNegativeError",
-    "checked_sub",
     "decompositions",
     "divisor_closure",
     "example33",

@@ -3,7 +3,9 @@
 Every operation of the library is reachable as a subcommand, with a stable
 text form by default and `--json` for scripting (keys sorted, identical
 invocations are byte-identical).  Exit codes: 0 success, 1 domain error
-(non-membership and friends), 2 usage error.
+(non-membership and friends), 2 usage error.  When the reader of stdout
+closes it early (`powmon ... | head -3`), the command stops writing and
+exits 1, with nothing on stderr.
 
 The working monoid is named either by generators (`--monoid "2,3"`,
 `--monoid "1"` for the nonnegative integers) or by family
@@ -16,6 +18,7 @@ accepts only the flags it reads: `family` takes just its label, and
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Callable
 
@@ -117,12 +120,12 @@ def _cmd_factorize(args) -> None:
 def _cmd_lengths(args) -> None:
     monoid = _ambient(args)
     q = parse_rational(args.element)
-    enum = monoid.factorizations(q, max_length=args.max_length)
+    lengths, exhaustive = monoid.lengths(q, max_length=args.max_length)
     _emit(
         args,
         {"command": "lengths", "monoid": monoid, "element": q,
-         "lengths": sorted(enum.lengths()), "partial": not enum.exhaustive},
-        lambda: ["{" + ", ".join(str(n) for n in sorted(enum.lengths())) + "}"],
+         "lengths": sorted(lengths), "partial": not exhaustive},
+        lambda: ["{" + ", ".join(str(n) for n in sorted(lengths)) + "}"],
     )
 
 
@@ -268,10 +271,8 @@ def _cmd_verify(args) -> None:
     elif suite == "atomicity":
         monoid = _ambient(args)
         report = laboratory.atomicity_sweep(monoid, args.max_card, parse_rational(args.bound))
-    elif suite == "example33":
+    else:  # example33: argparse restricts the suite names
         report = laboratory.example33_suite(args.level)
-    else:  # pragma: no cover - argparse restricts choices
-        raise InvalidInputError(f"unknown verify suite {suite!r}")
     _emit(args, report, report.summary)
     if not report.passed:
         raise MonoidError(f"verification suite {suite!r} failed")
@@ -367,8 +368,14 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         args.func(args)
+        sys.stdout.flush()
     except MonoidError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: point it at devnull
+        # so that flush cannot raise (the recipe in Python's `signal` docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return 0
 

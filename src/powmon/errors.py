@@ -25,10 +25,6 @@ class NotAMemberError(MonoidError):
     """An element was required to lie in the monoid but does not."""
 
 
-class WouldGoNegativeError(MonoidError):
-    """A shift or subtraction would leave the nonnegative rationals."""
-
-
 class FamilyPreconditionError(MonoidError):
     """A named-family constructor was called outside its parameter range."""
 

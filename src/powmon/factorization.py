@@ -42,17 +42,9 @@ class Factorization:
         """From counts over distinct ascending atoms (zero counts dropped)."""
         return cls._canonical(tuple((a, c) for a, c in zip(atoms, vector) if c))
 
-    @classmethod
-    def from_parts(cls, parts: Iterable) -> "Factorization":
-        return cls((a, 1) for a in parts)
-
     @property
     def length(self) -> int:
         return sum(m for _, m in self.counts)
-
-    @property
-    def support(self) -> tuple:
-        return tuple(a for a, _ in self.counts)
 
     def total(self):
         """Recombine the multiset under the monoid operation (exact)."""

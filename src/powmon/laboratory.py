@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .decompose import PowerMonoidView, factorability_sweep, set_factorizations
+from .decompose import PowerMonoidView, factorability_sweep, set_factorizations, set_lengths
 from .errors import InvalidInputError
 from .factorization import Enumeration, Factorization
 from .powerset import FinSet
@@ -165,7 +165,7 @@ def accp_chain_search(handle, start, depth: int) -> AccpReport:
 
     if start is None:
         raise InvalidInputError("verify accp needs --start")
-    enum = _enumerate(handle, start, None)
+    enum = _enumerate(handle, start)
     longest = max(enum.items, key=len, default=Factorization([]))
     bound = len(longest)
     chain = _peel_chain(start, longest, depth)
@@ -203,14 +203,22 @@ def accp_chain_search(handle, start, depth: int) -> AccpReport:
 # bounded / finite factorization checks
 
 
-def _enumerate(handle, element, cap: int | None) -> Enumeration:
+def _set_level(handle, element) -> bool:
+    """Whether `element` is a set over a power-monoid handle (else a
+    rational over a monoid); a set and a monoid handle do not mix."""
     if isinstance(handle, PowerMonoidView):
         if not isinstance(element, FinSet):
             raise InvalidInputError(f"expected a finite set, got {_fmt(element)}")
-        return set_factorizations(element, handle.ambient, handle.restricted, max_length=cap)
+        return True
     if isinstance(element, FinSet):
         raise InvalidInputError("a finite set needs a power-monoid handle")
-    return handle.factorizations(element, max_length=cap)
+    return False
+
+
+def _enumerate(handle, element) -> Enumeration:
+    if _set_level(handle, element):
+        return set_factorizations(element, handle.ambient, handle.restricted)
+    return handle.factorizations(element)
 
 
 class BfmRow(Record):
@@ -239,15 +247,20 @@ class BfmReport(Record):
 
 def bfm_check(handle, corpus, length_cap: int) -> BfmReport:
     """Length sets under a cap; an element that hits the cap is flagged as a
-    bounded-factorization failure candidate."""
+    bounded-factorization failure candidate.  The lengths are read off the
+    search, so no factorization is built."""
     if length_cap < 1:
         raise InvalidInputError("length cap must be positive")
     rows = []
     candidates = []
     for element in corpus:
-        enum = _enumerate(handle, element, length_cap)
-        lengths = tuple(sorted(enum.lengths()))
-        cap_hit = not enum.exhaustive
+        if _set_level(handle, element):
+            found, exhaustive = set_lengths(element, handle.ambient, handle.restricted,
+                                            max_length=length_cap)
+        else:
+            found, exhaustive = handle.lengths(element, max_length=length_cap)
+        lengths = tuple(sorted(found))
+        cap_hit = not exhaustive
         if cap_hit:
             candidates.append(_fmt(element))
         rows.append(BfmRow(_fmt(element), lengths, max(lengths) if lengths else None, cap_hit))
@@ -291,7 +304,7 @@ def ffm_check(handle, corpus) -> FfmReport:
     rows = []
     ok = True
     for element in corpus:
-        enum = _enumerate(handle, element, None)
+        enum = _enumerate(handle, element)
         if not enum.exhaustive:
             raise InvalidInputError("uncapped enumeration reported itself partial")
         by_length: dict[int, int] = {}

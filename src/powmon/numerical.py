@@ -5,7 +5,7 @@ smallest generator, so queries stay cheap for arbitrarily large elements.
 The table is computed once, by Boecker and Liptak's round-robin algorithm
 ("A fast and simple algorithm for the money changing problem", Algorithmica
 48, 2007), walking each generator only over the residues it can reach.
-Atoms, divisor sets, gaps and member lists are exact enumerations.
+Atoms, divisor sets and member lists are exact enumerations.
 Finitely generated Puiseux monoids reduce to these by clearing denominators;
 factorizations are asked of `PuiseuxMonoid(gens)`, whose solver enumerates
 them for every monoid.
@@ -99,16 +99,9 @@ class NumericalMonoid:
             return False
         return x >= self._apery[x % self.multiplicity]
 
-    def apery_set(self, modulus: int | None = None) -> tuple[int, ...]:
-        """Smallest element in each residue class mod `modulus` (default: multiplicity)."""
-        if modulus is None or modulus == self.multiplicity:
-            return tuple(sorted(self._apery))
-        if not isinstance(modulus, int) or modulus <= 0:
-            raise InvalidInputError(f"modulus must be a positive integer, got {modulus!r}")
-        return tuple(sorted(_residue_table(self.generators, modulus)))
-
-    def gaps(self) -> tuple[int, ...]:
-        return tuple(x for x in range(self.frobenius + 1) if not self.contains(x))
+    def apery_set(self) -> tuple[int, ...]:
+        """Smallest element in each residue class mod the multiplicity, ascending."""
+        return tuple(sorted(self._apery))
 
     def members_upto(self, bound: int) -> list[int]:
         return [x for x in range(bound + 1) if self.contains(x)]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from collections.abc import Iterable, Iterator
 
-from .errors import InvalidInputError, WouldGoNegativeError
+from .errors import InvalidInputError
 from .rational import format_rational, parse_rational
 
 
@@ -69,24 +69,11 @@ class FinSet:
 
     __rmul__ = __mul__
 
-    def shift(self, d) -> "FinSet":
-        """Translate by d; a downward shift must not pass 0."""
-        d = Fraction(d)
-        if self.elems[0] + d < 0:
-            raise WouldGoNegativeError(
-                f"shifting {self} by {format_rational(d)} would go below 0"
-            )
-        return FinSet(e + d for e in self.elems)
-
     # -- queries -------------------------------------------------------------
 
     @property
     def min(self) -> Fraction:
         return self.elems[0]
-
-    @property
-    def max(self) -> Fraction:
-        return self.elems[-1]
 
     @property
     def contains_zero(self) -> bool:

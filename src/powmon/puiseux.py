@@ -474,9 +474,12 @@ class PuiseuxMonoid:
         items = tuple(sorted(Factorization.from_vector(atoms, v) for v in vectors))
         return Enumeration(items, exhaustive=exhaustive)
 
-    def length_set(self, q) -> frozenset[int]:
-        vectors, _ = self._atom_solver.search(self._require_member(q))
-        return frozenset(sum(v) for v in vectors)
+    def lengths(self, q, max_length: int | None = None) -> tuple[frozenset[int], bool]:
+        """(lengths, exhaustive) of the factorizations `factorizations`
+        would return, summed off the solver's count vectors."""
+        n = self._require_member(q)
+        vectors, exhaustive = self._atom_solver.search(n, max_total=max_length)
+        return frozenset(map(sum, vectors)), exhaustive
 
     def mcd(self, elements: Iterable) -> tuple[Fraction, ...]:
         """All maximal common divisors of a nonempty finite set of members.

@@ -4,9 +4,9 @@ Values are `fractions.Fraction` instances (arbitrary-precision, always in
 lowest terms).  This module adds the pieces the monoid machinery needs on
 top of the stdlib type: validated reduction, p-adic valuations,
 primality (deterministic below a bound, refused past it unless composite),
-prime search, partial subtraction on Q>=0, the "a/b" text format, the
-JSON form built on it (`jsonable`, `Record`), and `dumps`, which encodes
-that form as the CLI prints it.
+prime search, the "a/b" text format, the JSON form built on it
+(`jsonable`, `Record`), and `dumps`, which encodes that form as the CLI
+prints it.
 
 No floating point is used anywhere in the package.
 """
@@ -121,17 +121,6 @@ def next_prime_above(bound: Fraction | int) -> int:
     while not is_prime(n):
         n += 2
     return n
-
-
-def checked_sub(a: Fraction, b: Fraction):
-    """a - b when the result stays nonnegative, else None.
-
-    This is the partial subtraction of Q>=0; `checked_sub(r, s) is not None`
-    is exactly "s divides r" once both lie in the ambient Q>=0.
-    """
-    if b > a:
-        return None
-    return a - b
 
 
 def parse_rational(text: str) -> Fraction:

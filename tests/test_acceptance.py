@@ -62,15 +62,15 @@ def test_criterion_1_example_4_2_golden(capsys):
 
     enum = set_factorizations(fs(0, 1, 2, 3), N0, restricted=True)
     expected = {
-        Factorization.from_parts([fs(0, 1), fs(0, 1), fs(0, 1)]),
-        Factorization.from_parts([fs(0, 1), fs(0, 2)]),
+        Factorization([(fs(0, 1), 3)]),
+        Factorization([(fs(0, 1), 1), (fs(0, 2), 1)]),
     }
     assert set(enum.items) == expected
     assert enum.lengths() == frozenset({2, 3})
 
     enum6 = set_factorizations(fs(0, 1, 2, 3, 4, 5), N0, restricted=True)
-    z1 = Factorization.from_parts([fs(0, 1), fs(0, 2), fs(0, 2)])
-    z2 = Factorization.from_parts([fs(0, 1), fs(0, 1), fs(0, 3)])
+    z1 = Factorization([(fs(0, 1), 1), (fs(0, 2), 2)])
+    z2 = Factorization([(fs(0, 1), 2), (fs(0, 3), 1)])
     assert z1 in set(enum6.items) and z2 in set(enum6.items)
     assert z1 != z2 and z1.length == z2.length == 3  # same length twice: no LFM
 

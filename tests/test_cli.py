@@ -459,6 +459,26 @@ def test_cli_golden_bytes(capsys, argv, code, size, sha256):
     assert (got, len(data), hashlib.sha256(data).hexdigest()) == (code, size, sha256)
 
 
+LENGTH_GOLDENS = [g for g in CLI_GOLDENS if g[0][0] == "lengths" or g[0][:2] == ("verify", "bfm")]
+
+
+@pytest.mark.parametrize(
+    "argv,code,size,sha256", LENGTH_GOLDENS, ids=[" ".join(g[0]) for g in LENGTH_GOLDENS],
+)
+def test_length_reports_build_no_factorization(capsys, monkeypatch, argv, code, size, sha256):
+    """`lengths` and `verify bfm`, over elements and over sets, read the
+    lengths and the cap flag off the search: their golden bytes come with
+    no Factorization built."""
+    from powmon.factorization import Factorization
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{' '.join(argv)} built a Factorization")
+
+    monkeypatch.setattr(Factorization, "__init__", refuse)
+    monkeypatch.setattr(Factorization, "_canonical", classmethod(refuse))
+    test_cli_golden_bytes(capsys, argv, code, size, sha256)
+
+
 def _command_paths(parser, prefix=()):
     """Every runnable command of the parser: ("atoms",), ("verify", "mcd"), ..."""
     subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -687,6 +707,28 @@ def test_module_entry_point_subprocess(capsys):
         stdout.append(proc.stdout)
     assert stdout[0] == "4\n"
     assert json.loads(stdout[1])["lengths"] == [2, 3]
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+def test_a_closed_stdout_ends_the_command_quietly(capsys, flags):
+    """`factorize-set ... | head -3`: once the reader has its lines and
+    closes the pipe, the command exits 1 and writes nothing on stderr."""
+    argv = ["factorize-set", "--monoid", "1", "--restricted", *flags,
+            "{" + ",".join(map(str, range(13))) + "}"]
+    proc = subprocess.Popen(
+        [sys.executable, "-B", "-m", "powmon", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+    )
+    try:
+        head = [proc.stdout.readline().decode() for _ in range(3)]
+        proc.stdout.close()  # the output is past a pipe buffer, so the child is still writing
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (1, b"")
+    assert head == run_cli(capsys, *argv)[1].splitlines(keepends=True)[:3]
 
 
 @pytest.mark.parametrize("argv, text", [

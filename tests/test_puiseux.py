@@ -1077,6 +1077,8 @@ def test_divisors_without_a_table_match_the_table(monkeypatch):
 
 
 def test_length_set_is_the_lengths_of_the_factorizations():
+    """`lengths` gives the lengths and the exhaustive flag of
+    `factorizations` under the same cap, from the count vectors alone."""
     rng = random.Random(61)
     monoids = [example33(1), PuiseuxMonoid([F(1, P), F(2, P), F(1, Q)])]
     for _ in range(20):
@@ -1085,7 +1087,11 @@ def test_length_set_is_the_lengths_of_the_factorizations():
     for m in monoids:
         targets = [sum((a * rng.randrange(0, 4) for a in m.atoms()), F(0)) for _ in range(3)]
         for q in targets + ([F(4, 5), F(6, 7)] if m.family else []):
-            assert m.length_set(q) == m.factorizations(q).lengths(), (m, q)
+            top = max(m.factorizations(q).lengths())
+            for cap in (None, 0, 1, top // 2, max(top - 1, 0), top):
+                enum = m.factorizations(q, max_length=cap)
+                got = m.lengths(q, max_length=cap)
+                assert got == (enum.lengths(), enum.exhaustive), (m, q, cap)
 
 
 def test_example33_divisors_read_the_solver_vectors_quickly():
@@ -1109,7 +1115,7 @@ def test_factorizations_over_atoms_need_a_second_solver():
     x = F(3, P) + F(1, Q)
     assert monoid.factorizations(x).items == (Factorization([(F(1, Q), 1), (F(1, P), 3)]),)
     assert monoid._atom_solver is not monoid._solver
-    assert monoid.length_set(x) == frozenset({4})
+    assert monoid.lengths(x) == (frozenset({4}), True)
 
 
 def test_family_constructors_return_one_shared_handle():
@@ -1234,7 +1240,7 @@ def test_example33_factorizations_build_no_table(monkeypatch):
     enum = m.factorizations(F(4, 5))  # 4/5 = a_0 + p(1) * b_0
     assert enum.exhaustive
     assert enum.items == (Factorization([(family.a(0), 1), (family.b(0), family.prime(1))]),)
-    assert m.length_set(F(4, 5)) == enum.lengths()
+    assert m.lengths(F(4, 5)) == (enum.lengths(), True)
     assert builds == [] and "numerical" not in vars(m)
 
 
@@ -1284,7 +1290,7 @@ def test_apery_factorizations_build_each_factorization_once(monkeypatch):
     q = F(29, 4)
     scaled_atoms = [m.to_scaled(a) for a in m.atoms()]
     want = tuple(sorted(
-        Factorization.from_parts(map(m.from_scaled, z))
+        Factorization((m.from_scaled(a), 1) for a in z)
         for z in naive_factorizations(scaled_atoms, m.to_scaled(q))
     ))
     built = []

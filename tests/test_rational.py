@@ -11,7 +11,6 @@ from powmon import (
     InvalidInputError,
     UndefinedValuationError,
     UnsupportedAmbientError,
-    checked_sub,
     format_rational,
     is_prime,
     next_prime_above,
@@ -180,12 +179,6 @@ def test_next_prime_above():
         p = next_prime_above(bound)
         assert p > bound and trial_is_prime(p)
         assert all(not trial_is_prime(q) for q in range(bound + 1, p))
-
-
-def test_checked_sub_is_partial():
-    assert checked_sub(Fraction(3, 2), Fraction(1, 2)) == 1
-    assert checked_sub(Fraction(1, 2), Fraction(1, 2)) == 0
-    assert checked_sub(Fraction(1, 3), Fraction(1, 2)) is None
 
 
 def test_parse_and_format_roundtrip():
