@@ -245,7 +245,7 @@ def _corpus_item(text: str):
     return FinSet.parse(text) if text.lstrip().startswith("{") else parse_rational(text)
 
 
-def _verify_handle(args, corpus=()):
+def _verify_handle(args, corpus):
     monoid = _ambient(args)
     set_level = args.restricted or any(isinstance(x, FinSet) for x in corpus)
     if set_level:

@@ -27,14 +27,14 @@ class Factorization:
                 raise ValueError("negative multiplicity")
             if mult:
                 merged[atom] = merged.get(atom, 0) + mult
-        object.__setattr__(self, "counts", tuple(sorted(merged.items())))
+        self.counts = tuple(sorted(merged.items()))
 
     @classmethod
     def _canonical(cls, counts: tuple) -> "Factorization":
         """Trusted constructor: counts must already be canonical (sorted by
         atom, atoms distinct, multiplicities positive)."""
         z = object.__new__(cls)
-        object.__setattr__(z, "counts", counts)
+        z.counts = counts
         return z
 
     @classmethod

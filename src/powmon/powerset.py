@@ -26,7 +26,7 @@ class FinSet:
             raise InvalidInputError("a power-monoid element is a nonempty set")
         if elems[0] < 0:
             raise InvalidInputError(f"negative element {elems[0]} is outside Q>=0")
-        object.__setattr__(self, "elems", tuple(elems))
+        self.elems = tuple(elems)
 
     @classmethod
     def _sorted(cls, elems: tuple) -> "FinSet":
@@ -34,7 +34,7 @@ class FinSet:
         ascending tuple of nonnegative Fractions.  Skips the validation,
         deduplication and sort of __init__."""
         s = object.__new__(cls)
-        object.__setattr__(s, "elems", elems)
+        s.elems = elems
         return s
 
     @classmethod

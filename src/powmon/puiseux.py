@@ -62,9 +62,9 @@ from .rational import (
     Record,
     field,
     format_rational,
-    int_valuation,
     next_prime_above,
     parse_rational,
+    valuation,
 )
 
 # Largest multiplicity for which the Apery table is built.  Member
@@ -418,7 +418,7 @@ class PuiseuxMonoid:
         return None if r else n
 
     def from_scaled(self, n: int) -> Fraction:
-        return Fraction(n) / self.scale
+        return Fraction(n * self.scale.denominator, self.scale.numerator)  # one gcd
 
     # -- membership and friends ---------------------------------------------
 
@@ -770,18 +770,16 @@ class AtomValuationReport(Record):
     passed: bool
 
 
-def _valuation_of(q: Fraction, p: int) -> int:
-    return int_valuation(q.numerator, p) - int_valuation(q.denominator, p)
-
-
 def verify_atoms_by_valuation(monoid: PuiseuxMonoid) -> AtomValuationReport:
     """Certify each example33 generator an atom through its private prime.
 
     b_n must be the unique generator with negative valuation at p(3n+1),
     c_n the unique one at p(3n+2), and a_n the unique one at p(3n) *within
     the a-family* (later b/c generators legitimately share that prime).
-    The atom set computed independently by the solver must coincide with
-    the full generator list.
+    `rational.valuation` proves each row's prime (a composite raises
+    InvalidInputError); another generator's valuation there is negative
+    exactly when the prime divides its reduced denominator.  The atom set
+    computed independently by the solver must equal the generator list.
     """
     family = monoid.family
     if not isinstance(family, Example33Family):
@@ -795,12 +793,12 @@ def verify_atoms_by_valuation(monoid: PuiseuxMonoid) -> AtomValuationReport:
             (f"c_{n}", family.c(n), family.prime(3 * n + 2), "all"),
         )
         for label, value, prime, scope in targets:
-            val = _valuation_of(value, prime)
+            val = valuation(value, prime)
             negatives = [
                 other_label
                 for other_label, other in labeled
                 if (scope == "all" or other_label.startswith("a"))
-                and _valuation_of(other, prime) < 0
+                and other.denominator % prime == 0
             ]
             unique = negatives == [label]
             rows.append(AtomValuationRow(label, value, prime, val, unique, val < 0 and unique))

@@ -13,8 +13,9 @@ from powmon import (
     example33,
     verify_atoms_by_valuation,
 )
+from powmon import puiseux, rational
 from powmon.puiseux import Example33Family
-from powmon.rational import _MR_LIMIT
+from powmon.rational import _MR_LIMIT, is_prime
 from oracles import trial_is_prime
 
 
@@ -102,6 +103,42 @@ def test_atom_verification_by_valuation():
 def test_atom_verification_requires_family():
     with pytest.raises(InvalidInputError):
         verify_atoms_by_valuation(PuiseuxMonoid([F(1, 2)]))
+
+
+def test_a_composite_prime_refuses_the_valuation_report():
+    """With c_0's prime squared every generator keeps its private
+    denominator and is still an atom, but the prime is no prime: the
+    report must refuse it, not certify c_0 through it."""
+    primes = list(example33(1).family.primes)
+    primes[2] = primes[2] ** 2
+    family = Example33Family(1, tuple(primes))
+    monoid = PuiseuxMonoid([value for _, value in family.labeled_generators()], family=family)
+    with pytest.raises(InvalidInputError, match=f"{primes[2]} is not prime"):
+        verify_atoms_by_valuation(monoid)
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_the_valuation_report_proves_each_prime_once(monkeypatch, level):
+    """One `rational.valuation` per row, and with it one primality proof
+    per prime of the family: the other generators are read off their
+    denominators, with no valuation of their own."""
+    monoid = example33(level)
+    monoid.atoms()  # the solver's part, outside the count
+    valuations, proved = [], []
+
+    def counting_valuation(q, p):
+        valuations.append(p)
+        return rational.valuation(q, p)
+
+    def recording_is_prime(n):
+        proved.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(puiseux, "valuation", counting_valuation)
+    monkeypatch.setattr(rational, "is_prime", recording_is_prime)
+    assert verify_atoms_by_valuation(monoid).passed
+    assert len(valuations) == 3 * (level + 1)
+    assert sorted(proved) == sorted(monoid.family.primes)
 
 
 def test_factorizations_of_four_fifths():

@@ -58,9 +58,16 @@ def test_membership():
 
 def test_to_scaled_matches_the_fraction_product():
     """The integer divmod gives what the Fraction product q * scale gave,
-    integral or not, over scales that are integers and that are not."""
-    for monoid in (PuiseuxMonoid([1]), PuiseuxMonoid([F(1, 2), F(1, 3)]), geometric(F(2, 3), 3),
-                   PuiseuxMonoid([F(2)]), PuiseuxMonoid([F(4, 5), F(6, 7)])):
+    integral or not, and `from_scaled` what Fraction(n) / scale gave, over
+    scales that are integers and that are not, the families' included."""
+    monoids = (PuiseuxMonoid([1]), PuiseuxMonoid([F(1, 2), F(1, 3)]), geometric(F(2, 3), 3),
+               PuiseuxMonoid([F(2)]), PuiseuxMonoid([F(4, 5), F(6, 7)]),
+               *map(example33, range(4)), geometric(F(2, 3), 17))
+    for monoid in monoids:
+        scaled = [*range(90), *monoid.scaled_generators, 7 * monoid.scaled_generators[-1] + 1]
+        for n in scaled:
+            assert monoid.from_scaled(n) == F(n) / monoid.scale, (monoid, n)
+        assert tuple(map(monoid.from_scaled, monoid.scaled_generators)) == monoid.generators
         nonintegral = 0
         for den in range(1, 30):
             for num in range(0, 90):
