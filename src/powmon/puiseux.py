@@ -4,19 +4,19 @@ A monoid given by rational generators is handled through two exact
 structures:
 
 * generator solver: a bounded-knapsack search over the scaled generators
-  (below), so every remainder it meets is an integer, pruned by suffix
-  gcds and bounded by trades.  A remainder must be divisible by
-  the gcd of the generators still to come, which forces each coefficient
-  into a single residue class without factoring anything; and once the
-  first few counts of a class hold no representation, no larger count
-  does, since the surplus trades for later generators.  This is what makes
-  the huge-denominator families below tractable.  It answers membership
-  (one walk over the same counts, remembered per remainder) and atoms,
-  unless a table exists and is built already, is small, or one of the
-  solver's depths has no trade bound.  Its count vectors over the atoms
-  give the length sets (their sums), the divisors without a table (their
-  integer sub-sums) and the factorizations, the only result built as
-  `Factorization` objects.
+  (below), so every remainder it meets is an integer, pruned by suffix gcds
+  and bounded by trades.  A remainder must be divisible by the gcd of the
+  generators still to come, which forces each coefficient into a single
+  residue class without factoring anything; and the search enters only
+  remainders that are sums of the later generators, leaving a class after
+  the first few counts in a row that leave none, since a surplus trades
+  for later generators.  This is what makes the huge-denominator families
+  below tractable.  It answers membership (the walk that makes that test,
+  remembered per remainder) and atoms, unless a table exists and is built
+  already, is small, or one of the solver's depths has no trade bound.
+  Its count vectors over the atoms give the length sets (their sums), the
+  divisors without a table (their integer sub-sums) and the
+  factorizations, the only result built as `Factorization` objects.
 * scale isomorphism: multiplying by lambda = lcm(denominators)/gcd(scaled
   numerators) (`to_scaled`, and `from_scaled` back: the only conversions)
   maps the monoid onto a numerical monoid, whose Apery table enumerates
@@ -178,26 +178,28 @@ class ReprSolver:
     c + j*h_i, c the least count of its class and j >= k_i, can trade k_i*h_i
     copies of G_i for later generators, each at least G_i and so no more of
     them: it keeps a representation with count c + (j - k_i)*h_i and no
-    greater length.  Trading again and again, a solution past the first
-    b*k_i counts of a node leaves b solutions among them.  So a node whose
-    first b*k_i counts give fewer than b solutions, under `max_total` or
-    not, has no others and returns: with b = 1, a node without a solution
-    among its first k_i counts has none, and with b = 2, the search for a
-    second representation of an atom stops.  When every k_i = 1 the monoid
-    is free for this order (telescopic: Kirfel and Pellikaan, IEEE Trans.
-    Inf. Theory 41, 1995), as every geometric truncation is (Chapman, Gotti
-    and Gotti, Comm. Algebra 48, 2020), and a membership query is one walk
-    of n steps.  A depth with k_i None scans every count of its class that
-    leaves 0 or at least G_{i+1}, since a smaller nonzero remainder is no
-    sum of later generators; as that can still be a whole class, the one
-    backward pass that finds the k_i stops at the first None.
+    greater length.  So in each residue mod k_i the j whose count leaves a
+    sum of the later generators form an initial segment: a node enters a
+    child only on such a remainder, and k_i counts in a row that leave none
+    end it.  The first count past `max_total` ends it too, and flags the
+    search only if it or one of the next k_i - 1 leaves a sum, so the flag is
+    exact when every k_i is bounded.  When every k_i = 1 the monoid is free
+    for this order (telescopic: Kirfel and Pellikaan, IEEE Trans. Inf.
+    Theory 41, 1995), as every geometric truncation is (Chapman, Gotti and
+    Gotti, Comm. Algebra 48, 2020), and a membership query is one walk of n
+    steps.  A depth with k_i None scans, untested, every count of its class
+    that leaves 0 or at least G_{i+1}, since a smaller nonzero remainder is
+    no sum of later generators, and the first past `max_total` flags the
+    search; as that can still be a whole class, the one backward pass that
+    finds the k_i stops at the first None.
 
-    Membership (`is_member`, and that pass) is the walk for b = 1 without
-    the vectors: whether a remainder t at depth i is a sum of G_i, ...,
-    G_{n-1} depends on (i, t) alone, so a bounded solver remembers each
-    answer, up to _MEMO_LIMIT of them, and a later query that meets the
-    same remainder reads it.  An unbounded one remembers nothing, since its
-    walk can meet a whole class of remainders.
+    Membership (`is_member`, that pass and a node's test of a remainder) is
+    the same walk without the vectors, stopped at its first sum: whether a
+    remainder t at depth i is a sum of G_i, ..., G_{n-1} depends on (i, t)
+    alone, so a bounded solver remembers each answer, up to _MEMO_LIMIT of
+    them, and a later query that meets the same remainder reads it.  An
+    unbounded one remembers nothing, since its walk can meet a whole class
+    of remainders, and so a node at a depth without a bound tests nothing.
     """
 
     def __init__(self, generators: Iterable[int]):
@@ -250,53 +252,49 @@ class ReprSolver:
         # once; otherwise each walk resets its count, so counts[i:] starts at 0
         def rec(i: int, t: int, total: int) -> bool:
             nonlocal pruned
-            if t == 0:
-                solutions.append(tuple(counts))
-                return limit is not None and len(solutions) >= limit
-            if i == n or t < gens[i]:
-                return False
             g = gens[i]
-            if i == n - 1:
+            if t == 0 or i == n - 1:  # the last count leaves 0: d_{n-1} = G_{n-1}
                 c = t // g
                 if max_total is not None and total + c > max_total:
                     pruned = True
                     return False
                 counts[i] = c
-                stop = rec(n, 0, total + c)
+                solutions.append(tuple(counts))
                 counts[i] = 0
-                return stop
+                return limit is not None and len(solutions) >= limit
             d, modulus, inv, trades = residues[i]
             c = t // d * inv % modulus
-            max_c = t // g
-            cap_c = max_c if max_total is None else min(max_c, max_total - total)
-            # a node whose first b blocks of `trades` counts hold fewer than b
-            # solutions holds no others; without trades, a count that leaves
-            # a nonzero remainder below G_{i+1} is skipped, as in `_is_sum`
-            step = trades * modulus if trades else 0
-            bound, need = c + step if step else -1, len(solutions) + 1
-            top = cap_c if trades else min(cap_c, (t - gens[i + 1]) // g)
-            while c <= top:
-                counts[i] = c
-                if rec(i + 1, t - c * g, total + c):
-                    return True
-                c += modulus
-                if c == bound:
-                    if len(solutions) < need:
-                        counts[i] = 0
-                        return False
-                    bound, need = bound + step, need + 1
-            if c <= cap_c:  # the skipped counts: only max_c can leave 0
-                if t % g == 0 and cap_c == max_c:
-                    counts[i] = max_c
-                    if rec(i + 1, 0, total + max_c):
+            if trades:
+                # enter only remainders that are sums, k_i misses in a row end
+                # the node, and so does a count past the length cap
+                misses = 0
+                while c * g <= t and misses < trades:
+                    r = t - c * g
+                    capped = max_total is not None and total + c > max_total
+                    if capped and pruned:
+                        break
+                    if not self._is_sum(i + 1, r):
+                        misses += 1
+                    elif capped:  # a representation the cap cuts
+                        pruned = True
+                        break
+                    else:
+                        misses = 0
+                        counts[i] = c
+                        if rec(i + 1, r, total + c):
+                            return True
+                    c += modulus
+            else:
+                # the counts `_is_sum` takes: those leaving at least G_{i+1},
+                # then the one leaving 0, up to the first past the length cap
+                for c in itertools.chain(range(c, (t - gens[i + 1]) // g + 1, modulus),
+                                         [t // g] if t % g == 0 else []):
+                    if max_total is not None and total + c > max_total:
+                        pruned = True
+                        break
+                    counts[i] = c
+                    if rec(i + 1, t - c * g, total + c):
                         return True
-                c += ((cap_c - c) // modulus + 1) * modulus
-            # a count cut by the length cap, not the target, flags the search
-            # when a remainder it leaves is 0 or could hold the next generator:
-            # the remainders fall by modulus * g from the first, r
-            if c <= max_c:
-                r = t - c * g
-                pruned = pruned or r >= gens[i + 1] or r % (modulus * g) == 0
             counts[i] = 0
             return False
 

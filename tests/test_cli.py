@@ -689,6 +689,24 @@ def test_capped_length_sets_mark_the_cut_in_text(capsys, argv, text):
     assert run_cli(capsys, *argv) == (0, text, "")
 
 
+def test_a_cap_that_cuts_no_factorization_is_no_cap_hit(capsys):
+    """32 = 16 + 16 is the one factorization in <6, 11, 16>, so a length
+    cap of 2 cuts nothing: no partial marker in `lengths` or `factorize`,
+    text or JSON, and `verify bfm` passes with no cap hit."""
+    monoid, cap = ("--monoid", "6,11,16"), ("--max-length", "2")
+    assert run_cli(capsys, "lengths", *monoid, *cap, "32") == (0, "{2}\n", "")
+    assert run_cli(capsys, "factorize", *monoid, *cap, "32") == (0, "16 + 16\n", "")
+    for command in ("lengths", "factorize"):
+        code, out, err = run_cli(capsys, command, *monoid, *cap, "--json", "32")
+        assert (code, err) == (0, "") and json.loads(out)["partial"] is False
+    code, out, err = run_cli(capsys, "verify", "bfm", *monoid, "--cap", "2", "32")
+    assert (code, err) == (0, "") and "0 cap hits" in out and "CAP HIT" not in out
+    code, out, err = run_cli(capsys, "verify", "bfm", *monoid, "--cap", "2", "--json", "32")
+    payload = json.loads(out)
+    assert (code, err, payload["passed"], payload["certificates"][0]["cap_hit"]) == (
+        0, "", True, False)
+
+
 def test_module_entry_point_subprocess(capsys):
     """`python -m powmon` exits 0 and writes byte for byte what `cli.main`
     writes."""

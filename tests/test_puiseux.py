@@ -288,6 +288,23 @@ def test_a_free_monoid_walks_one_count_per_depth():
     assert 0 < sum(answers) < len(answers)
 
 
+def test_a_deep_geometric_truncation_is_free_and_fast():
+    """<(2/3)^0, ..., (2/3)^150>, built directly since `geometric` refuses
+    levels past 17: every generator is an atom, and 2 has one factorization
+    of each length from 2 to 152 (2 = 2*1 = 3*(2/3) = 2/3 + 3*(2/3)^2 = ...).
+    Every trade bound is 1, so the search enters only counts that complete
+    and leaves each node at its first miss: atoms, factorizations and
+    lengths take well under the deadline, where a search that visits
+    subtrees without a solution takes seconds."""
+    start = time.perf_counter()
+    gens = [F(2, 3) ** k for k in range(151)]
+    m = PuiseuxMonoid(gens)
+    assert m.atoms() == tuple(sorted(gens))
+    assert len(m.factorizations(2)) == 151
+    assert m.lengths(2) == (frozenset(range(2, 153)), True)
+    assert time.perf_counter() - start < 1
+
+
 def test_the_memo_starts_over_at_its_limit(monkeypatch):
     """A bounded solver keeps at most _MEMO_LIMIT answers, and answers the
     same once it has dropped them."""
@@ -518,6 +535,29 @@ def test_integer_search_matches_the_fraction_search():
     assert calls > 1000
 
 
+def test_the_cap_flag_is_exact_on_a_bounded_solver():
+    """A capped search reads exhaustive exactly when no representation is
+    longer than the cap, on every solver whose depths all have a trade
+    bound: the agreement solvers and random tabled monoids.  Where a depth
+    has none, exhaustive still means that the cap cut nothing."""
+    rng = random.Random(59)
+    over = [solver for solver, _ in _agreement_solvers()]
+    over += [_Over(gens) for gens in _random_tabled_monoids(rng, 60)]
+    seen = {(bounded, truth): 0 for bounded in (True, False) for truth in (True, False)}
+    for solver in over:
+        gens, bounded = solver.gens, solver.solver.bounded
+        for _ in range(10):
+            target = sum(rng.choices(gens, k=rng.randrange(0, 7)), F(0))
+            full, exhaustive = solver.search(target)
+            assert exhaustive
+            for cap in range(6):
+                truth = all(sum(v) <= cap for v in full)
+                flag = solver.search(target, max_total=cap)[1]
+                assert flag == truth if bounded else flag <= truth, (gens, target, cap)
+                seen[bounded, truth] += 1
+    assert min(seen.values()) > 20, seen
+
+
 def test_a_limited_search_is_a_prefix_of_the_full_one():
     """`limit=k` returns the first k vectors of the search without a limit,
     in its order, and reads non-exhaustive once it stops, even when exactly
@@ -579,8 +619,9 @@ def test_prime_discovery_ignores_generator_order(level):
 def test_an_atom_is_not_scanned_for_a_second_representation():
     """Over these generators the counts of 19/N, N = 100003 * 100019, that a
     search for 28/25 walks run to about 6*10**8.  Once it has found 28/25
-    itself, a scan for a second representation would walk them all; two
-    blocks of trades that hold one solution end it."""
+    itself, a scan for a second representation would walk them all; the
+    search enters only remainders that are sums of the later generators,
+    and a run of k_i counts that leave none ends a node."""
     gens = [F(19, _UNFACTORED), F(25, _UNFACTORED), F(2, 100019), F(1, 7), F(28, 25)]
     start = time.perf_counter()
     m = PuiseuxMonoid(gens)
