@@ -22,7 +22,6 @@ import os
 import sys
 from collections.abc import Callable
 
-from . import laboratory
 from .decompose import (
     PowerMonoidView,
     decompositions,
@@ -254,6 +253,8 @@ def _verify_handle(args, corpus):
 
 
 def _cmd_verify(args) -> None:
+    from . import laboratory  # here, so that the other commands do not load it
+
     suite = args.suite
     if suite == "accp":
         start = None if args.start is None else _corpus_item(args.start)

@@ -36,9 +36,16 @@ reports the same decomposition whichever way the space is searched.  The
 engine's own atom test, behind factorization and factorability, walks the
 same splits and stops at the first nontrivial pair, with no witness built.
 
-Results leave the engine as masks and become objects only at the API
-boundary, where all ordering and counting stays on integers:
+Sets enter the engine as masks and results leave it as masks, becoming
+objects only at the API boundary, where all conversion, ordering, counting
+and lookup stays on integers:
 
+* the engine is found by the monoid's hash, taken once per monoid;
+* a set becomes its mask with each element scaled by the monoid's stored
+  integer pair (the formula of `to_scaled`) and its membership read off
+  `member_mask` after one `ensure`; a refused set is walked again, so that
+  the refusal names its first failing element, a non-member before a set
+  past the universe;
 * each engine keeps one value table, `_values[i] = i / scale`, filled by
   `ensure()` under the growth lock before `built` is raised, so every
   index below `built` has its Fraction and equal elements are the same
@@ -54,6 +61,8 @@ boundary, where all ordering and counting stays on integers:
   {0,1,3} sorts before {0,2}), so the key orders exactly as
   `Factorization.__lt__`, and each Factorization is built from counts
   already in canonical order through the trusted `Factorization._canonical`;
+* the two sides of a Decomposition are put in FinSet order by their bit
+  positions before either FinSet is built;
 * the engine builds each raw tuple once, from its smallest atom mask, so
   no set is needed to drop repeats;
 * length sets are read off the raw tuples and build no objects.
@@ -166,25 +175,35 @@ class _Engine:
     # -- FinSet <-> mask ------------------------------------------------------
 
     def to_mask(self, b: FinSet) -> int:
+        """B's mask, scaled as `to_scaled` does and checked against
+        `member_mask`; a refused set is walked again for the refusal's
+        order (see the module docstring)."""
+        num, den = self.monoid._scaling
         mask = 0
+        for e in b.elems:
+            n, r = divmod(e.numerator * num, e.denominator * den)
+            if r or n >= UNIVERSE_LIMIT:  # no huge shift for a set past the bound
+                break
+            mask |= 1 << n
+        else:
+            self.ensure(n + 1)  # the elements ascend: n is max B
+            if mask & self.member_mask == mask:
+                return mask
         for e in b.elems:
             n = self.monoid.to_scaled(e)
             if n is None or not self.numerical.contains(n):
                 raise NotAMemberError(f"{e} is not in the ambient {self.monoid}")
-            if n < UNIVERSE_LIMIT:  # else ensure refuses B, with no huge shift
-                mask |= 1 << n
-        self.ensure(n + 1)  # the elements ascend: n is max B
-        return mask
+        self.ensure(n + 1)  # every element is a member, so max B is past the bound
+        raise AssertionError("unreachable: ensure refuses B")
 
     def to_finset(self, mask: int) -> FinSet:
-        values = self._values
-        return FinSet._sorted(tuple(values[i] for i in _bit_positions(mask)))
+        return FinSet._sorted(tuple(map(self._values.__getitem__, _bit_positions(mask))))
 
     def to_decomposition(self, a: int, c: int) -> Decomposition:
         """The pair as a Decomposition, left <= right in FinSet order (not
         in mask int order, in which {0, 2} comes before {0, 1, 3})."""
-        left, right = sorted((self.to_finset(a), self.to_finset(c)))
-        return Decomposition(left, right)
+        left, right = sorted((a, c), key=_bit_positions)
+        return Decomposition(self.to_finset(left), self.to_finset(right))
 
     # -- pair decompositions ---------------------------------------------------
 
@@ -406,7 +425,7 @@ def set_lengths(
     would return, read off the engine's atom-mask tuples."""
     eng, bmask = _prepared(b, monoid, restricted)
     raw, exhaustive = eng.factorizations(bmask, max_length)
-    return frozenset(len(z) for z in raw), exhaustive
+    return frozenset(map(len, raw)), exhaustive
 
 
 def set_length_set(

@@ -8,6 +8,7 @@ restricted power monoid: contains 0) is checked on demand.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from collections.abc import Iterable, Iterator
 
@@ -21,12 +22,19 @@ class FinSet:
     __slots__ = ("elems",)
 
     def __init__(self, elements: Iterable):
-        elems = sorted({Fraction(e) for e in elements})
-        if not elems:
+        """Dedupe and sort on exact integer keys: each element times the
+        common denominator of them all.  Keys are equal exactly when the
+        elements are and ascend as they do, so the set and the sort run on
+        ints, with no Fraction hashed or compared."""
+        fracs = [Fraction(e) for e in elements]
+        if not fracs:
             raise InvalidInputError("a power-monoid element is a nonempty set")
-        if elems[0] < 0:
-            raise InvalidInputError(f"negative element {elems[0]} is outside Q>=0")
-        self.elems = tuple(elems)
+        den = math.lcm(*[f.denominator for f in fracs])
+        by_key = {f.numerator * (den // f.denominator): f for f in fracs}
+        keys = sorted(by_key)
+        if keys[0] < 0:
+            raise InvalidInputError(f"negative element {by_key[keys[0]]} is outside Q>=0")
+        self.elems = tuple(map(by_key.__getitem__, keys))
 
     @classmethod
     def _sorted(cls, elems: tuple) -> "FinSet":

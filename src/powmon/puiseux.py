@@ -196,10 +196,12 @@ class ReprSolver:
     Membership (`is_member`, that pass and a node's test of a remainder) is
     the same walk without the vectors, stopped at its first sum: whether a
     remainder t at depth i is a sum of G_i, ..., G_{n-1} depends on (i, t)
-    alone, so a bounded solver remembers each answer, up to _MEMO_LIMIT of
-    them, and a later query that meets the same remainder reads it.  An
-    unbounded one remembers nothing, since its walk can meet a whole class
-    of remainders, and so a node at a depth without a bound tests nothing.
+    alone, so the solver remembers each answer, up to _MEMO_LIMIT of them,
+    and a later query that meets the same remainder reads it.  It remembers
+    none at a depth without a bound or before one, since a walk there can
+    meet a whole class of remainders, and a node at a depth without a bound
+    tests nothing; the bounded depths past the last unbounded one remember
+    as a bounded solver does, so a node there tests each remainder once.
     """
 
     def __init__(self, generators: Iterable[int]):
@@ -210,9 +212,11 @@ class ReprSolver:
         self._gcd = suffix[0] if suffix else 1
         self._residues = residues = [(d, h // d, pow(g // d, -1, h // d), None)
                                      for g, d, h in zip(gens, suffix, suffix[1:])]
-        # (i, t) -> whether t is a sum of G_i, ..., G_{n-1}; kept only when
-        # bounded, so that a walk over a whole class fills no memory
+        # (i, t) -> whether t is a sum of G_i, ..., G_{n-1}, kept for the
+        # depths i >= _memo_depth: those past the last depth without a trade
+        # bound, whose walks are bounded
         self._sums: dict[tuple[int, int], bool] = {}
+        self._memo_depth = 0
         # k_i from the last depth down, by the walk over the later depths,
         # every one of them bounded while the pass runs
         self.bounded = True
@@ -222,7 +226,7 @@ class ReprSolver:
                       if self._is_sum(i + 1, k * modulus * gens[i])), None)
             if k is None:
                 self.bounded = False
-                self._sums.clear()
+                self._memo_depth = i + 1
                 break
             residues[i] = (d, modulus, inv, k)
 
@@ -308,7 +312,7 @@ class ReprSolver:
     def _is_sum(self, i: int, t: int) -> bool:
         """Whether t, a multiple of d_i, is a sum of G_i, ..., G_{n-1}: the
         walk over the first k_i counts of the class, remembered per (i, t)
-        when the solver is bounded.  When k_i is None, true at once if G_i
+        for i >= _memo_depth.  When k_i is None, true at once if G_i
         divides t, and otherwise over every count that leaves at least
         G_{i+1}, since a smaller nonzero remainder is no sum."""
         gens = self.gens
@@ -331,7 +335,7 @@ class ReprSolver:
             if self._is_sum(i + 1, t - c * g):
                 found = True
                 break
-        if self.bounded:
+        if i >= self._memo_depth:
             if len(memo) >= _MEMO_LIMIT:
                 memo.clear()
             memo[key] = found
@@ -362,6 +366,8 @@ class PuiseuxMonoid:
         nums = [g.numerator * (lcm_den // g.denominator) for g in gens]
         g0 = math.gcd(*nums)
         self.scale: Fraction = Fraction(lcm_den, g0)
+        # (numerator, denominator) of the scale, which every conversion reads
+        self._scaling: tuple[int, int] = (self.scale.numerator, self.scale.denominator)
         self.scaled_generators: tuple[int, ...] = tuple(n // g0 for n in nums)
 
     # -- backends: each is built on first use --------------------------------
@@ -411,12 +417,13 @@ class PuiseuxMonoid:
     def to_scaled(self, q: Fraction) -> int | None:
         """lambda*q when integral, else None (then q is certainly not a member).
         Integer arithmetic: a Fraction product would normalize by a gcd."""
-        scale = self.scale
-        n, r = divmod(q.numerator * scale.numerator, q.denominator * scale.denominator)
+        num, den = self._scaling
+        n, r = divmod(q.numerator * num, q.denominator * den)
         return None if r else n
 
     def from_scaled(self, n: int) -> Fraction:
-        return Fraction(n * self.scale.denominator, self.scale.numerator)  # one gcd
+        num, den = self._scaling
+        return Fraction(n * den, num)  # one gcd
 
     # -- membership and friends ---------------------------------------------
 
@@ -542,6 +549,12 @@ class PuiseuxMonoid:
         return isinstance(other, PuiseuxMonoid) and self.generators == other.generators
 
     def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        """hash(generators), taken on first use: hashing a Fraction runs
+        Python code, and the families build many monoids they never hash."""
         return hash(self.generators)
 
     def __str__(self) -> str:

@@ -727,6 +727,27 @@ def test_module_entry_point_subprocess(capsys):
     assert json.loads(stdout[1])["lengths"] == [2, 3]
 
 
+def test_only_verify_imports_the_laboratory():
+    """`python -m powmon factorize-set ...` answers without importing
+    `powmon.laboratory`, which only `verify` runs; `-X importtime` lists
+    every module the child imports."""
+    imported = {}
+    for argv in (["factorize-set", "--monoid", "1", "--restricted", "{0,1,2,3}"],
+                 ["verify", "atomicity", "--monoid", "2,3", "--max-card", "1", "--bound", "4"]):
+        proc = subprocess.run(
+            [sys.executable, "-B", "-X", "importtime", "-m", "powmon", *argv],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        imported[argv[0]] = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
+    assert "powmon.decompose" in imported["factorize-set"]
+    assert "powmon.laboratory" not in imported["factorize-set"]
+    assert "powmon.laboratory" in imported["verify"]
+
+
 @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
 def test_a_closed_stdout_ends_the_command_quietly(capsys, flags):
     """`factorize-set ... | head -3`: once the reader has its lines and

@@ -845,3 +845,84 @@ def test_a_negative_sweep_bound_gives_the_empty_sweep():
     report = atomicity_sweep(M23, 2, -1)
     assert (report.checked, report.by_cardinality, report.failures) == (0, {1: 0, 2: 0}, ())
     assert atomicity_sweep(HALF_THIRD, 1, F(-1, 3)).passed
+
+
+def test_decomposition_sides_are_in_finset_order():
+    """`to_decomposition` orders its two masks by bit positions: the same
+    order as sorting the two FinSets, on random member pairs over <1>,
+    <2, 3> and <1/2, 1/3>, given either way round."""
+    import random
+
+    rng = random.Random(89)
+    for monoid in (N0, M23, HALF_THIRD):
+        eng = decompose.engine_for(monoid)
+        eng.ensure(24)
+        members = [1 << n for n in range(24) if eng.member_mask >> n & 1]
+        pairs = [(0b101, 0b1011), (0b11, 0b111), (1, 0b101)]
+        for _ in range(300):
+            a, c = (sum(rng.sample(members, rng.randrange(1, 6))) for _ in range(2))
+            pairs.append((a | rng.choice((0, 1)), c))
+        for a, c in pairs:
+            if not (a & ~eng.member_mask or c & ~eng.member_mask):
+                want = tuple(sorted((eng.to_finset(a), eng.to_finset(c))))
+                assert (eng.to_decomposition(a, c).left, eng.to_decomposition(a, c).right) == want
+                assert eng.to_decomposition(c, a) == eng.to_decomposition(a, c), (a, c)
+
+
+def test_a_warm_call_neither_hashes_nor_orders_a_fraction(monkeypatch):
+    """Once the engine is warm, `is_atom`, `set_length_set` and
+    `set_factorizations` (and the FinSets they are given) run on integers
+    at the boundary: with Fraction.__lt__ and Fraction.__hash__ raising,
+    every answer is the one given before."""
+    cases = [(fs(*xs), monoid, restricted)
+             for monoid, restricted, sets in [
+                 (N0, True, [(0, 2, 3, 5, 7, 9), (0, 1, 2, 3), (0, 3), (0,), (0, 1, 3, 4)]),
+                 (M23, False, [(0, 2, 3, 5), (2, 3), (6,), (0, 4, 5, 8, 9)]),
+                 (HALF_THIRD, False, [(0, F(1, 2), 1, F(3, 2)), (F(1, 3), F(5, 6)), (0, 1)]),
+             ]
+             for xs in sets]
+    def answers(b, m, r):
+        return is_atom(b, m, r), set_length_set(b, m, r), set_factorizations(b, m, r)
+
+    want = [answers(b, m, r) for b, m, r in cases]
+    assert any(check.witness for check, *_ in want)
+
+    def refuse(*_):
+        raise AssertionError("a Fraction was hashed or compared")
+
+    monkeypatch.setattr(F, "__lt__", refuse)
+    monkeypatch.setattr(F, "__hash__", refuse)
+    got = [answers(FinSet(b.elems), m, r) for b, m, r in cases]
+    monkeypatch.undo()
+    assert got == want
+
+
+def test_a_refusal_names_the_first_failing_element():
+    """A set that mixes a non-integral element, a non-member and an element
+    past the universe is refused for the least of its first two kinds; one
+    past the universe is refused for it only when every element is a
+    member.  The universe does not grow past the bound, and the engine
+    answers as before afterwards."""
+    big = 5000
+    probe = fs(0, F(1, 2), 1, F(3, 2))
+    before = set_length_set(probe, HALF_THIRD)
+    cases = [
+        (M23, fs(0, 1, F(3, 2), big), "1"),
+        (M23, fs(0, F(1, 2), 1, big), "1/2"),
+        (M23, fs(0, big, F(2 * big + 1, 2)), f"{2 * big + 1}/2"),
+        (M23, fs(0, 2, big, big + 1), None),
+        (HALF_THIRD, fs(0, F(1, 12), F(1, 6), big), "1/12"),
+        (HALF_THIRD, fs(0, F(1, 6), F(1, 4), big), "1/6"),
+        (HALF_THIRD, fs(0, F(1, 2), big, big + F(1, 12)), f"{12 * big + 1}/12"),
+        (HALF_THIRD, fs(0, F(1, 3), F(1, 6)), "1/6"),
+    ]
+    for monoid, b, named in cases:
+        if named is None:
+            with pytest.raises(UnsupportedAmbientError, match="exceeds the 4096-bit"):
+                is_atom(b, monoid)
+        else:
+            with pytest.raises(NotAMemberError, match=f"^{named} is not in the ambient {monoid}$"):
+                is_atom(b, monoid)
+        assert decompose.engine_for(monoid).built <= decompose.UNIVERSE_LIMIT
+    assert is_atom(fs(0, 2), M23).is_atom and not is_atom(fs(0, 2, 3, 5), M23).is_atom
+    assert set_length_set(probe, HALF_THIRD) == before

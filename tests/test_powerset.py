@@ -114,3 +114,43 @@ def test_parse_and_str():
 
 def test_ordering_is_lexicographic_on_elements():
     assert FinSet([0, 1]) < FinSet([0, 1, 2]) < FinSet([0, 2])
+
+
+def _fraction_sorted(elements) -> tuple:
+    """The Fraction-arithmetic reference: hash to dedupe, compare to sort."""
+    return tuple(sorted({F(e) for e in elements}))
+
+
+def test_the_integer_keyed_set_matches_the_fraction_sort():
+    """FinSet dedupes and orders on integer keys over the common
+    denominator; it keeps exactly the elements and the order that hashing
+    and comparing Fractions gives, on mixed ints, strings and Fractions,
+    equal values written apart ("2/4" beside "1/2") and denominators of
+    hundreds of digits.  A negative element is refused with the same
+    message, and so is an empty input."""
+    rng = random.Random(83)
+    big = [2**127 - 1, 3**200, 10**90 + 7]
+    fixed = [
+        [3, 1, 2, 1, 0],
+        ["2/4", "1/2", F(1, 2), 0, "3"],
+        [F(1, 3), F(2, 6), F(1, 2), F(2, 3), 1],
+        [F(n, d) for d in big for n in (1, d - 1, d, 2 * d + 1)],
+        [F(1, big[0]), F(1, big[1]), F(1, big[2]), F(1, 7)],
+        ["7/3", 2, F(14, 6), F(5, 2), 0],
+    ]
+    for _ in range(300):
+        fixed.append([rng.choice([
+            rng.randrange(0, 30),
+            f"{rng.randrange(0, 40)}/{rng.randrange(1, 13)}",
+            F(rng.randrange(0, 10**40), rng.choice(big + [rng.randrange(1, 10**6)])),
+        ]) for _ in range(rng.randrange(1, 12))])
+    for elements in fixed:
+        want = _fraction_sorted(elements)
+        got = FinSet(elements).elems
+        assert got == want and all(type(e) is F for e in got), elements
+    for elements in ([0, F(-1, 2), 3], ["1/3", "-5/7", "-1/7"], [F(-1, 10**90 + 7), 0]):
+        least = min(map(F, elements))
+        with pytest.raises(InvalidInputError, match=f"^negative element {least} is outside"):
+            FinSet(elements)
+    with pytest.raises(InvalidInputError, match="^a power-monoid element is a nonempty set$"):
+        FinSet(iter(()))

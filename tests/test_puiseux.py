@@ -231,8 +231,9 @@ def test_the_remembered_walk_agrees_with_the_table(monkeypatch):
     _SMALL_TABLE = 0), `contains` and the solver's `is_member`, asked a
     rational through `to_scaled` or a scaled int, agree with the table on
     random monoids that have one: from a fresh solver and from one whose
-    memo every earlier query filled, asked in either order.  Only a bounded
-    solver remembers anything."""
+    memo every earlier query filled, asked in either order.  A solver
+    remembers answers only past its last depth without a trade bound, and
+    a bounded one with more than one generator remembers some."""
     monkeypatch.setattr(puiseux, "_SMALL_TABLE", 0)
     rng = random.Random(67)
     for gens in _random_tabled_monoids(rng, 60):
@@ -249,7 +250,9 @@ def test_the_remembered_walk_agrees_with_the_table(monkeypatch):
         scaled = range(-2, 3 * tabled.scaled_generators[-1])
         assert [ints.is_member(n) for n in scaled] == [
             tabled.numerical.contains(n) for n in scaled], gens
-        assert bool(ints._sums) == (ints.bounded and len(ints.gens) > 1), gens
+        assert all(i >= ints._memo_depth for i, _ in ints._sums), gens
+        if ints.bounded:
+            assert bool(ints._sums) == (len(ints.gens) > 1), gens
 
 
 def test_a_filled_memo_answers_as_a_fresh_solver():
@@ -556,6 +559,84 @@ def test_the_cap_flag_is_exact_on_a_bounded_solver():
                 assert flag == truth if bounded else flag <= truth, (gens, target, cap)
                 seen[bounded, truth] += 1
     assert min(seen.values()) > 20, seen
+
+
+def _memoless(gens) -> ReprSolver:
+    """A solver that remembers no answer at any depth."""
+    solver = ReprSolver(gens)
+    solver._memo_depth = len(solver.gens)
+    solver._sums.clear()
+    return solver
+
+
+# unbounded at depth 0 only: 128 copies of 6 are the least multiple in the rest
+MEMO_PAST_THE_UNBOUNDED = [6, 462, 636, 654, 1512, 2298]
+
+
+def test_an_unbounded_solver_remembers_its_bounded_depths():
+    """<6, 462, 636, 654, 1512, 2298> has no trade bound at depth 0 only.
+    Its answers at depths 1 and up are remembered, and the trade-bound
+    pass's are kept: a capped search with a limit returns what the walk
+    without any memo returns, and asked again it walks none of those
+    subtrees a second time."""
+    solver = ReprSolver(MEMO_PAST_THE_UNBOUNDED)
+    assert (solver.bounded, solver._memo_depth) == (False, 1)
+    assert solver._sums and all(i >= 1 for i, _ in solver._sums)
+    walks = []
+
+    def counted(owner):
+        is_sum = owner._is_sum
+
+        def wrapper(i, t):
+            walks.append(owner)
+            return is_sum(i, t)
+        owner._is_sum = wrapper
+        return owner
+
+    plain = counted(_memoless(MEMO_PAST_THE_UNBOUNDED))
+    counted(solver)
+    for _ in range(2):
+        assert solver.search(7548, limit=2, max_total=1) == plain.search(7548, 2, 1) == ([], False)
+    assert all(i >= 1 for i, _ in solver._sums)
+    remembered, forgotten = walks.count(solver), walks.count(plain)
+    assert remembered < forgotten * 0.6, (remembered, forgotten)
+
+
+def _unbounded_solvers(rng, count):
+    """Random solvers with a depth that has no trade bound: alternately
+    `_random_unbounded_gens` and samples of [1, 3000), unbounded mostly
+    at a later depth."""
+    found = 0
+    while found < count:
+        if found % 2:
+            gens = rng.sample(range(1, 3000), rng.randrange(2, 7))
+        else:
+            gens = _random_unbounded_gens(rng)
+        solver = ReprSolver(gens)
+        if not solver.bounded:
+            found += 1
+            yield gens, solver
+
+
+def test_the_remembered_walk_of_an_unbounded_solver_changes_no_search():
+    """On random unbounded solvers, the vectors, their order and the flag
+    of every search, with and without a limit and a cap, are those of the
+    walk that remembers nothing; so is membership."""
+    rng = random.Random(97)
+    remembering = 0
+    for gens, solver in _unbounded_solvers(rng, 80):
+        plain = _memoless(gens)
+        top = 3 * solver.gens[-1]
+        targets = [rng.randrange(0, top) for _ in range(6)] + [sum(rng.sample(solver.gens, 2))]
+        for target in targets:
+            for limit in (None, 1, 2):
+                for cap in (None, 1, 2, 3, 5):
+                    assert solver.search(target, limit, cap) == plain.search(target, limit, cap), (
+                        gens, target, limit, cap)
+            assert solver.is_member(target) == plain.is_member(target), (gens, target)
+        assert all(i >= solver._memo_depth for i, _ in solver._sums), gens
+        remembering += bool(solver._sums)
+    assert remembering > 20
 
 
 def test_a_limited_search_is_a_prefix_of_the_full_one():
