@@ -42,10 +42,11 @@ and lookup stays on integers:
 
 * the engine is found by the monoid's hash, taken once per monoid;
 * a set becomes its mask with each element scaled by the monoid's stored
-  integer pair (the formula of `to_scaled`) and its membership read off
-  `member_mask` after one `ensure`; a refused set is walked again, so that
-  the refusal names its first failing element, a non-member before a set
-  past the universe;
+  integer pair (the formula of `to_scaled`); a set below `built` has its
+  membership read off `member_mask`, and any other set, or one refused
+  there, is walked element by element through `to_scaled` and `contains`,
+  so that a refusal names its first failing element, a non-member before a
+  set past the universe, and leaves the engine as it was;
 * each engine keeps one value table, `_values[i] = i / scale`, filled by
   `ensure()` under the growth lock before `built` is raised, so every
   index below `built` has its Fraction and equal elements are the same
@@ -175,26 +176,30 @@ class _Engine:
     # -- FinSet <-> mask ------------------------------------------------------
 
     def to_mask(self, b: FinSet) -> int:
-        """B's mask, scaled as `to_scaled` does and checked against
-        `member_mask`; a refused set is walked again for the refusal's
-        order (see the module docstring)."""
+        """B's mask, scaled as `to_scaled` does.  A set below `built` is
+        checked against `member_mask` and touches nothing; any other set,
+        and a refused one, takes the walk that refuses in order (see the
+        module docstring) and grows the universe only for a member set."""
         num, den = self.monoid._scaling
+        built = self.built
         mask = 0
         for e in b.elems:
             n, r = divmod(e.numerator * num, e.denominator * den)
-            if r or n >= UNIVERSE_LIMIT:  # no huge shift for a set past the bound
+            if r or n >= built:
                 break
             mask |= 1 << n
         else:
-            self.ensure(n + 1)  # the elements ascend: n is max B
             if mask & self.member_mask == mask:
                 return mask
+        mask = 0
         for e in b.elems:
             n = self.monoid.to_scaled(e)
             if n is None or not self.numerical.contains(n):
                 raise NotAMemberError(f"{e} is not in the ambient {self.monoid}")
-        self.ensure(n + 1)  # every element is a member, so max B is past the bound
-        raise AssertionError("unreachable: ensure refuses B")
+            if n < UNIVERSE_LIMIT:  # else ensure refuses B, with no huge shift
+                mask |= 1 << n
+        self.ensure(n + 1)  # the elements ascend: n is max B
+        return mask
 
     def to_finset(self, mask: int) -> FinSet:
         return FinSet._sorted(tuple(map(self._values.__getitem__, _bit_positions(mask))))

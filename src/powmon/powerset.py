@@ -8,7 +8,6 @@ restricted power monoid: contains 0) is checked on demand.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from collections.abc import Iterable, Iterator
 
@@ -22,19 +21,25 @@ class FinSet:
     __slots__ = ("elems",)
 
     def __init__(self, elements: Iterable):
-        """Dedupe and sort on exact integer keys: each element times the
-        common denominator of them all.  Keys are equal exactly when the
-        elements are and ascend as they do, so the set and the sort run on
-        ints, with no Fraction hashed or compared."""
+        """Dedupe and sort.  When the largest denominator is a multiple of
+        every other (ints, or a shared denominator), on exact integer keys:
+        each element times that denominator, so the set and the sort run on
+        ints, with no Fraction hashed or compared.  Otherwise on the
+        Fractions, since a key over the lcm of unrelated denominators is as
+        wide as the whole lcm."""
         fracs = [Fraction(e) for e in elements]
         if not fracs:
             raise InvalidInputError("a power-monoid element is a nonempty set")
-        den = math.lcm(*[f.denominator for f in fracs])
-        by_key = {f.numerator * (den // f.denominator): f for f in fracs}
-        keys = sorted(by_key)
-        if keys[0] < 0:
-            raise InvalidInputError(f"negative element {by_key[keys[0]]} is outside Q>=0")
-        self.elems = tuple(map(by_key.__getitem__, keys))
+        dens = {f.denominator for f in fracs}
+        den = max(dens)
+        if all(den % d == 0 for d in dens):
+            by_key = {f.numerator * (den // f.denominator): f for f in fracs}
+            elems = list(map(by_key.__getitem__, sorted(by_key)))
+        else:
+            elems = sorted(set(fracs))
+        if elems[0].numerator < 0:
+            raise InvalidInputError(f"negative element {elems[0]} is outside Q>=0")
+        self.elems = tuple(elems)
 
     @classmethod
     def _sorted(cls, elems: tuple) -> "FinSet":

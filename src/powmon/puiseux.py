@@ -369,6 +369,9 @@ class PuiseuxMonoid:
         # (numerator, denominator) of the scale, which every conversion reads
         self._scaling: tuple[int, int] = (self.scale.numerator, self.scale.denominator)
         self.scaled_generators: tuple[int, ...] = tuple(n // g0 for n in nums)
+        # every set-level call finds its engine by this hash; hashing a
+        # Fraction runs Python code, so it is taken once
+        self._hash: int = hash(self.generators)
 
     # -- backends: each is built on first use --------------------------------
 
@@ -550,12 +553,6 @@ class PuiseuxMonoid:
 
     def __hash__(self) -> int:
         return self._hash
-
-    @functools.cached_property
-    def _hash(self) -> int:
-        """hash(generators), taken on first use: hashing a Fraction runs
-        Python code, and the families build many monoids they never hash."""
-        return hash(self.generators)
 
     def __str__(self) -> str:
         return "<" + ", ".join(format_rational(g) for g in self.generators) + ">"

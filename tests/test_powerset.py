@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -154,3 +155,26 @@ def test_the_integer_keyed_set_matches_the_fraction_sort():
             FinSet(elements)
     with pytest.raises(InvalidInputError, match="^a power-monoid element is a nonempty set$"):
         FinSet(iter(()))
+
+
+def test_unrelated_denominators_keep_the_set_small():
+    """Keys over the common denominator are used only when the largest
+    denominator is a multiple of every other: over 3,000 elements 1/p, p
+    prime, a key over the lcm of all the primes would be about 40,000 bits
+    wide, and the keys alone about 15 MB.  The set is built in well under
+    that, in the order the Fraction sort gives."""
+    sieve = bytearray([1]) * 30000
+    sieve[:2] = b"\0\0"
+    for p in range(2, 174):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, 30000, p)))
+    elements = [F(1, p) for p in range(30000) if sieve[p]] + [0, 1]
+    assert len(elements) > 3000
+    tracemalloc.start()
+    try:
+        got = FinSet(reversed(elements)).elems
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
+    assert got == _fraction_sorted(elements)
