@@ -10,12 +10,13 @@ on top, with memoization shared per ambient (the corpus sweeps revisit the
 same normalized cofactors constantly).  The kernel's own results are
 memoized by its effective input (B - min B and the candidate masks cut to
 it), so `is_atom`, `set_factorizations` and every translate of a shape past
-the conductor share one search.  Factorization and factorability (the one
-question of the atomicity sweep, `factorability_sweep`) both walk `_pairs`,
-which yields the pairs of B split by split, already oriented as (atom side,
-cofactor).  Factorability keeps one bool per mask and stops at the first
-atom with a factorable cofactor, so it lists no factorization and leaves
-the factorization memo empty.  Divisor splits are listed once per min(B).
+the conductor share one search.  Factorization walks `_pairs`, which
+yields the pairs of B split by split, already oriented as (atom side,
+cofactor).  Factorability (the one question of the atomicity sweep,
+`factorability_sweep`) walks the atom test's nontrivial pairs instead, and
+stops at the first pair with two factorable sides: it keeps one bool per
+mask, lists no factorization, and leaves the factorization and atom memos
+empty.  Divisor splits are listed once per min(B).
 
 The engine works in P_fin(M) only: P_fin,0(M), the sets containing 0, is
 divisor-closed in it (A + C = B with 0 in B gives min A + min C = 0), so
@@ -33,8 +34,9 @@ space with the least key (min a, -a, -c): the lowest split d that has one,
 then the largest A-side mask, then the largest C-side mask.  It depends on
 the pair set alone, not on the order the kernel emits pairs in, so `is_atom`
 reports the same decomposition whichever way the space is searched.  The
-engine's own atom test, behind factorization and factorability, walks the
-same splits and stops at the first nontrivial pair, with no witness built.
+engine's own atom test, behind factorization, walks the same splits and
+stops at the first nontrivial pair, with no witness built; factorability
+walks those pairs on until one has two factorable sides.
 
 Sets enter the engine as masks and results leave it as masks, becoming
 objects only at the API boundary, where all conversion, ordering, counting
@@ -75,7 +77,7 @@ import math
 import threading
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from .errors import InvalidInputError, NotAMemberError, UnsupportedAmbientError
 from .factorization import Enumeration, Factorization
@@ -315,16 +317,28 @@ class _Engine:
     # -- factorability ------------------------------------------------------------
 
     def factorable(self, bmask: int) -> bool:
-        """Whether B has a factorization, found without listing any: {0}
-        has the empty one, and B has one when some pair (a, c) of `_pairs`
-        (so (B, {0}) when B is an atom) has a an atom and c factorable.
-        The walk stops at the first such pair."""
+        """Whether B has a factorization, found without listing any and
+        without a separate atom test.  {0} has the empty one and a set
+        outside M has none.  A set in M factors when it has no nontrivial
+        pair (it is an atom), or when some nontrivial pair (x, y) of
+        `_reducing_splits` has x and y factorable; the walk stops at the
+        first such pair.  That is exact: if B = a_1 + ... + a_k with k >= 2,
+        (a_1, a_2 + ... + a_k) is a nontrivial pair with two factorable
+        sides.  The recursion ends, since both sides of a nontrivial pair
+        have max below max B.  They lie in M too, so by induction on max B
+        every set in M factors at its first pair, and the one pair of the
+        {min B} + (B - min B) shortcut decides alone."""
         hit = self._factorable_memo.get(bmask)
         if hit is None:
-            hit = self._factorable_memo[bmask] = bmask == 1 or any(
-                self.is_atom(a) and self.factorable(c)
-                for a, c in self._pairs(bmask)
-            )
+            if bmask == 1 or bmask & ~self.member_mask:
+                hit = bmask == 1
+            else:
+                hit = True  # an atom, unless a nontrivial pair is met
+                for x, y in chain.from_iterable(self._reducing_splits(bmask)):
+                    hit = self.factorable(x) and self.factorable(y)
+                    if hit:
+                        break
+            self._factorable_memo[bmask] = hit
         return hit
 
     # -- factorization enumeration ------------------------------------------------

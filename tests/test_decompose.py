@@ -797,6 +797,70 @@ def test_atomicity_sweep_lists_no_factorization(monkeypatch):
     assert built == [] and eng._factor_memo == {} and eng._factorable_memo
 
 
+def test_a_set_outside_the_ambient_is_not_factorable():
+    """Restricted {0, 1}, {0, 1, 2} and {0, 1, 3} over <2,3> leave the
+    monoid: like an atom they have no nontrivial pair, yet they have no
+    factorization, by `factorable` and by the engine's own enumeration."""
+    for b in (fs(0, 1), fs(0, 1, 2), fs(0, 1, 3)):
+        eng = decompose._Engine(M23)
+        bmask = sum(1 << n for n in map(M23.to_scaled, b.elems))
+        eng.ensure(bmask.bit_length())
+        assert bmask & ~eng.member_mask and not any(eng._reducing_splits(bmask)), b
+        assert eng.factorable(bmask) is False, b
+        assert eng.factorizations(bmask) == ((), True), b
+
+
+def _certificate(eng, bmask):
+    """One factorization of B as atom masks: the first nontrivial pair with
+    two factorable sides, followed down to sets with no such pair."""
+    if bmask == 1:
+        return []
+    for split in eng._reducing_splits(bmask):
+        for x, y in split:
+            if eng.factorable(x) and eng.factorable(y):
+                return _certificate(eng, x) + _certificate(eng, y)
+    return [bmask]
+
+
+def test_every_factorable_set_has_a_certificate_of_atoms():
+    """For each set of the factorability corpus that `factorable` accepts,
+    the pairs it accepts, followed down, give parts that recombine to B by
+    Minkowski sum, each an atom by a second engine's `is_atom` (and, over
+    <1> restricted, by the oracle)."""
+    engines: dict = {}
+    certified = 0
+    for b, monoid, restricted in _factorability_corpus():
+        if monoid not in engines:
+            engines[monoid] = (decompose._Engine(monoid), decompose._Engine(monoid))
+        asked, judge = engines[monoid]
+        bmask = sum(1 << n for n in map(monoid.to_scaled, b.elems))
+        asked.ensure(bmask.bit_length())
+        judge.ensure(bmask.bit_length())
+        if not asked.factorable(bmask):
+            continue
+        leaves = _certificate(asked, bmask)
+        total = fs(0)
+        for leaf in leaves:
+            total = total + _public_finset(leaf, monoid)
+        assert total == b, (b, restricted)
+        assert all(judge.is_atom(leaf) for leaf in leaves), (b, restricted)
+        if restricted and monoid is N0:
+            assert all(oracle_is_atom_restricted(leaf, 9) for leaf in leaves), b
+        certified += 1
+    assert certified == 6066
+    assert all(not asked._atom_memo for asked, _ in engines.values())
+
+
+def test_the_cold_sweep_runs_one_walk(monkeypatch):
+    """A cold sweep of <1/2, 1/3> fills no atom memo, and its pair memo
+    stays at the 340 kernel inputs of the factorability walk alone."""
+    from powmon.laboratory import atomicity_sweep
+
+    eng, _ = _counting_engine(monkeypatch, HALF_THIRD)
+    assert atomicity_sweep(HALF_THIRD, 3, 4).passed
+    assert eng._atom_memo == {} and len(eng._pair_memo) <= 340
+
+
 # -- the universe bound, checked before anything is built --------------------
 
 
