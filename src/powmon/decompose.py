@@ -13,8 +13,9 @@ it), so `is_atom`, `set_factorizations` and every translate of a shape past
 the conductor share one search.  Factorization walks `_pairs`, which
 yields the pairs of B split by split, already oriented as (atom side,
 cofactor).  Factorability (the one question of the atomicity sweep,
-`factorability_sweep`) walks the atom test's nontrivial pairs instead, and
-stops at the first pair with two factorable sides: it keeps one bool per
+`factorability_sweep`) first tries one divisor pair {d} + (B - d), which
+decides alone since every set in M factors at its first nontrivial pair;
+`is_atom` and its witness still walk the splits.  It keeps one bool per
 mask, lists no factorization, and leaves the factorization and atom memos
 empty.  Divisor splits are listed once per min(B).
 
@@ -36,7 +37,7 @@ the pair set alone, not on the order the kernel emits pairs in, so `is_atom`
 reports the same decomposition whichever way the space is searched.  The
 engine's own atom test, behind factorization, walks the same splits and
 stops at the first nontrivial pair, with no witness built; factorability
-walks those pairs on until one has two factorable sides.
+without a divisor pair walks on to one with two factorable sides.
 
 Sets enter the engine as masks and results leave it as masks, becoming
 objects only at the API boundary, where all conversion, ordering, counting
@@ -316,28 +317,50 @@ class _Engine:
 
     # -- factorability ------------------------------------------------------------
 
+    def _divisor_pair(self, bmask: int) -> tuple[int, int] | None:
+        """A nontrivial pair ({d}, B - d), found without a search: d = min B
+        when min B > 0, B is no singleton and B - min B lies in M; else
+        d = u, the least atom u of M with u <= min B, B - u in M and
+        B != {u}; None when there is neither."""
+        low = (bmask & -bmask).bit_length() - 1
+        rest = bmask >> low
+        if low and rest != 1 and not rest & ~self.member_mask:
+            return 1 << low, rest
+        for u in self.numerical.atoms:
+            if u > low:
+                return None
+            rest = bmask >> u  # u <= min B: no bit is shifted out
+            if rest != 1 and not rest & ~self.member_mask:
+                return 1 << u, rest
+        return None
+
     def factorable(self, bmask: int) -> bool:
         """Whether B has a factorization, found without listing any and
         without a separate atom test.  {0} has the empty one and a set
         outside M has none.  A set in M factors when it has no nontrivial
-        pair (it is an atom), or when some nontrivial pair (x, y) of
-        `_reducing_splits` has x and y factorable; the walk stops at the
-        first such pair.  That is exact: if B = a_1 + ... + a_k with k >= 2,
-        (a_1, a_2 + ... + a_k) is a nontrivial pair with two factorable
-        sides.  The recursion ends, since both sides of a nontrivial pair
-        have max below max B.  They lie in M too, so by induction on max B
-        every set in M factors at its first pair, and the one pair of the
-        {min B} + (B - min B) shortcut decides alone."""
+        pair (it is an atom), or when some nontrivial pair (x, y) has x and
+        y factorable; the walk stops at the first such pair.  That is
+        exact: if B = a_1 + ... + a_k with k >= 2, (a_1, a_2 + ... + a_k)
+        is a nontrivial pair with two factorable sides.  The recursion
+        ends, since both sides of a nontrivial pair have max below max B.
+        They lie in M too, so by induction on max B every set in M factors
+        at its first pair: the pair of `_divisor_pair`, tried first, decides
+        alone.  Only a set without one walks `_reducing_splits`, whose
+        splits `is_atom` and its witness walk always."""
         hit = self._factorable_memo.get(bmask)
         if hit is None:
             if bmask == 1 or bmask & ~self.member_mask:
                 hit = bmask == 1
             else:
-                hit = True  # an atom, unless a nontrivial pair is met
-                for x, y in chain.from_iterable(self._reducing_splits(bmask)):
-                    hit = self.factorable(x) and self.factorable(y)
-                    if hit:
-                        break
+                pair = self._divisor_pair(bmask)
+                if pair:
+                    hit = self.factorable(pair[0]) and self.factorable(pair[1])
+                else:
+                    hit = True  # an atom, unless a nontrivial pair is met
+                    for x, y in chain.from_iterable(self._reducing_splits(bmask)):
+                        hit = self.factorable(x) and self.factorable(y)
+                        if hit:
+                            break
             self._factorable_memo[bmask] = hit
         return hit
 

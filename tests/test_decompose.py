@@ -852,13 +852,69 @@ def test_every_factorable_set_has_a_certificate_of_atoms():
 
 
 def test_the_cold_sweep_runs_one_walk(monkeypatch):
-    """A cold sweep of <1/2, 1/3> fills no atom memo, and its pair memo
-    stays at the 340 kernel inputs of the factorability walk alone."""
+    """A cold sweep of <1/2, 1/3> fills no atom memo.  Of its 2,324 sets
+    only 321 have no divisor pair and walk `_reducing_splits`, and its pair
+    memo stays at those walks' 321 kernel inputs."""
     from powmon.laboratory import atomicity_sweep
 
     eng, _ = _counting_engine(monkeypatch, HALF_THIRD)
+    walked = []
+    splits = eng._reducing_splits
+
+    def counting_splits(bmask):
+        walked.append(bmask)
+        return splits(bmask)
+
+    monkeypatch.setattr(eng, "_reducing_splits", counting_splits)
     assert atomicity_sweep(HALF_THIRD, 3, 4).passed
-    assert eng._atom_memo == {} and len(eng._pair_memo) <= 340
+    assert eng._atom_memo == {} and len(eng._pair_memo) <= 321
+    assert len(walked) <= 321
+
+
+def test_a_divisor_pair_decides_factorability_without_a_walk(monkeypatch):
+    """{1, 7/6} over <1/2, 1/3> has no translate pair, since 1/6 is not in
+    the ambient, but the atom 1/3 divides both elements: it is decided
+    through ({1/3}, {2/3, 5/6}), with no split walk and no kernel search
+    of its own."""
+    eng, kernel = _counting_engine(monkeypatch, HALF_THIRD)
+    bmask = eng.to_mask(fs(1, F(7, 6)))
+    assert (bmask >> 6) & ~eng.member_mask  # B - min B = {0, 1/6}
+    x, y = eng.to_mask(fs(F(1, 3))), eng.to_mask(fs(F(2, 3), F(5, 6)))
+    assert eng._divisor_pair(bmask) == (x, y)
+    eng._factorable_memo.update({x: True, y: True})
+    monkeypatch.setattr(eng, "_reducing_splits", None)  # a walk would raise
+    assert eng.factorable(bmask) is True and kernel.calls == 0
+
+
+def test_divisor_pairs_are_nontrivial_and_agree_with_enumeration():
+    """Over the sets with a positive minimum of <2, 3> and <3, 5, 7>, every
+    divisor pair is ({d}, B - d) with d = min B or an atom at most min B,
+    B - d in the ambient and B - d != {0}; a singleton atom {u} gets none;
+    and `factorable` agrees with a nonempty enumeration on a second
+    engine."""
+    from itertools import combinations
+
+    for monoid in (M23, PuiseuxMonoid([3, 5, 7])):
+        asked, listed = decompose._Engine(monoid), decompose._Engine(monoid)
+        asked.ensure(17)
+        listed.ensure(17)
+        atoms = asked.numerical.atoms
+        assert all(asked._divisor_pair(1 << u) is None for u in atoms)
+        members = [1 << n for n in range(1, 17) if asked.member_mask >> n & 1]
+        paired = 0
+        for card in (1, 2, 3, 4):
+            for bmask in map(sum, combinations(members, card)):
+                low = (bmask & -bmask).bit_length() - 1
+                pair = asked._divisor_pair(bmask)
+                if pair is not None:
+                    x, y = pair
+                    d = x.bit_length() - 1
+                    assert x == 1 << d and (d == low or d in atoms) and d <= low, bin(bmask)
+                    assert y << d == bmask and y != 1 and not y & ~asked.member_mask
+                    paired += 1
+                answer = asked.factorable(bmask)
+                assert answer == bool(listed.factorizations(bmask)[0]), bin(bmask)
+        assert paired
 
 
 # -- the universe bound, checked before anything is built --------------------

@@ -16,7 +16,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "powmon"
 # ROADMAP item 8's keep-list
 KEEP = {
     "_kernels.backend_name": "perfbench's worker names the kernel by it",
-    "decompose.set_length_set": "perfbench's interval workload calls and traces it",
+    "decompose.set_length_set": "perfbench's corpus-sweep `lengths:` op calls and traces it",
     "puiseux.geometric_chain": "perfbench's tracing wraps it by name",
     "powerset.size_bound_check": "the size dichotomy acceptance criterion 2 checks",
     "numerical.NumericalMonoid.apery_set": "the Apery set acceptance criterion 10 checks",
