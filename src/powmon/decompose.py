@@ -58,13 +58,14 @@ and lookup stays on integers:
   table through the trusted `FinSet._sorted`: bit positions ascend and the
   table is strictly increasing, so the elements are already sorted,
   distinct and nonnegative;
-* factorizations are sorted by an integer key, (length, sorted (atom
-  rank, count) pairs), where the distinct atoms of the call are ranked by
-  their bit positions.  Within one engine FinSet order is the
-  lexicographic order of bit positions (not of the mask's int value:
-  {0,1,3} sorts before {0,2}), so the key orders exactly as
-  `Factorization.__lt__`, and each Factorization is built from counts
-  already in canonical order through the trusted `Factorization._canonical`;
+* factorizations are sorted by an integer key, (length, ascending codes
+  rank * width + count), where the distinct atoms of the call are ranked
+  by their bit positions and width exceeds every count.  Within one
+  engine FinSet order is the lexicographic order of bit positions (not of
+  the mask's int value: {0,1,3} sorts before {0,2}), so the key orders
+  exactly as `Factorization.__lt__`, and `factorization.from_codes` builds
+  each Factorization through the trusted `Factorization._canonical`, from
+  one shared (atom, count) pair per distinct code;
 * the two sides of a Decomposition are put in FinSet order by their bit
   positions before either FinSet is built;
 * the engine builds each raw tuple once, from its smallest atom mask, so
@@ -81,7 +82,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 
 from .errors import InvalidInputError, NotAMemberError, UnsupportedAmbientError
-from .factorization import Enumeration, Factorization
+from .factorization import Enumeration, from_codes
 from .powerset import FinSet
 from ._kernels import masks_py
 from .puiseux import PuiseuxMonoid
@@ -437,24 +438,26 @@ def set_factorizations(
     """All factorizations of B into atoms of the (restricted) power monoid."""
     eng, bmask = _prepared(b, monoid, restricted)
     raw, exhaustive = eng.factorizations(bmask, max_length)
-    # rank the distinct atoms in FinSet order, sort on the integer key (see
-    # the module docstring), then build each atom once and each
-    # Factorization from counts that are already canonical
+    # rank the distinct atoms in FinSet order and code each run of equal
+    # masks (a raw tuple ascends by mask) as rank * width + count, the key
+    # of the module docstring
     order = sorted({mask for z in raw for mask in z}, key=_bit_positions)
-    rank = {mask: r for r, mask in enumerate(order)}
-    keyed = []
+    width = max(map(len, raw), default=0) + 1
+    base = {mask: r * width for r, mask in enumerate(order)}
+    coded = []
     for z in raw:
-        counts: dict[int, int] = {}
+        codes: list[int] = []
+        prev = 0  # no atom mask
         for mask in z:
-            counts[mask] = counts.get(mask, 0) + 1
-        keyed.append((len(z), tuple(sorted([(rank[m], n) for m, n in counts.items()]))))
-    keyed.sort()
+            if mask == prev:
+                codes[-1] += 1
+            else:
+                codes.append(base[mask] + 1)
+                prev = mask
+        codes.sort()
+        coded.append((len(z), tuple(codes)))
     atoms = [eng.to_finset(m) for m in order]
-    items = tuple(
-        Factorization._canonical(tuple((atoms[r], n) for r, n in counts))
-        for _, counts in keyed
-    )
-    return Enumeration(items, exhaustive=exhaustive)
+    return Enumeration(from_codes(atoms, width, coded), exhaustive=exhaustive)
 
 
 def set_lengths(

@@ -37,11 +37,6 @@ class Factorization:
         z.counts = counts
         return z
 
-    @classmethod
-    def from_vector(cls, atoms: tuple, vector: tuple[int, ...]) -> "Factorization":
-        """From counts over distinct ascending atoms (zero counts dropped)."""
-        return cls._canonical(tuple((a, c) for a, c in zip(atoms, vector) if c))
-
     @property
     def length(self) -> int:
         return sum(m for _, m in self.counts)
@@ -90,6 +85,22 @@ class Factorization:
         if self.length <= 32:
             return " + ".join(fmt(a) for a in self.expand())
         return " + ".join(f"{m}*{fmt(a)}" for a, m in self.counts)
+
+
+def from_codes(atoms, width: int, coded: list) -> tuple[Factorization, ...]:
+    """The factorizations `coded` lists as (length, codes), in canonical
+    order; `coded` is sorted in place.  A code is index * width + count over `atoms`, which are in
+    canonical order, with width past every count, and the codes of each
+    factorization ascend; such keys order exactly as `Factorization.__lt__`,
+    so the sort compares ints only.  Each distinct code becomes one shared
+    (atom, count) pair, and no atom is hashed or compared."""
+    coded.sort()
+    pairs = {}
+    for code in {code for _, codes in coded for code in codes}:
+        index, count = divmod(code, width)
+        pairs[code] = (atoms[index], count)
+    canonical = Factorization._canonical
+    return tuple(canonical(tuple(map(pairs.__getitem__, codes))) for _, codes in coded)
 
 
 class Enumeration(Record):

@@ -56,7 +56,7 @@ from .errors import (
     NotAMemberError,
     UnsupportedAmbientError,
 )
-from .factorization import Enumeration, Factorization
+from .factorization import Enumeration, from_codes
 from .numerical import NumericalMonoid
 from .rational import (
     Record,
@@ -478,9 +478,11 @@ class PuiseuxMonoid:
         """Every factorization of q into atoms (exact, canonically sorted)."""
         n = self._require_member(q)
         vectors, exhaustive = self._atom_solver.search(n, max_total=max_length)
-        atoms = self.atoms()
-        items = tuple(sorted(Factorization.from_vector(atoms, v) for v in vectors))
-        return Enumeration(items, exhaustive=exhaustive)
+        lengths = list(map(sum, vectors))
+        width = max(lengths, default=0) + 1
+        coded = [(length, tuple(i * width + c for i, c in enumerate(v) if c))
+                 for length, v in zip(lengths, vectors)]
+        return Enumeration(from_codes(self.atoms(), width, coded), exhaustive=exhaustive)
 
     def lengths(self, q, max_length: int | None = None) -> tuple[frozenset[int], bool]:
         """(lengths, exhaustive) of the factorizations `factorizations`

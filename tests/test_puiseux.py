@@ -852,7 +852,7 @@ def test_atoms_and_factorizations_past_unbounded_depths_are_answered_at_once():
     assert enum.exhaustive
     xs = range(-q % b, q // a + 1, b)
     assert len(xs) == 1001 and set(enum.items) == {
-        Factorization.from_vector(m.atoms(), (x, (q - x * a) // b)) for x in xs}
+        Factorization(zip(m.atoms(), (x, (q - x * a) // b))) for x in xs}
 
 
 def _random_unbounded_gens(rng):
