@@ -89,16 +89,15 @@ class Factorization:
 
 def from_codes(atoms, width: int, coded: list) -> tuple[Factorization, ...]:
     """The factorizations `coded` lists as (length, codes), in canonical
-    order; `coded` is sorted in place.  A code is index * width + count over `atoms`, which are in
-    canonical order, with width past every count, and the codes of each
-    factorization ascend; such keys order exactly as `Factorization.__lt__`,
-    so the sort compares ints only.  Each distinct code becomes one shared
-    (atom, count) pair, and no atom is hashed or compared."""
+    order; `coded` is sorted in place.  A code is index * width + count
+    over `atoms`, which are in canonical order, with width past every
+    count, and the codes of each factorization ascend; such keys order
+    exactly as `Factorization.__lt__`, so the sort compares ints only.
+    Each distinct code becomes one shared (atom, count) pair, and no atom
+    is hashed or compared."""
     coded.sort()
-    pairs = {}
-    for code in {code for _, codes in coded for code in codes}:
-        index, count = divmod(code, width)
-        pairs[code] = (atoms[index], count)
+    pairs = {code: (atoms[code // width], code % width)
+             for code in {code for _, codes in coded for code in codes}}
     canonical = Factorization._canonical
     return tuple(canonical(tuple(map(pairs.__getitem__, codes))) for _, codes in coded)
 

@@ -1051,3 +1051,36 @@ def test_a_refusal_names_the_first_failing_element():
         assert decompose.engine_for(monoid).built == built
     assert is_atom(fs(0, 2), M23).is_atom and not is_atom(fs(0, 2, 3, 5), M23).is_atom
     assert set_length_set(probe, HALF_THIRD) == before
+
+
+def test_set_factorizations_share_one_pair_per_atom_and_count():
+    """Within one result, equal (atom, count) pairs are one object."""
+    for b, monoid, restricted in [(fs(*range(9)), N0, True),
+                                  (fs(0, F(1, 2), 1, F(3, 2), 2), HALF_THIRD, False)]:
+        items = set_factorizations(b, monoid, restricted).items
+        pairs = [pair for z in items for pair in z.counts]
+        assert len(pairs) > len(set(pairs)) == len({id(pair) for pair in pairs})
+
+
+def test_capped_factorizations_match_the_sort_of_public_objects():
+    """With max_length 1 to 3, seeded Minkowski sums of small member sets
+    over <2,3>, <3,5,7> and <1/2,1/3> (restricted, half the time, when they
+    hold 0) give the items and flag of `_expected_items`."""
+    import random
+    from functools import reduce
+
+    rng = random.Random(97)
+    partial = 0
+    for monoid, bound in [(M23, 5), (PuiseuxMonoid([3, 5, 7]), 7), (HALF_THIRD, 1)]:
+        members = monoid.members_upto(bound)
+        for _ in range(20):
+            b = reduce(FinSet.__add__, [
+                FinSet(rng.sample(members, rng.randrange(1, 3)) + [0] * (rng.randrange(4) > 0))
+                for _ in range(rng.randrange(2, 4))])
+            restricted = b.contains_zero and rng.randrange(2) == 1
+            for cap in (1, 2, 3):
+                enum = set_factorizations(b, monoid, restricted, max_length=cap)
+                assert (enum.items, enum.exhaustive) == _expected_items(
+                    b, monoid, restricted, max_length=cap), (b, monoid, cap)
+                partial += not enum.exhaustive and len(enum.items) > 1
+    assert partial >= 10, partial

@@ -1434,3 +1434,55 @@ def test_apery_factorizations_build_each_factorization_once(monkeypatch):
     got = m.factorizations(q)
     assert got.items == want and [z.counts for z in got.items] == [z.counts for z in want]
     assert len(built) == len(want) > 1
+
+
+def test_factorizations_share_one_pair_per_atom_and_count():
+    """Within one result, equal (atom, count) pairs are one object."""
+    for m, q in [(PuiseuxMonoid([5, 7, 9, 11, 13]), 60),
+                 (PuiseuxMonoid([F(1, 2), F(1, 3), F(5, 4)]), F(29, 4))]:
+        pairs = [pair for z in m.factorizations(q).items for pair in z.counts]
+        assert len(pairs) > len(set(pairs)) == len({id(pair) for pair in pairs})
+
+
+def test_a_warm_call_neither_hashes_nor_orders_an_atom(monkeypatch):
+    """Once <1/2, 1/3, 5/4> is warm, `factorizations` sorts on integer
+    codes: with Fraction.__lt__, Fraction.__hash__ and Factorization.__lt__
+    raising, every answer is the one given before."""
+    m = PuiseuxMonoid([F(1, 2), F(1, 3), F(5, 4)])
+    q = F(29, 4)
+    want = [m.factorizations(q), m.factorizations(q, 13)]
+    assert len(want[0]) > len(want[1]) > 1 and not want[1].exhaustive
+
+    def refuse(*_):
+        raise AssertionError("an atom or a factorization was hashed or compared")
+
+    monkeypatch.setattr(F, "__lt__", refuse)
+    monkeypatch.setattr(F, "__hash__", refuse)
+    monkeypatch.setattr(Factorization, "__lt__", refuse)
+    got = [m.factorizations(q), m.factorizations(q, 13)]
+    monkeypatch.undo()
+    assert got == want
+
+
+def test_factorizations_match_the_sort_of_public_objects():
+    """On random monoids of 2 to 5 generators, integer and rational, with
+    and without a length cap, `factorizations` returns the solver's vectors
+    built by the public constructor and sorted by Factorization.__lt__,
+    with the solver's flag."""
+    rng = random.Random(83)
+    capped = 0
+    for trial in range(60):
+        k = rng.randrange(2, 6)
+        if trial % 2:
+            gens = [F(rng.randrange(1, 20), rng.randrange(1, 7)) for _ in range(k)]
+        else:
+            gens = [rng.randrange(2, 30) for _ in range(k)]
+        m = PuiseuxMonoid(gens)
+        q = sum(rng.randrange(4) * g for g in gens)
+        for cap in (None, rng.randrange(1, 6)):
+            vectors, exhaustive = m._atom_solver.search(m.to_scaled(F(q)), max_total=cap)
+            want = tuple(sorted(Factorization(zip(m.atoms(), v)) for v in vectors))
+            got = m.factorizations(q, cap)
+            assert (got.items, got.exhaustive) == (want, exhaustive), (gens, q, cap)
+            capped += not exhaustive and len(want) > 1
+    assert capped
