@@ -10,14 +10,16 @@ on top, with memoization shared per ambient (the corpus sweeps revisit the
 same normalized cofactors constantly).  The kernel's own results are
 memoized by its effective input (B - min B and the candidate masks cut to
 it), so `is_atom`, `set_factorizations` and every translate of a shape past
-the conductor share one search.  Factorization walks `_pairs`, which
-yields the pairs of B split by split, already oriented as (atom side,
-cofactor).  Factorability (the one question of the atomicity sweep,
-`factorability_sweep`) first tries one divisor pair {d} + (B - d), which
-decides alone since every set in M factors at its first nontrivial pair;
-`is_atom` and its witness still walk the splits.  It keeps one bool per
-mask, lists no factorization, and leaves the factorization and atom memos
-empty.  Divisor splits are listed once per min(B).
+the conductor share one search.  Factorization walks `_pairs` once per set,
+which yields the pairs (x, y) of B with x <= y split by split: the
+trivial pair ({0}, B) alone makes B an atom, and `is_atom` is asked only
+of the x side of a nontrivial pair.  Factorability (the one question of
+the atomicity sweep, `factorability_sweep`) is decided by one nontrivial
+pair, since every set in M factors at its first: a divisor pair
+{d} + (B - d) when there is one, else the first pair of the splits that
+`is_atom` and its witness walk.  It keeps one bool per mask, lists no
+factorization, and leaves the factorization and atom memos empty.
+Divisor splits are listed once per min(B).
 
 The engine works in P_fin(M) only: P_fin,0(M), the sets containing 0, is
 divisor-closed in it (A + C = B with 0 in B gives min A + min C = 0), so
@@ -37,7 +39,7 @@ the pair set alone, not on the order the kernel emits pairs in, so `is_atom`
 reports the same decomposition whichever way the space is searched.  The
 engine's own atom test, behind factorization, walks the same splits and
 stops at the first nontrivial pair, with no witness built; factorability
-without a divisor pair walks on to one with two factorable sides.
+without a divisor pair takes that same first pair.
 
 Sets enter the engine as masks and results leave it as masks, becoming
 objects only at the API boundary, where all conversion, ordering, counting
@@ -260,22 +262,18 @@ class _Engine:
         return found
 
     def _pairs(self, bmask: int) -> Iterator[tuple[int, int]]:
-        """The pairs of B split by split, each split searched only when the
-        walk reaches it, each pair x <= y as the (atom side, cofactor) pair
-        (a, c) that factorization extends: (x, y), or (y, {0}) when x is
-        {0}.  Each factorization is built once, from its smallest atom a:
-        the pair (a, c) extends only the factorizations z of c with
-        z[0] >= a, and every atom dividing c has a mask of at most c, so
-        (y, x) with x != {0} would keep nothing."""
+        """The pairs (x, y) of B with x <= y as masks, split by split, each
+        split searched only when the walk reaches it.  A set outside M has
+        none, and one in M has the trivial pair ({0}, B) in split d = 0."""
         b0 = bmask >> ((bmask & -bmask).bit_length() - 1)  # B - min B
         for da, dc in self._splits(bmask):
             for a, c in self._split_pairs(b0, da, dc):
-                yield (c, a) if c != 1 and (a == 1 or a > c) else (a, c)
+                yield (a, c) if a <= c else (c, a)
 
     def pair_decompositions(self, bmask: int) -> list[tuple[int, int]]:
         """Unordered pairs of true-value masks (canonical: smaller int
         first), each found from the side with the smaller max."""
-        return sorted((a, c) if a <= c else (c, a) for a, c in self._pairs(bmask))
+        return sorted(self._pairs(bmask))
 
     # -- atomhood ---------------------------------------------------------------
 
@@ -340,28 +338,20 @@ class _Engine:
         without a separate atom test.  {0} has the empty one and a set
         outside M has none.  A set in M factors when it has no nontrivial
         pair (it is an atom), or when some nontrivial pair (x, y) has x and
-        y factorable; the walk stops at the first such pair.  That is
-        exact: if B = a_1 + ... + a_k with k >= 2, (a_1, a_2 + ... + a_k)
-        is a nontrivial pair with two factorable sides.  The recursion
-        ends, since both sides of a nontrivial pair have max below max B.
-        They lie in M too, so by induction on max B every set in M factors
-        at its first pair: the pair of `_divisor_pair`, tried first, decides
-        alone.  Only a set without one walks `_reducing_splits`, whose
-        splits `is_atom` and its witness walk always."""
+        y factorable: if B = a_1 + ... + a_k with k >= 2, (a_1, a_2 + ... +
+        a_k) is such a pair.  Both sides of a nontrivial pair lie in M with
+        max below max B, so by induction on max B every set in M factors,
+        and its first nontrivial pair decides: the pair of `_divisor_pair`,
+        else the first pair of `_reducing_splits`, whose splits `is_atom`
+        and its witness walk always."""
         hit = self._factorable_memo.get(bmask)
         if hit is None:
             if bmask == 1 or bmask & ~self.member_mask:
                 hit = bmask == 1
             else:
-                pair = self._divisor_pair(bmask)
-                if pair:
-                    hit = self.factorable(pair[0]) and self.factorable(pair[1])
-                else:
-                    hit = True  # an atom, unless a nontrivial pair is met
-                    for x, y in chain.from_iterable(self._reducing_splits(bmask)):
-                        hit = self.factorable(x) and self.factorable(y)
-                        if hit:
-                            break
+                pair = self._divisor_pair(bmask) or next(
+                    chain.from_iterable(self._reducing_splits(bmask)), None)
+                hit = pair is None or self.factorable(pair[0]) and self.factorable(pair[1])
             self._factorable_memo[bmask] = hit
         return hit
 
@@ -371,7 +361,12 @@ class _Engine:
         self, bmask: int, budget: int | None = None
     ) -> tuple[tuple[tuple[int, ...], ...], bool]:
         """(distinct ascending atom-mask tuples in no set order, exhaustive
-        flag), each built once, from its smallest atom (see `_pairs`)."""
+        flag).  B is an atom when its one pair is the trivial ({0}, B); a
+        set outside M has none.  Otherwise each factorization a_1 + ... +
+        a_k, ascending by mask, is built once, from the pair (a_1, c) of
+        `_pairs` with c = a_2 + ... + a_k: a_2 divides c, so a_1 <= a_2 <= c
+        as masks, and of the factorizations z of c only those with
+        z[0] >= a_1 are kept."""
         key = (bmask, budget)
         hit = self._factor_memo.get(key)
         if hit is not None:
@@ -381,13 +376,14 @@ class _Engine:
         elif budget is not None and budget <= 0:
             result = ((), False)
         else:
-            out: list[tuple[int, ...]] = []
+            pairs = list(self._pairs(bmask))
+            out: list[tuple[int, ...]] = [(bmask,)] if pairs == [(1, bmask)] else []
             exhaustive = True
-            for a, c in self._pairs(bmask):
-                if self.is_atom(a):
+            for a, c in pairs:
+                if a != 1 and self.is_atom(a):
                     inner, inner_ok = self.factorizations(c, None if budget is None else budget - 1)
                     exhaustive = exhaustive and inner_ok
-                    out.extend((a,) + z for z in inner if not z or z[0] >= a)
+                    out.extend((a,) + z for z in inner if z[0] >= a)
             result = (tuple(out), exhaustive)
         self._factor_memo[key] = result
         return result

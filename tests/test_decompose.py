@@ -588,11 +588,35 @@ def test_split_pairs_returns_each_pair_once():
 
 def test_pairs_are_oriented_for_the_factorization_walk():
     """`_pairs` yields each pair of `pair_decompositions` once, as (x, y)
-    with x <= y, or as (y, {0}) when x is {0}."""
+    with x <= y, the trivial pair ({0}, B) included."""
     for eng, bmask, restricted in _engine_cases(_pair_corpus()):
         walked = list(eng._pairs(bmask))
-        assert all(c == 1 or a != 1 and a <= c for a, c in walked), bin(bmask)
-        assert sorted((min(p), max(p)) for p in walked) == eng.pair_decompositions(bmask)
+        assert all(a <= c for a, c in walked), bin(bmask)
+        assert sorted(walked) == eng.pair_decompositions(bmask)
+        assert (1, bmask) in walked, bin(bmask)
+
+
+def test_a_singleton_factorization_is_read_off_the_walk():
+    """(B,) is a factorization of B exactly when B has no witness, on sets
+    with and without 0 and on every ambient of the pair corpus."""
+    atoms = reducible = 0
+    for eng, bmask, restricted in _engine_cases(_pair_corpus() + _large_minimum_corpus()):
+        if bmask == 1:
+            continue  # the identity is no atom and has no witness
+        single = (bmask,) in eng.factorizations(bmask)[0]
+        assert single == (eng.atom_witness(bmask) is None), (bin(bmask), restricted)
+        atoms += single
+        reducible += not single
+    assert atoms > 100 and reducible > 1000
+
+
+def test_enumeration_tests_only_atom_sides(monkeypatch):
+    """A cold restricted enumeration of {0..12} asks `is_atom` only of the
+    atom sides of nontrivial pairs, not of every set it factorizes, so the
+    atom memo holds under a tenth of the factorization memo's entries."""
+    eng, _ = _counting_engine(monkeypatch, N0)
+    set_factorizations(fs(*range(13)), N0, restricted=True)
+    assert 10 * len(eng._atom_memo) < len(eng._factor_memo)
 
 
 # -- one kernel search per effective input, one build per factorization ------

@@ -728,6 +728,17 @@ def test_a_depth_without_a_trade_bound_leaves_membership_to_the_table():
     assert not _Over(PAST_THE_CAP).solver.bounded and _Over([F(1, 2), F(1, 3)]).solver.bounded
 
 
+def test_membership_past_an_unbounded_depth_still_needs_the_table():
+    """The solver's walk for t over <1000, 10**12, 10**12 + 1> still steps
+    through the counts of 1000 at its unbounded first depth, so its time
+    grows with t - 10**12: 10**12 + 10**8 - 1 takes a tenth of a second and
+    2 * 10**12 - 1 would take most of an hour.  The table answers that
+    query at once, so membership there must stay with the table."""
+    m = PuiseuxMonoid([1000, 10**12, 10**12 + 1])
+    assert m._membership_table() is m.numerical
+    assert not m.contains(2 * 10**12 - 1)
+
+
 def test_no_trade_bound_is_sought_over_an_unbounded_rest():
     """Over <10**9 - 1, 10**9, 10**21, 10**21 + 10**9> the solver over the
     last three generators has no trade bound at its first depth, so looking
