@@ -11,9 +11,9 @@ same normalized cofactors constantly).  The kernel's own results are
 memoized by its effective input (B - min B and the candidate masks cut to
 it), so `is_atom`, `set_factorizations` and every translate of a shape past
 the conductor share one search.  Factorization walks `_pairs` once per set,
-which yields the pairs (x, y) of B with x <= y split by split: the
-trivial pair ({0}, B) alone makes B an atom, and `is_atom` is asked only
-of the x side of a nontrivial pair.  Factorability (the one question of
+which yields the pairs (x, y) of B with x <= y split by split: B is an
+atom when the trivial pair ({0}, B) is its only pair, and `is_atom` is
+asked only of the x side of a nontrivial pair.  Factorability (the one question of
 the atomicity sweep, `factorability_sweep`) is decided by one nontrivial
 pair, since every set in M factors at its first: a divisor pair
 {d} + (B - d) when there is one, else the first pair of the splits that

@@ -731,9 +731,9 @@ def test_a_depth_without_a_trade_bound_leaves_membership_to_the_table():
 def test_membership_past_an_unbounded_depth_still_needs_the_table():
     """The solver's walk for t over <1000, 10**12, 10**12 + 1> still steps
     through the counts of 1000 at its unbounded first depth, so its time
-    grows with t - 10**12: 10**12 + 10**8 - 1 takes a tenth of a second and
-    2 * 10**12 - 1 would take most of an hour.  The table answers that
-    query at once, so membership there must stay with the table."""
+    grows linearly with t - 10**12: 2 * 10**12 - 1 would take 10**4 times
+    as long as 10**12 + 10**8 - 1.  The table answers that query at once,
+    so membership there must stay with the table."""
     m = PuiseuxMonoid([1000, 10**12, 10**12 + 1])
     assert m._membership_table() is m.numerical
     assert not m.contains(2 * 10**12 - 1)
